@@ -18,9 +18,10 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .domains import DomainSpec, boundary_residual, contains
+from .domains import (DomainSpec, boundary_residual, contains,
+                      coordinate_cells, coordinate_columns)
 from .geometry import GeodesicField, MetricBall, Net, Partition, metric_ball
-from .kernels import KernelEngine, multi_indices, monomial_matrix
+from .kernels import multi_indices, monomial_matrix
 from .operators import SymbolFn
 
 
@@ -103,7 +104,7 @@ def ray_point(dom: DomainSpec, direction, t: float):
     """anchor + t * (distance to the boundary along the ray), t in [0,1)."""
     a = dom.anchor_point
     u = np.asarray(direction, dtype=complex).reshape(-1)
-    lo, hi = 0.0, 2.0 * dom.bounding_radius
+    lo, hi = 0.0, 2.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if contains(dom, a + mid * u):
@@ -142,18 +143,12 @@ class ScanSummary:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             d = len(self.rows[0].zeta) if self.rows else 0
-            head = ["ray", "t"]
-            for j in range(d):
-                head += [f"re_zeta{j + 1}", f"im_zeta{j + 1}"]
-            head += ["r", "D", "mode", "omega", "admissible"]
-            w.writerow(head)
+            w.writerow(["ray", "t"] + coordinate_columns(d, "zeta")
+                       + ["r", "D", "mode", "omega", "admissible"])
             for row in self.rows:
-                rec = [row.ray, repr(row.t)]
-                for j in range(d):
-                    rec += [repr(row.zeta[j].real), repr(row.zeta[j].imag)]
-                rec += [repr(self.radius), self.degree, self.mode,
-                        repr(row.value), int(row.admissible)]
-                w.writerow(rec)
+                w.writerow([row.ray, repr(row.t)] + coordinate_cells(row.zeta)
+                           + [repr(self.radius), self.degree, self.mode,
+                              repr(row.value), int(row.admissible)])
 
     def to_json(self, path):
         with open(path, "w") as fh:
@@ -370,8 +365,6 @@ def _audit_dbar(dec: Decomposition, field: GeodesicField):
     h = 0.25 * grid.resolution
     nodes = grid.nodes
     centers = dec.net.center_points()
-    gap_ok = np.nonzero(
-        field.distances_from_point(field.domain.anchor_point) < np.inf)[0]
     # dbar chi_hat at all nodes, one finite-difference stencil per node
     dbar_chi = np.zeros((len(dec.net), len(nodes), d), dtype=complex)
     for j in range(d):
@@ -411,7 +404,6 @@ def _audit_dbar(dec: Decomposition, field: GeodesicField):
         dec.dbar_audit.append(
             {"center": m, "mass": mass, "eps_sq": bound, "admissible": ok,
              "ratio": mass / bound if (ok and bound > 0) else 0.0})
-    del gap_ok
 
 
 # -- dbar energy functional (sufficient condition for boundedness) ----

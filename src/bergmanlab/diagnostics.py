@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .domains import boundary_gap
-from .geometry import ChartMap, GeodesicField, chart, metric_ball
-from .kernels import KernelEngine, multi_indices, monomial_matrix
+from .geometry import GeodesicField, chart, metric_ball
+from .kernels import KernelEngine
 
 
 class DiagnosticsError(RuntimeError):

@@ -7,9 +7,8 @@ dmu = product over coordinates of dx_j dy_j.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import beta as beta_fn
@@ -21,63 +20,29 @@ class DomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class RealQuadraticInequality:
-    """A real inequality c0 + b.x + x^T A x < 0 over x in R^{2d}.
-
-    ``x`` is the realification (Re z_1, Im z_1, ..., Re z_d, Im z_d).
-    ``quad`` may be None (affine inequality) or a symmetric (2d, 2d) matrix.
-    """
-
-    const: float
-    lin: tuple
-    quad: tuple | None = None
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        val = self.const + x @ np.asarray(self.lin)
-        if self.quad is not None:
-            A = np.asarray(self.quad)
-            val = val + np.einsum("...i,ij,...j->...", x, A, x)
-        return val
-
-    def gradient_bound(self, radius):
-        """sup of |grad| over the ball of the given radius in R^{2d}."""
-        g = float(np.linalg.norm(self.lin))
-        if self.quad is not None:
-            g += 2.0 * float(np.linalg.norm(self.quad, 2)) * radius
-        return g
-
-
-@dataclass(frozen=True)
 class DomainSpec:
     """A bounded open model domain in C^d."""
 
-    kind: str  # disc | ball | polydisc | egg | convex
+    kind: str  # disc | ball | polydisc | egg
     dim: int
     label: str = ""
     egg_exponent: int = 2
-    inequalities: tuple = ()
-    bounding_radius: float = 1.0
-    anchor: tuple = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("dimension must be a positive integer")
-        if self.kind not in ("disc", "ball", "polydisc", "egg", "convex"):
+        if self.kind not in ("disc", "ball", "polydisc", "egg"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
         if self.kind == "disc" and self.dim != 1:
             raise DomainError("disc is one-dimensional")
         if self.kind == "egg" and self.dim != 2:
             raise DomainError("egg domains live in C^2")
-        if self.anchor is None:
-            object.__setattr__(self, "anchor", (0.0 + 0.0j,) * self.dim)
-        a = np.asarray(self.anchor, dtype=complex)
-        if not contains(self, a):
-            raise DomainError("anchor point is not inside the domain")
 
     @property
     def anchor_point(self):
-        return np.asarray(self.anchor, dtype=complex)
+        """The origin, interior to every model domain; rays and nets
+        start there."""
+        return np.zeros(self.dim, dtype=complex)
 
     @property
     def homogeneous(self):
@@ -104,24 +69,6 @@ def egg(m, label=None):
                       label=label or f"egg({m})")
 
 
-def convex(inequalities, dim, bounding_radius, anchor, label="convex"):
-    ineqs = tuple(inequalities)
-    if not ineqs:
-        raise DomainError("convex domain needs at least one inequality")
-    return DomainSpec(kind="convex", dim=dim, inequalities=ineqs,
-                      bounding_radius=float(bounding_radius),
-                      anchor=tuple(np.asarray(anchor, dtype=complex)),
-                      label=label)
-
-
-def _realify(z):
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],), dtype=float)
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
-
-
 def contains(dom: DomainSpec, z) -> np.ndarray | bool:
     """Strict membership test; broadcasts over a batch (n, d)."""
     z = np.asarray(z, dtype=complex)
@@ -136,23 +83,17 @@ def contains(dom: DomainSpec, z) -> np.ndarray | bool:
         res = np.sum(np.abs(z) ** 2, axis=-1) < 1.0
     elif dom.kind == "polydisc":
         res = np.all(np.abs(z) < 1.0, axis=-1)
-    elif dom.kind == "egg":
+    else:
         m = dom.egg_exponent
         res = np.abs(z[..., 0]) ** 2 + np.abs(z[..., 1]) ** (2 * m) < 1.0
-    else:
-        x = _realify(z)
-        res = np.ones(z.shape[:-1], dtype=bool)
-        for ineq in dom.inequalities:
-            res &= ineq(x) < 0.0
-        res &= np.sum(np.abs(z) ** 2, axis=-1) < dom.bounding_radius ** 2
     if res.ndim == 0:
         return bool(res)
     return res
 
 
 def boundary_gap(dom: DomainSpec, z):
-    """Distance (disc/ball/polydisc: exact Euclidean; else a positive
-    lower bound from the defining functions) from an interior point to
+    """Distance (disc/ball/polydisc: exact Euclidean; egg: a positive
+    lower bound from the defining function) from an interior point to
     the boundary."""
     z = np.asarray(z, dtype=complex)
     inside = contains(dom, z)
@@ -164,19 +105,10 @@ def boundary_gap(dom: DomainSpec, z):
         gap = 1.0 - np.sqrt(np.sum(np.abs(z) ** 2, axis=-1))
     elif dom.kind == "polydisc":
         gap = np.min(1.0 - np.abs(z), axis=-1)
-    elif dom.kind == "egg":
+    else:
         m = dom.egg_exponent
         g = np.abs(z[..., 0]) ** 2 + np.abs(z[..., 1]) ** (2 * m) - 1.0
         gap = np.abs(g) / (2.0 + 2.0 * m)
-    else:
-        gap = None
-        for ineq in dom.inequalities:
-            x = _realify(z)
-            lb = np.abs(ineq(x)) / ineq.gradient_bound(
-                dom.bounding_radius * math.sqrt(2 * dom.dim))
-            gap = lb if gap is None else np.minimum(gap, lb)
-        gap = np.minimum(gap, dom.bounding_radius
-                         - np.sqrt(np.sum(np.abs(z) ** 2, axis=-1)))
     if gap.ndim == 0:
         return float(gap)
     return gap
@@ -194,19 +126,12 @@ def boundary_residual(dom: DomainSpec, z):
         over = np.max(np.maximum(np.abs(z) - 1.0, 0.0), axis=-1)
         at = np.abs(np.max(np.abs(z), axis=-1) - 1.0)
         return np.maximum(over, at)
-    if dom.kind == "egg":
-        m = dom.egg_exponent
-        return np.abs(np.abs(z[..., 0]) ** 2
-                      + np.abs(z[..., 1]) ** (2 * m) - 1.0)
-    raise DomainError("boundary residual not available for convex domains")
-
-
-_CONVEX_MU_SEED = 20240817
-_CONVEX_MU_SAMPLES = 200_000
+    m = dom.egg_exponent
+    return np.abs(np.abs(z[..., 0]) ** 2 + np.abs(z[..., 1]) ** (2 * m) - 1.0)
 
 
 def lebesgue_volume(dom: DomainSpec) -> float:
-    """mu(Omega), analytic where available, hit-ratio estimate otherwise."""
+    """mu(Omega), in closed form."""
     d = dom.dim
     if dom.kind == "disc":
         return math.pi
@@ -214,15 +139,18 @@ def lebesgue_volume(dom: DomainSpec) -> float:
         return math.pi ** d / math.factorial(d)
     if dom.kind == "polydisc":
         return math.pi ** d
-    if dom.kind == "egg":
-        m = dom.egg_exponent
-        return math.pi ** 2 * m / (m + 1.0)
-    rng = np.random.default_rng(_CONVEX_MU_SEED)
-    R = dom.bounding_radius
-    x = rng.uniform(-R, R, size=(_CONVEX_MU_SAMPLES, 2 * d))
-    z = x[:, 0::2] + 1j * x[:, 1::2]
-    box = (2.0 * R) ** (2 * d)
-    return box * float(np.mean(contains(dom, z)))
+    m = dom.egg_exponent
+    return math.pi ** 2 * m / (m + 1.0)
+
+
+def coordinate_columns(d, name="z"):
+    """CSV header cells re_<name>1, im_<name>1, ... for points in C^d."""
+    return [f"{part}_{name}{j + 1}" for j in range(d) for part in ("re", "im")]
+
+
+def coordinate_cells(z):
+    """CSV cells (Re, Im per coordinate) written as plain float reprs."""
+    return [repr(float(x)) for c in np.ravel(z) for x in (c.real, c.imag)]
 
 
 @dataclass(frozen=True)
@@ -234,7 +162,6 @@ class QuadratureGrid:
     resolution: float
     scheme: str
     domain: DomainSpec
-    mass_tolerance: float = field(default=0.05)
 
     def __post_init__(self):
         if len(self.nodes) == 0:
@@ -245,35 +172,18 @@ class QuadratureGrid:
     def __len__(self):
         return len(self.nodes)
 
-    @property
-    def total_weight(self):
-        return float(np.sum(self.weights))
 
-    def to_csv(self, path):
-        d = self.domain.dim
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            header = []
-            for j in range(d):
-                header += [f"re_z{j + 1}", f"im_z{j + 1}"]
-            w.writerow(header + ["weight"])
-            for node, wt in zip(self.nodes, self.weights):
-                row = []
-                for j in range(d):
-                    row += [repr(node[j].real), repr(node[j].imag)]
-                w.writerow(row + [repr(float(wt))])
-
-
-def _midpoint_axis(radius, resolution):
-    n = int(math.ceil(2.0 * radius / resolution))
+def _midpoint_axis(resolution):
+    """Midpoints of a uniform split of [-1, 1], the bounding box side."""
+    n = int(math.ceil(2.0 / resolution))
     if n < 1:
         raise DomainError("resolution too coarse for the bounding box")
-    h = 2.0 * radius / n
-    return -radius + h * (np.arange(n) + 0.5), h
+    h = 2.0 / n
+    return -1.0 + h * (np.arange(n) + 0.5), h
 
 
 def _tensor_midpoint(dom, resolution):
-    axis, h = _midpoint_axis(dom.bounding_radius, resolution)
+    axis, h = _midpoint_axis(resolution)
     grids = np.meshgrid(*([axis] * (2 * dom.dim)), indexing="ij")
     x = np.stack([g.ravel() for g in grids], axis=-1)
     z = x[:, 0::2] + 1j * x[:, 1::2]
@@ -284,12 +194,11 @@ def _tensor_midpoint(dom, resolution):
 
 
 def _quasi_random(dom, resolution, seed):
-    R = dom.bounding_radius
-    box = (2.0 * R) ** (2 * dom.dim)
+    box = 2.0 ** (2 * dom.dim)
     n_cand = int(math.ceil(box / resolution ** (2 * dom.dim)))
     n_cand = min(max(n_cand, 64), 2_000_000)
     sampler = qmc.Halton(d=2 * dom.dim, scramble=True, seed=seed)
-    x = qmc.scale(sampler.random(n_cand), -R, R)
+    x = qmc.scale(sampler.random(n_cand), -1.0, 1.0)
     z = x[:, 0::2] + 1j * x[:, 1::2]
     z = z[contains(dom, z)]
     if len(z) == 0:

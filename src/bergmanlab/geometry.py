@@ -19,7 +19,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .domains import DomainSpec, DomainError, QuadratureGrid, contains
+from .domains import (DomainSpec, QuadratureGrid, contains, coordinate_cells,
+                      coordinate_columns)
 from .kernels import KernelEngine
 
 
@@ -202,18 +203,11 @@ class Net:
 
     def to_csv(self, path):
         pts = self.center_points()
-        d = pts.shape[1]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            head = ["node_index"]
-            for j in range(d):
-                head += [f"re_z{j + 1}", f"im_z{j + 1}"]
-            w.writerow(head)
+            w.writerow(["node_index"] + coordinate_columns(pts.shape[1]))
             for c, p in zip(self.centers, pts):
-                row = [int(c)]
-                for j in range(d):
-                    row += [repr(p[j].real), repr(p[j].imag)]
-                w.writerow(row)
+                w.writerow([int(c)] + coordinate_cells(p))
 
 
 def build_net(field: GeodesicField, r: float) -> Net:
@@ -393,23 +387,20 @@ class ChartMap:
             / (1.0 + a.conj()[None, :] * u) ** 2
         return np.prod(fac, axis=1)
 
-    def dlog_absdet(self, w, h=1e-6):
+    def dlog_absdet(self, w):
         """euclidean norm of (d/dw_j) log |det Phi'(w)|, batched.
 
         For holomorphic f, the holomorphic gradient of log |f| is half
-        the gradient of log f, computed by complex central differences.
+        the gradient of log f; here in closed form from det_jacobian.
         """
         w = np.atleast_2d(np.asarray(w, dtype=complex))
-        d = self.domain.dim
-        grad = np.empty_like(w)
-        det0 = self.det_jacobian(w)
-        for j in range(d):
-            step = np.zeros(d, dtype=complex)
-            step[j] = h
-            dp = self.det_jacobian(w + step)
-            dm = self.det_jacobian(w - step)
-            grad[:, j] = 0.5 * (np.log(dp / det0)
-                                - np.log(dm / det0)) / (2.0 * h)
+        a_bar = self.center.conj()[None, :]
+        if self.domain.kind == "ball":
+            d = self.domain.dim
+            inner = (self.rho * w) @ self.center.conj()
+            grad = (d + 1) * self.rho * a_bar / (2.0 * (1.0 - inner))[:, None]
+        else:
+            grad = -self.rho * a_bar / (1.0 + a_bar * self.rho * w)
         return np.sqrt(np.sum(np.abs(grad) ** 2, axis=1))
 
     def cauchy_riemann_residual(self, n_samples=64, h=1e-5, seed=0):
@@ -447,19 +438,6 @@ def beta(chartmap: ChartMap, engine: KernelEngine, u, w):
     val = engine.kernel(zu, zw)
     return complex(val * chartmap.det_jacobian(u[None, :])[0]
                    * np.conj(chartmap.det_jacobian(w[None, :])[0]))
-
-
-def beta_diagonal_range(chartmap: ChartMap, engine: KernelEngine,
-                        n_samples=128, radius=0.9, seed=0):
-    """min/max of beta(w, w) over a deterministic sample of radius*B."""
-    rng = np.random.default_rng(seed)
-    d = chartmap.domain.dim
-    w = rng.normal(size=(n_samples, d)) + 1j * rng.normal(size=(n_samples, d))
-    scale = radius * rng.uniform(0, 1, n_samples) ** (1.0 / (2 * d))
-    w *= (scale / np.maximum(np.linalg.norm(w, axis=1), 1e-12))[:, None]
-    z = chartmap.forward(w)
-    vals = engine.kernel_diag(z) * np.abs(chartmap.det_jacobian(w)) ** 2
-    return float(np.min(vals)), float(np.max(vals))
 
 
 def multiplicity_json(net: Net, radii, path):

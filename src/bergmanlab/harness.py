@@ -18,8 +18,8 @@ import ast
 import csv
 import hashlib
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, asdict, field as _dc_field
 
 import numpy as np
@@ -27,11 +27,12 @@ import numpy as np
 from . import __version__ as _version
 from . import approximation as approx
 from . import diagnostics as diag
-from .domains import (DomainSpec, DomainError, ball, build_grid, disc, egg,
+from .domains import (DomainSpec, DomainError, ball, build_grid,
+                      coordinate_cells, coordinate_columns, disc, egg,
                       polydisc)
 from .geometry import (GeodesicField, GeometryError, build_net,
                        multiplicity_json, partition_of_unity)
-from .kernels import KernelEngine, KernelError, engine_for, kernel_scan_csv
+from .kernels import KernelError, engine_for, kernel_scan_csv
 from .operators import (OperatorError, SymbolFn, compactness_indicator,
                         hankel_matrix, weak_null_probe)
 
@@ -230,7 +231,6 @@ class ExperimentConfig:
     seed: int = 20240817
     basis_degree: int = 20
     radius: float = 1.0
-    radius_sweep: tuple = (0.5, 1.0, 1.5)
     approx_degree: int = 6
     symbol: str = "conj(z1)"
     net_radius: float = 0.5
@@ -254,13 +254,19 @@ class ExperimentConfig:
                 raise ConfigError(f"config field {name} must be positive")
         if self.kernel_mode not in ("auto", "closed", "numerical"):
             raise ConfigError("kernel_mode must be auto|closed|numerical")
-        self.radius_sweep = tuple(float(r) for r in self.radius_sweep)
         self.steps = tuple(float(t) for t in self.steps)
         self.hankel_degrees = tuple(int(n) for n in self.hankel_degrees)
+        if not self.steps or not all(0.0 < t < 1.0 for t in self.steps):
+            raise ConfigError("steps must be a non-empty list of values "
+                              "strictly between 0 and 1")
+        if not self.hankel_degrees or min(self.hankel_degrees) < 1:
+            raise ConfigError("hankel_degrees must be a non-empty list of "
+                              "degrees >= 1")
+        if self.graph_neighbors < 1:
+            raise ConfigError("config field graph_neighbors must be >= 1")
 
     def to_json(self, path=None):
         payload = asdict(self)
-        payload["radius_sweep"] = list(self.radius_sweep)
         payload["steps"] = list(self.steps)
         payload["hankel_degrees"] = list(self.hankel_degrees)
         text = json.dumps(payload, indent=2, sort_keys=True)
@@ -271,11 +277,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, source):
-        if os.path.exists(str(source)):
+        if os.path.isfile(str(source)):
             with open(source) as fh:
                 data = json.load(fh)
-        else:
+        elif str(source).lstrip().startswith("{"):
             data = json.loads(source)
+        else:
+            raise ConfigError(f"config file not found: {source}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -349,12 +357,11 @@ class _Workspace:
         cfg = self.config
         if self._engine is None:
             if cfg.kernel_mode == "numerical" \
-                    or (cfg.kernel_mode == "auto"
-                        and self.dom.kind in ("egg", "convex")):
+                    or (cfg.kernel_mode == "auto" and self.dom.kind == "egg"):
                 self._engine = engine_for(self.dom, self.grid,
                                           degree=cfg.basis_degree)
             else:
-                if self.dom.kind in ("egg", "convex"):
+                if self.dom.kind == "egg":
                     raise UnsupportedCommandError(
                         "no closed-form kernel on this domain")
                 self._engine = engine_for(self.dom)
@@ -420,17 +427,13 @@ def _cmd_metric(ws, out):
     rows = []
     with open(os.path.join(out, "metric.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
-        head = []
-        for j in range(ws.dom.dim):
-            head += [f"re_z{j + 1}", f"im_z{j + 1}"]
-        w.writerow(head + ["lambda_min", "lambda_max", "det_g"])
+        w.writerow(coordinate_columns(ws.dom.dim)
+                   + ["lambda_min", "lambda_max", "det_g"])
         for zi, li in zip(z, lam):
-            rec = []
-            for j in range(ws.dom.dim):
-                rec += [repr(zi[j].real), repr(zi[j].imag)]
             det = float(np.prod(li))
-            w.writerow(rec + [repr(float(li[0])), repr(float(li[-1])),
-                              repr(det)])
+            w.writerow(coordinate_cells(zi)
+                       + [repr(float(li[0])), repr(float(li[-1])),
+                          repr(det)])
             rows.append({"lambda_min": float(li[0]), "det": det})
     return rows, {"n_points": len(z),
                   "min_eigenvalue": float(np.min(lam))}
@@ -578,11 +581,22 @@ _DISPATCH = {
 }
 
 
+_warned = set()
+
+
+def _warn_once(message):
+    """Print a warning on stderr the first time it comes up in a process."""
+    if message not in _warned:
+        _warned.add(message)
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def run(config: ExperimentConfig, command: str) -> int:
     """Run one command; returns a documented exit code and writes
     artifacts under config.out_dir."""
     if command not in COMMANDS:
-        print(f"unknown command {command!r}; choose from {COMMANDS}")
+        print(f"unknown command {command!r}; choose from {COMMANDS}",
+              file=sys.stderr)
         return EXIT_CONFIG
     if config.threads > 0:
         try:
@@ -590,20 +604,21 @@ def run(config: ExperimentConfig, command: str) -> int:
             from threadpoolctl import threadpool_limits
             threadpool_limits(limits=config.threads)
         except ImportError:
-            pass
+            _warn_once("threads ignored: threadpoolctl is not installed, "
+                       "so the BLAS thread count cannot be capped")
     os.makedirs(config.out_dir, exist_ok=True)
     ws = _Workspace(config)
     try:
         rows, summary = _DISPATCH[command](ws, config.out_dir)
     except SymbolParseError as exc:
-        print(f"symbol error: {exc}")
+        print(f"symbol error: {exc}", file=sys.stderr)
         return EXIT_SYMBOL
     except UnsupportedCommandError as exc:
-        print(f"unsupported: {exc}")
+        print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (DomainError, KernelError, GeometryError, OperatorError,
             approx.ApproximationError, diag.DiagnosticsError) as exc:
-        print(f"computation failed: {exc}")
+        print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     report = ScanReport(experiment_id=config.config_hash(),
                         command=command, rows=rows, summary=summary,

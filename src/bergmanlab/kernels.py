@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (DomainSpec, DomainError, QuadratureGrid, boundary_gap,
-                      contains, monomial_norm2)
+from .domains import (DomainSpec, QuadratureGrid, boundary_gap,
+                      coordinate_cells, coordinate_columns, monomial_norm2)
 
 
 class KernelError(RuntimeError):
@@ -101,20 +101,6 @@ class OrthonormalBasis:
                                 smallest_retained=self.smallest_retained,
                                 dropped=self.dropped)
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            d = self.alphas.shape[1]
-            head = [f"alpha{j + 1}" for j in range(d)]
-            head += [f"re_c{k}" for k in range(len(self))]
-            head += [f"im_c{k}" for k in range(len(self))]
-            w.writerow(head)
-            for i in range(len(self.alphas)):
-                row = list(map(int, self.alphas[i]))
-                row += [repr(v) for v in self.coeffs[i].real]
-                row += [repr(v) for v in self.coeffs[i].imag]
-                w.writerow(row)
-
 
 def orthonormalize(dom: DomainSpec, grid: QuadratureGrid, degree: int,
                    cutoff=1e-10, per_variable=False) -> OrthonormalBasis:
@@ -174,10 +160,6 @@ class MetricTensor:
     @property
     def determinant(self):
         return float(np.linalg.det(self.matrix).real)
-
-    @property
-    def inverse(self):
-        return np.linalg.inv(self.matrix)
 
 
 class KernelEngine:
@@ -251,27 +233,22 @@ class KernelEngine:
             return out
         return self._closed_form(z, z).real
 
-    def log_kernel_diag(self, z):
-        return np.log(self.kernel_diag(z))
-
     # -- metric -------------------------------------------------------
 
-    def metric(self, zeta, h=None) -> MetricTensor:
+    def metric(self, zeta) -> MetricTensor:
         zeta = np.asarray(zeta, dtype=complex).reshape(-1)
         if self.mode == "closed-form":
             g = self._closed_form_metric(zeta[None, :])[0]
         else:
             res = self.basis.grid.resolution if self.basis.grid else 1e-3
-            guard = max(1e-4, res / 10.0) if h is None else h
+            guard = max(1e-4, res / 10.0)
             gap = boundary_gap(self.domain, zeta)
             if gap < 10.0 * guard:
                 raise KernelError(
                     f"point too close to the boundary (gap {gap:.3g}, "
                     f"scale {guard:.3g}); the truncated basis is not "
                     f"trustworthy there")
-            g = (self._fd_metric(zeta[None, :], h)
-                 if h is not None else
-                 self._basis_metric(zeta[None, :]))[0]
+            g = self._basis_metric(zeta[None, :])[0]
         lam = np.linalg.eigvalsh(g)
         if lam[0] <= 0:
             raise KernelError(
@@ -279,18 +256,11 @@ class KernelEngine:
                 f"{lam[0]:.3e})")
         return MetricTensor(point=zeta, matrix=g)
 
-    def metric_batch(self, z, h=None):
+    def metric_batch(self, z):
         """(n, d, d) Hermitian matrices; vectorized."""
         z = np.atleast_2d(np.asarray(z, dtype=complex))
         if self.mode == "closed-form":
             return self._closed_form_metric(z)
-        if h is not None:
-            # explicit finite-difference path, kept for cross-checks
-            step = max(1, 200_000 // (8 * z.shape[1] ** 2))
-            out = np.empty((len(z), z.shape[1], z.shape[1]), dtype=complex)
-            for lo in range(0, len(z), step):
-                out[lo:lo + step] = self._fd_metric(z[lo:lo + step], h)
-            return out
         return self._basis_metric(z)
 
     def _basis_metric(self, z):
@@ -333,51 +303,16 @@ class KernelEngine:
             g[:, j, j] = 2.0 / (1.0 - np.abs(z[:, j]) ** 2) ** 2
         return g
 
-    def _fd_hessian_real(self, z, h):
-        """Real Hessian of log B(x, x) over R^{2d}, batched."""
-        n, d = z.shape
-        m = 2 * d
-        e = np.zeros((m, d), dtype=complex)
-        for j in range(d):
-            e[2 * j, j] = 1.0
-            e[2 * j + 1, j] = 1j
-        F0 = self.log_kernel_diag(z)
-        H = np.empty((n, m, m))
-        for a in range(m):
-            Fp = self.log_kernel_diag(z + h * e[a])
-            Fm = self.log_kernel_diag(z - h * e[a])
-            H[:, a, a] = (Fp - 2.0 * F0 + Fm) / h ** 2
-        for a in range(m):
-            for b in range(a + 1, m):
-                Fpp = self.log_kernel_diag(z + h * (e[a] + e[b]))
-                Fpm = self.log_kernel_diag(z + h * (e[a] - e[b]))
-                Fmp = self.log_kernel_diag(z - h * (e[a] - e[b]))
-                Fmm = self.log_kernel_diag(z - h * (e[a] + e[b]))
-                H[:, a, b] = (Fpp - Fpm - Fmp + Fmm) / (4.0 * h ** 2)
-                H[:, b, a] = H[:, a, b]
-        return H
-
-    def _fd_metric(self, z, h):
-        H1 = self._fd_hessian_real(z, h)
-        H2 = self._fd_hessian_real(z, h / 2.0)
-        H = (4.0 * H2 - H1) / 3.0  # one Richardson step
-        d = z.shape[1]
-        xj = 2 * np.arange(d)
-        yj = xj + 1
-        g = 0.25 * (H[:, xj][:, :, xj] + H[:, yj][:, :, yj]
-                    + 1j * (H[:, xj][:, :, yj] - H[:, yj][:, :, xj]))
-        return 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
-
     def volume_density(self, zeta) -> float:
         return self.metric(zeta).determinant
 
-    def volume_density_batch(self, z, h=None):
-        g = self.metric_batch(z, h=h)
+    def volume_density_batch(self, z):
+        g = self.metric_batch(z)
         return np.linalg.det(g).real
 
     # -- gradient of the potential ------------------------------------
 
-    def dlog_kernel(self, z, h=1e-5):
+    def dlog_kernel(self, z):
         """Holomorphic gradient (d log B(z,z) / d z_j), batched (n, d)."""
         z = np.atleast_2d(np.asarray(z, dtype=complex))
         kind, d = self.domain.kind, self.domain.dim
@@ -427,17 +362,9 @@ def kernel_scan_csv(engine: KernelEngine, pairs, path):
     d = engine.domain.dim
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        head = []
-        for j in range(d):
-            head += [f"re_z{j + 1}", f"im_z{j + 1}"]
-        for j in range(d):
-            head += [f"re_w{j + 1}", f"im_w{j + 1}"]
-        w.writerow(head + ["re_B", "im_B"])
+        w.writerow(coordinate_columns(d, "z") + coordinate_columns(d, "w")
+                   + ["re_B", "im_B"])
         for zp, wp in pairs:
             val = engine.kernel(np.asarray(zp), np.asarray(wp))
-            row = []
-            for j in range(d):
-                row += [repr(complex(zp[j]).real), repr(complex(zp[j]).imag)]
-            for j in range(d):
-                row += [repr(complex(wp[j]).real), repr(complex(wp[j]).imag)]
-            w.writerow(row + [repr(val.real), repr(val.imag)])
+            w.writerow(coordinate_cells(zp) + coordinate_cells(wp)
+                       + [repr(val.real), repr(val.imag)])

@@ -78,18 +78,12 @@ class SymbolFn:
         return worst
 
 
-def symbol_from_callable(fn, smoothness="L2", dbar=None, label=""):
-    return SymbolFn(fn=fn, smoothness=smoothness, dbar=dbar, label=label)
-
-
 @dataclass(frozen=True)
 class OperatorTruncation:
     kind: str  # Hankel | Multiplication
     symbol: SymbolFn
     basis: OrthonormalBasis
     source_size: int
-    compression: np.ndarray  # <T e_j, phi_i> against the basis frame
-    column_gram: np.ndarray  # <T e_j, T e_i> in the grid inner product
     singular_values: np.ndarray  # descending, nonnegative
 
     def sigma_csv(self, path, degree=None):
@@ -156,12 +150,10 @@ def hankel_matrix(symbol: SymbolFn, basis: OrthonormalBasis,
     """
     source = basis.subbasis(basis.degree - guard, per_variable) \
         if guard > 0 else basis
-    A, G = _column_grams(symbol, basis, source, grid, apply_projection=True)
-    sig = _singular_values(G)
-    comp = np.zeros_like(A)  # Hankel columns are grid-orthogonal to the frame
+    _, G = _column_grams(symbol, basis, source, grid, apply_projection=True)
     return OperatorTruncation(kind="Hankel", symbol=symbol, basis=basis,
-                              source_size=len(source), compression=comp,
-                              column_gram=G, singular_values=sig)
+                              source_size=len(source),
+                              singular_values=_singular_values(G))
 
 
 def mult_matrix(symbol: SymbolFn, basis: OrthonormalBasis,
@@ -170,22 +162,10 @@ def mult_matrix(symbol: SymbolFn, basis: OrthonormalBasis,
     """Truncation of M_phi f = phi f, in the grid norm."""
     source = basis.subbasis(basis.degree - guard, per_variable) \
         if guard > 0 else basis
-    A, G = _column_grams(symbol, basis, source, grid, apply_projection=False)
-    sig = _singular_values(G)
+    _, G = _column_grams(symbol, basis, source, grid, apply_projection=False)
     return OperatorTruncation(kind="Multiplication", symbol=symbol,
                               basis=basis, source_size=len(source),
-                              compression=A, column_gram=G,
-                              singular_values=sig)
-
-
-def project(basis: OrthonormalBasis, grid: QuadratureGrid, values):
-    """Truncated Bergman projection of a grid function."""
-    values = np.asarray(values, dtype=complex)
-    if not np.all(np.isfinite(values)):
-        raise OperatorError("cannot project a non-finite grid function")
-    E = basis.evaluate(grid.nodes)
-    coeffs = (E.conj() * grid.weights[:, None]).T @ values
-    return E @ coeffs
+                              singular_values=_singular_values(G))
 
 
 def grid_norm(grid: QuadratureGrid, values):

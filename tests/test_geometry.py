@@ -142,3 +142,28 @@ class TestCharts:
                 / (2 * h)
         assert cm.det_jacobian(w)[0] == pytest.approx(
             np.linalg.det(J), rel=1e-5)
+
+    @pytest.mark.parametrize("domain,center", [
+        (dom.disc(), [0.4 - 0.3j]),
+        (dom.ball(2), [0.3 + 0.1j, -0.4j]),
+        (dom.polydisc(2), [0.5j, -0.3 + 0.2j]),
+    ], ids=["disc", "ball2", "polydisc2"])
+    def test_dlog_absdet_matches_fd(self, domain, center):
+        """Closed form against central differences of log|det Phi'|,
+        whose holomorphic derivative is (d/dx - i d/dy) / 2."""
+        cm = chart(domain, np.array(center))
+        d = domain.dim
+        w = np.array([[0.3 - 0.2j, 0.1 + 0.25j][:d],
+                      [-0.15j, 0.4][:d]])
+        h = 1e-6
+        grad = np.empty_like(w)
+        for j in range(d):
+            step = np.zeros(d, dtype=complex)
+            step[j] = h
+            def diff(s):
+                return (np.log(np.abs(cm.det_jacobian(w + s)))
+                        - np.log(np.abs(cm.det_jacobian(w - s)))) / (2 * h)
+            grad[:, j] = 0.5 * (diff(step) - 1j * diff(1j * step))
+        fd = np.sqrt(np.sum(np.abs(grad) ** 2, axis=1))
+        assert np.all(fd > 0.1)
+        assert cm.dlog_absdet(w) == pytest.approx(fd, rel=1e-7)

@@ -1,11 +1,12 @@
 import csv
 import json
 import math
-import os
+import sys
 
 import numpy as np
 import pytest
 
+from bergmanlab import harness
 from bergmanlab.cli import main as cli_main
 from bergmanlab.harness import (ConfigError, EXIT_COMPUTE, EXIT_CONFIG,
                                 EXIT_OK, EXIT_SYMBOL, EXIT_UNSUPPORTED,
@@ -84,11 +85,23 @@ class TestConfig:
                                                    "frobnicate": 1}))
 
     def test_nonpositive_field_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(radius=-1.0)
+        for bad in ({"radius": -1.0}, {"steps": (0.5, 1.5)}, {"steps": ()},
+                    {"steps": (0.0, 0.5)}, {"hankel_degrees": (-1,)},
+                    {"hankel_degrees": (0, 4)}, {"hankel_degrees": ()},
+                    {"graph_neighbors": 0}):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**bad)
 
     def test_default_resolution_filled(self):
         assert ExperimentConfig(domain="disc").resolution == 0.025
+
+    def test_missing_config_file_reported(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ConfigError, match="config file not found"):
+            ExperimentConfig.from_json(path)
+        assert cli_main(["kernel", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.strip() == f"config error: config file not found: {path}"
 
 
 class TestRun:
@@ -97,8 +110,10 @@ class TestRun:
         kw.setdefault("out_dir", str(tmp_path))
         return ExperimentConfig(**kw)
 
-    def test_unknown_command(self, tmp_path):
+    def test_unknown_command(self, tmp_path, capsys):
         assert run(self._cfg(tmp_path), "explode") == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("unknown command 'explode'")
 
     def test_kernel_smoke(self, tmp_path):
         cfg = self._cfg(tmp_path, resolution=0.05)
@@ -140,13 +155,48 @@ class TestRun:
         summary = json.loads((tmp_path / "omega_summary.json").read_text())
         assert summary["tail_trend"] < 0.2
 
-    def test_bad_symbol_exit_code(self, tmp_path):
+    def test_bad_symbol_exit_code(self, tmp_path, capsys):
         cfg = self._cfg(tmp_path, symbol="z1/z2", resolution=0.05)
         assert run(cfg, "omega-scan") == EXIT_SYMBOL
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("symbol error: division")
 
-    def test_variety_unsupported_on_disc(self, tmp_path):
+    def test_computation_failure_exit_code(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, resolution=0.3, rays=2, steps=(0.3, 0.6))
+        assert run(cfg, "omega-scan") == EXIT_COMPUTE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "computation failed: no admissible scan points\n"
+
+    def test_variety_unsupported_on_disc(self, tmp_path, capsys):
         cfg = self._cfg(tmp_path, resolution=0.05)
         assert run(cfg, "variety") == EXIT_UNSUPPORTED
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("unsupported: ")
+
+    def test_threads_without_threadpoolctl_warn_once(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setattr(harness, "_warned", set())
+        cfg = self._cfg(tmp_path, resolution=0.05, threads=2)
+        assert run(cfg, "kernel") == EXIT_OK
+        assert run(cfg, "kernel") == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("warning: threads ignored") == 1
+
+    def test_csv_cells_are_plain_numbers(self, tmp_path):
+        cfg = self._cfg(tmp_path, resolution=0.05, rays=2, steps=(0.3, 0.6))
+        for command, name in (("metric", "metric.csv"), ("net", "net.csv"),
+                              ("omega-scan", "omega_scan.csv")):
+            assert run(cfg, command) == EXIT_OK
+            with open(tmp_path / name) as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows
+            for row in rows:
+                for key, cell in row.items():
+                    if key != "mode":
+                        float(cell)
 
     def test_variety_on_bidisc(self, tmp_path):
         cfg = self._cfg(tmp_path, domain="polydisc2", symbol="conj(z2)",

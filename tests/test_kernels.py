@@ -103,7 +103,7 @@ class TestMetric:
         s = 1.0 - np.sum(np.abs(z) ** 2)
         assert det == pytest.approx(9.0 / s ** 3)
 
-    def test_fd_metric_matches_closed_form(self, disc_domain, disc_engine):
+    def test_basis_metric_matches_closed_form(self, disc_domain, disc_engine):
         grid = dom.build_grid(disc_domain, 0.025)
         num = engine_for(disc_domain, grid, degree=30)
         z = np.array([0.3 + 0.2j])
@@ -111,7 +111,7 @@ class TestMetric:
         b = disc_engine.metric(z).matrix[0, 0].real
         assert a == pytest.approx(b, rel=2e-3)
 
-    def test_near_boundary_fd_refused(self, disc_domain):
+    def test_near_boundary_metric_refused(self, disc_domain):
         grid = dom.build_grid(disc_domain, 0.025)
         num = engine_for(disc_domain, grid, degree=20)
         with pytest.raises(KernelError):
