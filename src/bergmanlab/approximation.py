@@ -17,10 +17,12 @@ import math
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
+from scipy.sparse import csr_matrix, triu
 
 from .domains import (DomainSpec, boundary_residual, contains,
                       coordinate_cells, coordinate_columns)
-from .geometry import GeodesicField, MetricBall, Net, Partition, metric_ball
+from .geometry import (GeodesicField, GeometryError, MetricBall, Net,
+                       Partition, metric_ball)
 from .kernels import multi_indices, monomial_matrix
 from .operators import SymbolFn
 
@@ -193,7 +195,7 @@ def boundary_scan(field: GeodesicField, symbol: SymbolFn, radius=1.0,
             zeta = ray_point(dom, u, t)
             try:
                 ball = metric_ball(field, zeta, radius)
-            except Exception:
+            except GeometryError:  # outside the domain, or an empty ball
                 rows.append(ScanRow(ray=ray_id, t=float(t), zeta=zeta,
                                     value=math.nan, admissible=False,
                                     n_nodes=0, n_unknowns=n_unknowns))
@@ -266,7 +268,7 @@ class Decomposition:
 
 def _ball_integral(field, center_point, radius, values_sq):
     """integral of values_sq dV over the graph metric ball."""
-    dist = field.distances_from_point(center_point)
+    dist = field.distances_from_point(center_point, limit=radius)
     sel = dist < radius
     w = field.grid.weights[sel] * field.volume_density_nodes()[sel]
     return float(np.sum(w * values_sq[sel]))
@@ -326,18 +328,20 @@ def decompose(field: GeodesicField, net: Net, partition: Partition,
             {"center": m, "mass": mass, "eps_sq": bound, "admissible": ok,
              "ratio": mass / bound if (ok and bound > 0) else 0.0})
     # audit (ii): pairwise approximant gaps on overlapping supports
+    # candidates: the upper-triangle nonzeros of S S^T, S = supports,
+    # in row-major order; witnesses only for the pairs the audit keeps
     rng = np.random.default_rng(seed)
-    pairs = []
-    for n in range(len(net)):
-        supp_n = chi[n] > 0
-        for m in range(n + 1, len(net)):
-            witness = np.nonzero(supp_n & (chi[m] > 0))[0]
-            if len(witness):
-                pairs.append((n, m, int(witness[len(witness) // 2])))
+    supp = chi > 0
+    S = csr_matrix(supp, dtype=np.int32)
+    rows, cols = triu(S @ S.T, k=1).nonzero()
+    order = np.lexsort((cols, rows))
+    pairs = list(zip(rows[order].tolist(), cols[order].tolist()))
     if len(pairs) > audit_pairs:
         pairs = [pairs[i] for i in
                  sorted(rng.choice(len(pairs), audit_pairs, replace=False))]
-    for n, m, node in pairs:
+    for n, m in pairs:
+        witness = np.nonzero(supp[n] & supp[m])[0]
+        node = int(witness[len(witness) // 2])
         zeta = grid.nodes[node]
         hn = approximants[n]
         hm = approximants[m]

@@ -12,6 +12,7 @@ pair, 5 computation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .harness import (COMMANDS, ConfigError, EXIT_CONFIG, ExperimentConfig,
@@ -40,23 +41,20 @@ def main(argv=None):
     try:
         config = (ExperimentConfig.from_json(args.config)
                   if args.config else ExperimentConfig())
+        overrides = {}
         if args.out is not None:
-            config.out_dir = args.out
+            overrides["out_dir"] = args.out
         if args.threads is not None:
-            config.threads = args.threads
+            overrides["threads"] = args.threads
         if args.resolution is not None:
-            config.resolution = args.resolution
-        if args.domain is not None or args.symbol is not None:
-            data = {f: getattr(config, f)
-                    for f in config.__dataclass_fields__}
-            if args.domain is not None:
-                data["domain"] = args.domain
-                data["resolution"] = (args.resolution
-                                      if args.resolution is not None
-                                      else 0.0)
-            if args.symbol is not None:
-                data["symbol"] = args.symbol
-            config = ExperimentConfig(**data)
+            overrides["resolution"] = args.resolution
+        if args.domain is not None:
+            overrides["domain"] = args.domain
+            overrides.setdefault("resolution", 0.0)
+        if args.symbol is not None:
+            overrides["symbol"] = args.symbol
+        # rebuilding runs __post_init__, which validates the overrides
+        config = dataclasses.replace(config, **overrides)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

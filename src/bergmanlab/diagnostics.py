@@ -75,7 +75,7 @@ def off_diagonal_check(engine: KernelEngine, field: GeodesicField,
     lo, hi = math.inf, 0.0
     n_pairs = 0
     for zeta in np.atleast_2d(np.asarray(centers, dtype=complex)):
-        dist = field.distances_from_point(zeta)
+        dist = field.distances_from_point(zeta, limit=r0)
         sel = np.nonzero(dist <= r0)[0]
         if not len(sel):
             continue

@@ -97,8 +97,9 @@ class GeodesicField:
 
     def distances_from_node(self, i: int):
         if i not in self._node_cache:
-            dist = dijkstra(self.graph, directed=False, indices=i)
-            self._node_cache[i] = dist
+            # self.graph is symmetric, so a directed search is exact
+            self._node_cache[i] = dijkstra(self.graph, directed=True,
+                                           indices=i)
         return self._node_cache[i]
 
     def _attach(self, p):
@@ -111,27 +112,43 @@ class GeodesicField:
                                       self.grid.nodes[idx])
         return idx, lengths
 
-    def distances_from_point(self, p):
-        """Graph distance from an arbitrary interior point to all nodes."""
+    def distances_from_point(self, p, limit=np.inf):
+        """Graph distance from an arbitrary interior point to all nodes.
+
+        Every node within graph distance ``limit`` of p gets its exact
+        distance; nodes farther away read ``inf`` (scipy's Dijkstra
+        keeps ``dist <= limit``).  A cached row computed with a limit at
+        least as large is returned as is, so it may hold finite values
+        beyond ``limit``.
+
+        Off-grid, p becomes a virtual node n whose only edges are its
+        ``_attach`` edges, stored as one extra CSR row.  The search from
+        n never returns to n, and ``self.graph`` is symmetric, so a
+        directed search needs no column n and no transpose.
+        """
         p = np.asarray(p, dtype=complex).reshape(-1)
         if not contains(self.domain, p):
             raise GeometryError("point outside the domain")
         key = p.tobytes()
-        if key in self._point_cache:
-            return self._point_cache[key]
+        cached = self._point_cache.get(key)
+        if cached is not None and cached[0] >= limit:
+            return cached[1]
         idx, lengths = self._attach(p)
         if np.allclose(lengths[0], 0.0, atol=1e-13):
+            limit = np.inf
             dist = self.distances_from_node(int(idx[0]))
         else:
+            g = self.graph
             n = len(self.grid)
-            aug = self.graph.tolil(copy=True)
-            aug.resize((n + 1, n + 1))
-            for i, l in zip(idx, lengths):
-                aug[n, i] = l
-                aug[i, n] = l
-            dist = dijkstra(csr_matrix(aug), directed=False,
-                            indices=n)[:n]
-        self._point_cache[key] = dist
+            order = np.argsort(idx)
+            aug = csr_matrix(
+                (np.concatenate([g.data, lengths[order]]),
+                 np.concatenate([g.indices,
+                                 idx[order].astype(g.indices.dtype)]),
+                 np.append(g.indptr, g.indptr.dtype.type(g.nnz + len(idx)))),
+                shape=(n + 1, n + 1))
+            dist = dijkstra(aug, directed=True, indices=n, limit=limit)[:n]
+        self._point_cache[key] = (limit, dist)
         return dist
 
     def distance(self, a, b):
@@ -169,7 +186,7 @@ class MetricBall:
 def metric_ball(field: GeodesicField, zeta, r: float) -> MetricBall:
     if r <= 0:
         raise GeometryError("ball radius must be positive")
-    dist = field.distances_from_point(zeta)
+    dist = field.distances_from_point(zeta, limit=r)
     members = np.nonzero(dist < r)[0]
     if len(members) == 0:
         raise GeometryError(

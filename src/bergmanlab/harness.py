@@ -264,6 +264,8 @@ class ExperimentConfig:
                               "degrees >= 1")
         if self.graph_neighbors < 1:
             raise ConfigError("config field graph_neighbors must be >= 1")
+        if self.threads < 0:
+            raise ConfigError("config field threads must be >= 0")
 
     def to_json(self, path=None):
         payload = asdict(self)

@@ -101,21 +101,24 @@ def _node_chunks(n_nodes, n_cols, budget=4_000_000):
         yield lo, min(n_nodes, lo + step)
 
 
-def _column_grams(symbol, basis, source, grid, apply_projection):
-    """Accumulate A = <phi e_j, phi_i> and the column Gram.
+def _column_gram(symbol, basis, source, grid, apply_projection):
+    """Gram of the columns phi e_j, or of H_phi e_j = phi e_j - P(phi e_j)
+    with apply_projection.
 
-    For Hankel columns the Gram is assembled from the explicit residual
-    M - E A in a second pass; the algebraic shortcut G - A^H A loses
-    half the working digits to cancellation when H is nearly zero.
+    The projection needs A = <phi e_j, phi_i> from a first grid pass; the
+    Hankel Gram is then assembled from the explicit residual M - E A in a
+    second pass, since the algebraic shortcut G - A^H A loses half the
+    working digits to cancellation when H is nearly zero.
     """
     nk, nj = len(basis), len(source)
-    A = np.zeros((nk, nj), dtype=complex)
-    for lo, hi in _node_chunks(len(grid), nk + nj):
-        nodes = grid.nodes[lo:hi]
-        w = grid.weights[lo:hi]
-        E = basis.evaluate(nodes)
-        M = symbol(nodes)[:, None] * source.evaluate(nodes)
-        A += (E.conj() * w[:, None]).T @ M
+    if apply_projection:
+        A = np.zeros((nk, nj), dtype=complex)
+        for lo, hi in _node_chunks(len(grid), nk + nj):
+            nodes = grid.nodes[lo:hi]
+            w = grid.weights[lo:hi]
+            E = basis.evaluate(nodes)
+            M = symbol(nodes)[:, None] * source.evaluate(nodes)
+            A += (E.conj() * w[:, None]).T @ M
     G = np.zeros((nj, nj), dtype=complex)
     for lo, hi in _node_chunks(len(grid), nk + nj):
         nodes = grid.nodes[lo:hi]
@@ -124,8 +127,7 @@ def _column_grams(symbol, basis, source, grid, apply_projection):
         if apply_projection:
             M = M - basis.evaluate(nodes) @ A
         G += (M.conj() * w[:, None]).T @ M
-    G = 0.5 * (G + G.conj().T)
-    return A, G
+    return 0.5 * (G + G.conj().T)
 
 
 def _singular_values(G):
@@ -150,7 +152,7 @@ def hankel_matrix(symbol: SymbolFn, basis: OrthonormalBasis,
     """
     source = basis.subbasis(basis.degree - guard, per_variable) \
         if guard > 0 else basis
-    _, G = _column_grams(symbol, basis, source, grid, apply_projection=True)
+    G = _column_gram(symbol, basis, source, grid, apply_projection=True)
     return OperatorTruncation(kind="Hankel", symbol=symbol, basis=basis,
                               source_size=len(source),
                               singular_values=_singular_values(G))
@@ -162,7 +164,7 @@ def mult_matrix(symbol: SymbolFn, basis: OrthonormalBasis,
     """Truncation of M_phi f = phi f, in the grid norm."""
     source = basis.subbasis(basis.degree - guard, per_variable) \
         if guard > 0 else basis
-    _, G = _column_grams(symbol, basis, source, grid, apply_projection=False)
+    G = _column_gram(symbol, basis, source, grid, apply_projection=False)
     return OperatorTruncation(kind="Multiplication", symbol=symbol,
                               basis=basis, source_size=len(source),
                               singular_values=_singular_values(G))

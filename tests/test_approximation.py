@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from bergmanlab import approximation
 from bergmanlab import domains as dom
 from bergmanlab.approximation import (ApproximationError, boundary_scan,
                                       dbar_functional, decompose, omega,
                                       ray_point, variety_test)
-from bergmanlab.geometry import build_net, metric_ball, partition_of_unity
+from bergmanlab.geometry import (GeometryError, build_net, metric_ball,
+                                 partition_of_unity)
 from bergmanlab.operators import SymbolFn
 
 from conftest import RHO, zbar1
@@ -105,6 +107,24 @@ class TestBoundaryScan:
                              steps=(0.3, 0.5, 0.7, 0.8))
         assert scan.tail_trend > 0.8
 
+    def test_empty_ball_marks_row_inadmissible(self, disc_field,
+                                               monkeypatch):
+        def empty(*args, **kwargs):
+            raise GeometryError("metric ball contains no grid nodes")
+        monkeypatch.setattr(approximation, "metric_ball", empty)
+        with pytest.raises(ApproximationError,
+                           match="no admissible scan points"):
+            boundary_scan(disc_field, zbar1(1), degree=2, n_rays=1,
+                          steps=(0.3,))
+
+    def test_other_errors_propagate(self, disc_field, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("broken distance path")
+        monkeypatch.setattr(approximation, "metric_ball", broken)
+        with pytest.raises(ValueError, match="broken distance path"):
+            boundary_scan(disc_field, zbar1(1), degree=2, n_rays=1,
+                          steps=(0.3,))
+
     def test_ray_points_stay_inside(self, disc_domain):
         for t in (0.1, 0.5, 0.9, 0.99):
             p = ray_point(disc_domain, np.array([1.0 + 0.0j]), t)
@@ -127,6 +147,22 @@ class TestDecomposition:
     def test_pairwise_inequality_all_pairs(self, dec):
         assert len(dec.pair_audit) > 0
         assert all(a["holds"] for a in dec.pair_audit)
+
+    def test_audited_pairs_match_loop_reference(self, dec):
+        """The former O(centers^2) enumeration of overlapping supports,
+        with the median common node as witness and the same draw."""
+        chi = dec.partition.values
+        pairs = []
+        for n in range(len(chi)):
+            supp_n = chi[n] > 0
+            for m in range(n + 1, len(chi)):
+                witness = np.nonzero(supp_n & (chi[m] > 0))[0]
+                if len(witness):
+                    pairs.append((n, m, int(witness[len(witness) // 2])))
+        assert len(pairs) > 40
+        keep = np.random.default_rng(0).choice(len(pairs), 40, replace=False)
+        assert [(*a["pair"], a["witness"]) for a in dec.pair_audit] \
+            == [pairs[i] for i in sorted(keep)]
 
     def test_epsilon_shell_decay(self, dec):
         assert dec.shell_epsilon_decay() >= 5.0

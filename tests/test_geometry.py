@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from bergmanlab import domains as dom
+from bergmanlab.approximation import ray_point, ray_directions
 from bergmanlab.geometry import (GeodesicField, GeometryError, beta,
                                  build_net, chart, covering_audit,
                                  metric_ball, multiplicity,
@@ -47,6 +50,84 @@ class TestDistances:
     def test_outside_point_rejected(self, disc_field):
         with pytest.raises(GeometryError):
             disc_field.distance(np.array([0.0j]), np.array([1.2 + 0.0j]))
+
+
+def _lil_reference(field, p):
+    """The former off-grid search: a LIL copy of the whole graph with the
+    point as node n joined both ways, searched undirected."""
+    idx, lengths = field._attach(p)
+    n = len(field.grid)
+    aug = field.graph.tolil(copy=True)
+    aug.resize((n + 1, n + 1))
+    for i, l in zip(idx, lengths):
+        aug[n, i] = l
+        aug[i, n] = l
+    return dijkstra(csr_matrix(aug), directed=False, indices=n)[:n]
+
+
+_SMALL = {"disc": (dom.disc, 0.05, None),
+          "polydisc2": (lambda: dom.polydisc(2), 0.2, None),
+          "egg2": (lambda: dom.egg(2), 0.25, 6)}
+
+
+@pytest.fixture(scope="module", params=sorted(_SMALL))
+def small_field(request):
+    """A coarse field of its own, so the point cache starts empty."""
+    make, res, degree = _SMALL[request.param]
+    domain = make()
+    grid = dom.build_grid(domain, res)
+    engine = engine_for(domain) if degree is None \
+        else engine_for(domain, grid, degree=degree)
+    return GeodesicField(engine, grid)
+
+
+def _points(field, ts):
+    """Off-grid ray points; each test takes its own t values, so no test
+    reads a row another one cached."""
+    dirs = ray_directions(field.domain, 2, seed=3)
+    return [ray_point(field.domain, u, t) for u in dirs for t in ts]
+
+
+class TestOffGridSearch:
+    def test_matches_lil_reference(self, small_field):
+        for p in _points(small_field, (0.2, 0.45, 0.7)):
+            assert np.array_equal(small_field.distances_from_point(p),
+                                  _lil_reference(small_field, p))
+
+    def test_limit_keeps_exactly_the_near_nodes(self, small_field):
+        r = 1.0
+        for p in _points(small_field, (0.3, 0.6)):
+            full = _lil_reference(small_field, p)
+            assert np.any(full <= r) and np.any(full > r)
+            near = small_field.distances_from_point(p, limit=r)
+            assert np.array_equal(near, np.where(full <= r, full, np.inf))
+
+    def test_larger_limit_recomputes(self, small_field):
+        for p in _points(small_field, (0.35,)):
+            small_field.distances_from_point(p, limit=1.0)
+            full = small_field.distances_from_point(p)
+            assert np.array_equal(full, _lil_reference(small_field, p))
+            assert small_field.distances_from_point(p, limit=0.5) is full
+
+    def test_metric_ball_members(self, small_field):
+        for p in _points(small_field, (0.55,)):
+            ball = metric_ball(small_field, p, 1.0)
+            full = _lil_reference(small_field, p)
+            assert np.array_equal(ball.members, np.nonzero(full < 1.0)[0])
+
+    def test_on_node_point_caches_the_full_row(self, small_field):
+        i = len(small_field.grid) // 3
+        p = small_field.grid.nodes[i]
+        near = small_field.distances_from_point(p, limit=0.5)
+        full = dijkstra(small_field.graph, directed=False, indices=i)
+        assert np.array_equal(near, full)
+        assert small_field.distances_from_point(p) is near
+
+    def test_node_search_matches_undirected(self, small_field):
+        i = len(small_field.grid) // 2
+        assert np.array_equal(
+            small_field.distances_from_node(i),
+            dijkstra(small_field.graph, directed=False, indices=i))
 
 
 class TestMetricBalls:

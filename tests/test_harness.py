@@ -88,7 +88,7 @@ class TestConfig:
         for bad in ({"radius": -1.0}, {"steps": (0.5, 1.5)}, {"steps": ()},
                     {"steps": (0.0, 0.5)}, {"hankel_degrees": (-1,)},
                     {"hankel_degrees": (0, 4)}, {"hankel_degrees": ()},
-                    {"graph_neighbors": 0}):
+                    {"graph_neighbors": 0}, {"threads": -1}):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad)
 
@@ -239,6 +239,20 @@ class TestCli:
         code = cli_main(["omega-scan", "--out", str(tmp_path / "s"),
                          "--resolution", "0.05", "--symbol", "z1/z1"])
         assert code == EXIT_SYMBOL
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--resolution", "-1", "config field resolution must be positive"),
+        ("--threads", "-3", "config field threads must be >= 0"),
+    ], ids=["resolution", "threads"])
+    def test_bad_override_is_config_error(self, tmp_path, capsys, flag,
+                                          value, message):
+        out = tmp_path / "o"
+        assert cli_main(["kernel", "--out", str(out), flag, value]) \
+            == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_config_loading(self, tmp_path):
         cfg = ExperimentConfig(domain="disc", resolution=0.05,
