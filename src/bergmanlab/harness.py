@@ -18,9 +18,10 @@ import ast
 import csv
 import hashlib
 import json
+import numbers
 import os
 import sys
-from dataclasses import dataclass, asdict, field as _dc_field
+from dataclasses import dataclass, asdict, fields, field as _dc_field
 
 import numpy as np
 
@@ -218,6 +219,25 @@ _DOMAINS = {
     "egg4": lambda: egg(4),
 }
 
+_SCHEMES = ("tensor-midpoint", "quasi-random")
+
+
+def _has_type_of(value, default):
+    """Whether a config value fits the type of its field's default: an
+    int (never a bool) where the default is an int, any real number
+    where it is a float, a list or tuple of such where it is a tuple."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) \
+            and all(_has_type_of(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, numbers.Integral)
+    if isinstance(default, float):
+        return isinstance(value, numbers.Real)
+    return isinstance(value, type(default))
+
+
 _DEFAULT_RESOLUTION = {"disc": 0.025, "ball2": 0.1, "polydisc2": 0.08,
                        "polydisc3": 0.2, "ball3": 0.2, "egg2": 0.15,
                        "egg4": 0.15}
@@ -243,6 +263,12 @@ class ExperimentConfig:
     threads: int = 0  # 0 = library default; speed only
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type_of(value, f.default):
+                raise ConfigError(
+                    f"config field {f.name} must have the type of "
+                    f"{f.default!r}, not {type(value).__name__} {value!r}")
         if self.domain not in _DOMAINS:
             raise ConfigError(f"unknown domain {self.domain!r}; "
                               f"choose from {sorted(_DOMAINS)}")
@@ -252,6 +278,8 @@ class ExperimentConfig:
                      "approx_degree", "net_radius", "rays"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"config field {name} must be positive")
+        if self.scheme not in _SCHEMES:
+            raise ConfigError(f"scheme must be one of {_SCHEMES}")
         if self.kernel_mode not in ("auto", "closed", "numerical"):
             raise ConfigError("kernel_mode must be auto|closed|numerical")
         self.steps = tuple(float(t) for t in self.steps)
@@ -476,17 +504,19 @@ def _cmd_hankel(ws, out):
         if ws.engine.mode == "numerical":
             return orthonormalize(ws.dom, ws.grid, n, per_variable=per_var)
         return reinhardt_basis(ws.dom, n, per_variable=per_var)
+    bases = {n: basis_at(n) for n in cfg.hankel_degrees}
+    truncs = {}
     def build(n):
-        return hankel_matrix(symbol, basis_at(n), ws.grid, guard=0,
-                             per_variable=per_var)
-    probe = weak_null_probe(symbol, ws.engine,
-                            basis_at(max(cfg.hankel_degrees)), ws.grid,
+        truncs[n] = hankel_matrix(symbol, bases[n], ws.grid, guard=0,
+                                  per_variable=per_var)
+        return truncs[n]
+    top = max(cfg.hankel_degrees)
+    probe = weak_null_probe(symbol, ws.engine, bases[top], ws.grid,
                             ws.scan_centers(6))
     ind = compactness_indicator(build, cfg.hankel_degrees,
                                 probe_values=probe)
-    trunc = build(max(cfg.hankel_degrees))
-    trunc.sigma_csv(os.path.join(out, "sigma.csv"),
-                    degree=max(cfg.hankel_degrees))
+    trunc = truncs[top]
+    trunc.sigma_csv(os.path.join(out, "sigma.csv"), degree=top)
     return [], {"compact": ind.compact, "counts": list(ind.counts),
                 "sigma0": float(trunc.singular_values[0]),
                 "probe": [float(p) for p in probe]}

@@ -80,26 +80,16 @@ class OrthonormalBasis:
         D = monomial_matrix(z, shifted) * self.alphas[None, :, j]
         return D @ self.coeffs
 
-    def degrees(self):
-        """Total degree of each monomial (not each basis function)."""
-        return self.alphas.sum(axis=1)
-
-    def subbasis(self, degree, per_variable=False):
-        """Restriction to monomials of lower degree, re-orthonormalized
-        trivially when the coefficient matrix is degree-graded."""
+    def graded_columns(self, degree, per_variable=False):
+        """Indices of the basis functions built only from monomials of
+        degree <= degree (each exponent <= degree with per_variable);
+        for degree-graded coefficients they span that truncation."""
         if per_variable:
             keep = np.all(self.alphas <= degree, axis=1)
         else:
-            keep = self.degrees() <= degree
-        cols = [k for k in range(self.coeffs.shape[1])
-                if np.allclose(self.coeffs[~keep, k], 0.0)]
-        return OrthonormalBasis(domain=self.domain,
-                                alphas=self.alphas[keep],
-                                coeffs=self.coeffs[np.ix_(
-                                    np.nonzero(keep)[0], cols)],
-                                grid=self.grid, degree=degree,
-                                smallest_retained=self.smallest_retained,
-                                dropped=self.dropped)
+            keep = self.alphas.sum(axis=1) <= degree
+        return np.flatnonzero(
+            np.all(np.isclose(self.coeffs[~keep], 0.0), axis=0))
 
 
 def orthonormalize(dom: DomainSpec, grid: QuadratureGrid, degree: int,

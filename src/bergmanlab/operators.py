@@ -2,8 +2,10 @@
 
 All inner products are grid inner products against the same quadrature
 grid used to orthonormalize the basis, which makes the truncated
-projection idempotent by construction.  Column assembly is chunked over
-nodes so large grids never materialize full Vandermonde matrices.
+projection idempotent by construction.  Hankel and multiplication
+truncations and the weak-null probe share one residual-Gram routine,
+chunked over nodes so large grids never materialize full Vandermonde
+matrices.
 """
 
 from __future__ import annotations
@@ -50,6 +52,17 @@ class SymbolFn:
         if self.smoothness != "C1":
             raise OperatorError(
                 "dbar requested for a symbol not tagged C1")
+        return self._central_dbar(z, h)
+
+    def dbar_consistency(self, z, h=1e-4):
+        """Max abs gap between analytic dbar and central differences."""
+        if self.dbar is None:
+            return 0.0
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
+        ana = np.asarray(self.dbar(z), dtype=complex)
+        return float(np.max(np.abs(self._central_dbar(z, h) - ana)))
+
+    def _central_dbar(self, z, h):
         d = z.shape[1]
         out = np.empty_like(z)
         for j in range(d):
@@ -59,23 +72,6 @@ class SymbolFn:
             dy = (self(z + 1j * step) - self(z - 1j * step)) / (2 * h)
             out[:, j] = 0.5 * (dx + 1j * dy)
         return out
-
-    def dbar_consistency(self, z, h=1e-4):
-        """Max abs gap between analytic dbar and central differences."""
-        if self.dbar is None:
-            return 0.0
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        ana = np.asarray(self.dbar(z), dtype=complex)
-        d = z.shape[1]
-        worst = 0.0
-        for j in range(d):
-            step = np.zeros(d, dtype=complex)
-            step[j] = h
-            dx = (self(z + step) - self(z - step)) / (2 * h)
-            dy = (self(z + 1j * step) - self(z - 1j * step)) / (2 * h)
-            fd = 0.5 * (dx + 1j * dy)
-            worst = max(worst, float(np.max(np.abs(fd - ana[:, j]))))
-        return worst
 
 
 @dataclass(frozen=True)
@@ -95,38 +91,35 @@ class OperatorTruncation:
                             else self.basis.degree, k, repr(float(s))])
 
 
-def _node_chunks(n_nodes, n_cols, budget=4_000_000):
-    step = max(1, budget // max(n_cols, 1))
-    for lo in range(0, n_nodes, step):
-        yield lo, min(n_nodes, lo + step)
+_CHUNK_BUDGET = 4_000_000  # array entries per chunk of nodes
 
 
-def _column_gram(symbol, basis, source, grid, apply_projection):
-    """Gram of the columns phi e_j, or of H_phi e_j = phi e_j - P(phi e_j)
-    with apply_projection.
+def _residual_gram(basis, grid, columns, width, project):
+    """Gram of `width` columns v_j, or of their residuals v_j - P v_j
+    with project.
 
-    The projection needs A = <phi e_j, phi_i> from a first grid pass; the
-    Hankel Gram is then assembled from the explicit residual M - E A in a
-    second pass, since the algebraic shortcut G - A^H A loses half the
-    working digits to cancellation when H is nearly zero.
+    columns(nodes, E) gives the column values on a chunk of nodes from
+    E = basis.evaluate(nodes), which each pass computes once.  The
+    projection needs A = <v_j, phi_i> from a first grid pass; the Gram
+    is then assembled from the explicit residual M - E A in a second
+    pass, since the algebraic shortcut G - A^H A loses half the working
+    digits to cancellation when the residual is nearly zero.
     """
-    nk, nj = len(basis), len(source)
-    if apply_projection:
-        A = np.zeros((nk, nj), dtype=complex)
-        for lo, hi in _node_chunks(len(grid), nk + nj):
-            nodes = grid.nodes[lo:hi]
-            w = grid.weights[lo:hi]
+    step = max(1, _CHUNK_BUDGET // (len(basis) + width))
+
+    def chunks():
+        for lo in range(0, len(grid), step):
+            nodes = grid.nodes[lo:lo + step]
             E = basis.evaluate(nodes)
-            M = symbol(nodes)[:, None] * source.evaluate(nodes)
-            A += (E.conj() * w[:, None]).T @ M
-    G = np.zeros((nj, nj), dtype=complex)
-    for lo, hi in _node_chunks(len(grid), nk + nj):
-        nodes = grid.nodes[lo:hi]
-        w = grid.weights[lo:hi]
-        M = symbol(nodes)[:, None] * source.evaluate(nodes)
-        if apply_projection:
-            M = M - basis.evaluate(nodes) @ A
-        G += (M.conj() * w[:, None]).T @ M
+            yield grid.weights[lo:lo + step, None], E, columns(nodes, E)
+
+    if project:
+        A = sum((E.conj() * w).T @ M for w, E, M in chunks())
+    G = np.zeros((width, width), dtype=complex)
+    for w, E, M in chunks():
+        if project:
+            M = M - E @ A
+        G += (M.conj() * w).T @ M
     return 0.5 * (G + G.conj().T)
 
 
@@ -139,39 +132,37 @@ def _singular_values(G):
     return np.sqrt(np.clip(lam, 0.0, None))[::-1]
 
 
+def _truncation(kind, symbol, basis, grid, guard, per_variable):
+    cols = basis.graded_columns(basis.degree - guard, per_variable) \
+        if guard > 0 else np.arange(len(basis))
+    G = _residual_gram(basis, grid,
+                       lambda nodes, E: symbol(nodes)[:, None] * E[:, cols],
+                       len(cols), project=kind == "Hankel")
+    return OperatorTruncation(kind=kind, symbol=symbol, basis=basis,
+                              source_size=len(cols),
+                              singular_values=_singular_values(G))
+
+
 def hankel_matrix(symbol: SymbolFn, basis: OrthonormalBasis,
                   grid: QuadratureGrid, guard=5,
                   per_variable=False) -> OperatorTruncation:
     """Truncation of H_phi f = phi f - P(phi f).
 
-    The projection uses the full basis (degree N); source columns come
-    from the degree N - guard sub-basis so truncation-boundary artifacts
+    The projection uses the full basis (degree N); source columns are
+    the degree N - guard graded columns so truncation-boundary artifacts
     are quantified rather than hidden.  Pass guard=0 for symbols whose
     multiplication lowers holomorphic degree (e.g. conj-monomials),
     where no truncation bias exists.
     """
-    source = basis.subbasis(basis.degree - guard, per_variable) \
-        if guard > 0 else basis
-    G = _column_gram(symbol, basis, source, grid, apply_projection=True)
-    return OperatorTruncation(kind="Hankel", symbol=symbol, basis=basis,
-                              source_size=len(source),
-                              singular_values=_singular_values(G))
+    return _truncation("Hankel", symbol, basis, grid, guard, per_variable)
 
 
 def mult_matrix(symbol: SymbolFn, basis: OrthonormalBasis,
                 grid: QuadratureGrid, guard=0,
                 per_variable=False) -> OperatorTruncation:
     """Truncation of M_phi f = phi f, in the grid norm."""
-    source = basis.subbasis(basis.degree - guard, per_variable) \
-        if guard > 0 else basis
-    G = _column_gram(symbol, basis, source, grid, apply_projection=False)
-    return OperatorTruncation(kind="Multiplication", symbol=symbol,
-                              basis=basis, source_size=len(source),
-                              singular_values=_singular_values(G))
-
-
-def grid_norm(grid: QuadratureGrid, values):
-    return float(np.sqrt(np.sum(grid.weights * np.abs(values) ** 2)))
+    return _truncation("Multiplication", symbol, basis, grid, guard,
+                       per_variable)
 
 
 def weak_null_probe(symbol: SymbolFn, engine: KernelEngine,
@@ -182,15 +173,17 @@ def weak_null_probe(symbol: SymbolFn, engine: KernelEngine,
     Values trending to zero along zeta -> boundary are the compactness
     signature (kernel sections tend weakly to zero there).
     """
-    out = np.empty(len(centers))
-    phi_vals = symbol(grid.nodes)
-    E = basis.evaluate(grid.nodes)
-    for i, zeta in enumerate(centers):
-        s = engine.s_section(np.asarray(zeta, dtype=complex), grid.nodes)
-        v = phi_vals * s
-        coeffs = (E.conj() * grid.weights[:, None]).T @ v
-        out[i] = grid_norm(grid, v - E @ coeffs)
-    return out
+    centers = np.asarray(centers, dtype=complex).reshape(len(centers), -1)
+    roots = np.sqrt(engine.kernel_diag(centers))
+
+    def phi_sections(nodes, E):
+        B = np.reshape(engine.kernel(nodes, centers),
+                       (len(nodes), len(centers)))
+        return symbol(nodes)[:, None] * (B / roots)
+
+    G = _residual_gram(basis, grid, phi_sections, len(centers),
+                       project=True)
+    return np.sqrt(np.diag(G).real)
 
 
 @dataclass(frozen=True)
@@ -201,10 +194,6 @@ class CompactnessIndicator:
     sigma0: float
     compact: bool
     probe_values: tuple = field(default=())
-
-    @property
-    def growing(self):
-        return not self.compact
 
 
 def compactness_indicator(build_truncation, degrees, threshold_ratio=0.5,

@@ -13,6 +13,7 @@ from bergmanlab.harness import (ConfigError, EXIT_COMPUTE, EXIT_CONFIG,
                                 ExperimentConfig, SymbolParseError,
                                 bump_symbol, resolve_symbol, run,
                                 symbol_parse)
+from bergmanlab.operators import hankel_matrix
 
 
 class TestSymbolParse:
@@ -88,9 +89,18 @@ class TestConfig:
         for bad in ({"radius": -1.0}, {"steps": (0.5, 1.5)}, {"steps": ()},
                     {"steps": (0.0, 0.5)}, {"hankel_degrees": (-1,)},
                     {"hankel_degrees": (0, 4)}, {"hankel_degrees": ()},
-                    {"graph_neighbors": 0}, {"threads": -1}):
+                    {"graph_neighbors": 0}, {"threads": -1},
+                    {"approx_degree": 2.5}, {"rays": "4"}, {"rays": True},
+                    {"steps": 0.5}, {"net_radius": "0.5"},
+                    {"graph_neighbors": 2.5}, {"seed": 1.5},
+                    {"hankel_degrees": (4.5,)}, {"scheme": "nope"},
+                    {"scheme": "product-polar"}):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad)
+
+    def test_int_accepted_where_float_expected(self):
+        cfg = ExperimentConfig(radius=2, net_radius=1)
+        assert (cfg.radius, cfg.net_radius) == (2, 1)
 
     def test_default_resolution_filled(self):
         assert ExperimentConfig(domain="disc").resolution == 0.025
@@ -198,6 +208,17 @@ class TestRun:
                     if key != "mode":
                         float(cell)
 
+    def test_hankel_builds_each_degree_once(self, tmp_path, monkeypatch):
+        degrees = []
+        def counting(symbol, basis, *args, **kwargs):
+            degrees.append(basis.degree)
+            return hankel_matrix(symbol, basis, *args, **kwargs)
+        monkeypatch.setattr(harness, "hankel_matrix", counting)
+        cfg = self._cfg(tmp_path)
+        assert run(cfg, "hankel") == EXIT_OK
+        assert len(degrees) == len(cfg.hankel_degrees)
+        assert sorted(degrees) == sorted(cfg.hankel_degrees)
+
     def test_variety_on_bidisc(self, tmp_path):
         cfg = self._cfg(tmp_path, domain="polydisc2", symbol="conj(z2)",
                         resolution=0.2)
@@ -253,6 +274,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"config error: {message}\n"
         assert not out.exists()
+
+    def test_wrong_type_is_one_config_error_line(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"rays": "4"}))
+        assert cli_main(["kernel", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("config error: config field rays ")
 
     def test_config_loading(self, tmp_path):
         cfg = ExperimentConfig(domain="disc", resolution=0.05,

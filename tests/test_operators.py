@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bergmanlab import domains as dom
-from bergmanlab.kernels import engine_for, reinhardt_basis
+from bergmanlab import operators
+from bergmanlab.kernels import OrthonormalBasis, engine_for, reinhardt_basis
 from bergmanlab.operators import (OperatorError, SymbolFn,
                                   compactness_indicator, hankel_matrix,
                                   mult_matrix, weak_null_probe)
@@ -31,6 +32,149 @@ def bidisc_quad(bidisc_domain):
     # count quadratically, so count-based tests use the midpoint grid
     return dom.build_grid(bidisc_domain, 0.0, scheme="product-polar",
                           degree=10)
+
+
+def _mixed(dim):
+    """conj(z_d) + |z_1|^2: a symbol whose Hankel and multiplication
+    truncations are both nontrivial at every guard."""
+    return SymbolFn(fn=lambda z: np.conj(np.atleast_2d(z)[:, dim - 1])
+                    + np.abs(np.atleast_2d(z)[:, 0]) ** 2,
+                    smoothness="C1", label="mixed")
+
+
+# -- the assembly paths before the shared residual Gram, as references --
+
+
+def _reference_subbasis(basis, degree, per_variable=False):
+    """Restriction to monomials of lower degree (the former
+    OrthonormalBasis.subbasis)."""
+    if per_variable:
+        keep = np.all(basis.alphas <= degree, axis=1)
+    else:
+        keep = basis.alphas.sum(axis=1) <= degree
+    cols = [k for k in range(basis.coeffs.shape[1])
+            if np.allclose(basis.coeffs[~keep, k], 0.0)]
+    return OrthonormalBasis(domain=basis.domain, alphas=basis.alphas[keep],
+                            coeffs=basis.coeffs[np.ix_(
+                                np.nonzero(keep)[0], cols)],
+                            grid=basis.grid, degree=degree,
+                            smallest_retained=basis.smallest_retained,
+                            dropped=basis.dropped)
+
+
+def _reference_sigma(symbol, basis, grid, guard, per_variable, project):
+    """Two-pass column Gram with the source columns evaluated from a
+    separate sub-basis in each pass."""
+    source = _reference_subbasis(basis, basis.degree - guard, per_variable) \
+        if guard > 0 else basis
+    nk, nj = len(basis), len(source)
+    step = max(1, operators._CHUNK_BUDGET // (nk + nj))
+    chunks = [(lo, min(len(grid), lo + step))
+              for lo in range(0, len(grid), step)]
+    if project:
+        A = np.zeros((nk, nj), dtype=complex)
+        for lo, hi in chunks:
+            nodes = grid.nodes[lo:hi]
+            w = grid.weights[lo:hi]
+            E = basis.evaluate(nodes)
+            M = symbol(nodes)[:, None] * source.evaluate(nodes)
+            A += (E.conj() * w[:, None]).T @ M
+    G = np.zeros((nj, nj), dtype=complex)
+    for lo, hi in chunks:
+        nodes = grid.nodes[lo:hi]
+        w = grid.weights[lo:hi]
+        M = symbol(nodes)[:, None] * source.evaluate(nodes)
+        if project:
+            M = M - basis.evaluate(nodes) @ A
+        G += (M.conj() * w[:, None]).T @ M
+    return operators._singular_values(0.5 * (G + G.conj().T))
+
+
+def _reference_probe(symbol, engine, basis, grid, centers):
+    """Full-grid residual norm of phi s_zeta, one center at a time."""
+    out = np.empty(len(centers))
+    phi_vals = symbol(grid.nodes)
+    E = basis.evaluate(grid.nodes)
+    for i, zeta in enumerate(centers):
+        s = engine.s_section(np.asarray(zeta, dtype=complex), grid.nodes)
+        v = phi_vals * s
+        r = v - E @ ((E.conj() * grid.weights[:, None]).T @ v)
+        out[i] = np.sqrt(np.sum(grid.weights * np.abs(r) ** 2))
+    return out
+
+
+@pytest.fixture(scope="module")
+def egg_case():
+    egg = dom.egg(2)
+    grid = dom.build_grid(egg, 0.2)
+    return egg, grid, engine_for(egg, grid, degree=6)
+
+
+_BUILDERS = {"hankel": (hankel_matrix, True), "mult": (mult_matrix, False)}
+
+
+class TestResidualGram:
+    @pytest.mark.parametrize("kind", sorted(_BUILDERS))
+    @pytest.mark.parametrize("guard", [0, 2, 5])
+    def test_disc_reinhardt_identical(self, disc_domain, disc_quad, kind,
+                                      guard):
+        build, project = _BUILDERS[kind]
+        basis = reinhardt_basis(disc_domain, 20)
+        for sym in (_zbar(0, 1), _mixed(1)):
+            sig = build(sym, basis, disc_quad, guard=guard).singular_values
+            ref = _reference_sigma(sym, basis, disc_quad, guard, False,
+                                   project)
+            assert np.array_equal(sig, ref)
+
+    @pytest.mark.parametrize("kind", sorted(_BUILDERS))
+    @pytest.mark.parametrize("guard", [0, 2])
+    def test_bidisc_reinhardt_identical(self, bidisc_domain, bidisc_quad,
+                                        kind, guard):
+        build, project = _BUILDERS[kind]
+        basis = reinhardt_basis(bidisc_domain, 8, per_variable=True)
+        sym = _mixed(2)
+        trunc = build(sym, basis, bidisc_quad, guard=guard,
+                      per_variable=True)
+        ref = _reference_sigma(sym, basis, bidisc_quad, guard, True,
+                               project)
+        assert trunc.source_size == (9 - guard) ** 2
+        assert np.array_equal(trunc.singular_values, ref)
+
+    @pytest.mark.parametrize("kind", sorted(_BUILDERS))
+    @pytest.mark.parametrize("guard", [0, 2])
+    def test_egg_cholesky_basis_close(self, egg_case, kind, guard):
+        build, project = _BUILDERS[kind]
+        _, grid, engine = egg_case
+        basis = engine.basis
+        assert basis.dropped == 0  # graded Cholesky path
+        sym = _mixed(2)
+        sig = build(sym, basis, grid, guard=guard).singular_values
+        ref = _reference_sigma(sym, basis, grid, guard, False, project)
+        assert len(sig) == len(ref)
+        assert np.max(np.abs(sig - ref)) <= 1e-12 * ref[0]
+
+    @pytest.mark.parametrize("budget", [4_000_000, 2_000])
+    def test_probe_matches_full_grid(self, disc_domain, disc_quad,
+                                     bidisc_domain, bidisc_engine,
+                                     bidisc_quad, egg_case, monkeypatch,
+                                     budget):
+        monkeypatch.setattr(operators, "_CHUNK_BUDGET", budget)
+        _, egg_grid, egg_engine = egg_case
+        cases = [
+            (_zbar(0, 1), engine_for(disc_domain),
+             reinhardt_basis(disc_domain, 40), disc_quad,
+             np.array([[t + 0.1j] for t in (0.0, 0.5, 0.7, 0.9)])),
+            (_mixed(2), bidisc_engine,
+             reinhardt_basis(bidisc_domain, 8, per_variable=True),
+             bidisc_quad,
+             np.array([[0.5, 0.2j], [0.1, 0.9], [-0.3j, 0.95]])),
+            (_mixed(2), egg_engine, egg_engine.basis, egg_grid,
+             np.array([[0.1, 0.2j], [0.5j, -0.3]])),
+        ]
+        for sym, engine, basis, grid, centers in cases:
+            vals = weak_null_probe(sym, engine, basis, grid, centers)
+            ref = _reference_probe(sym, engine, basis, grid, centers)
+            np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0)
 
 
 class TestHankelOracle:
