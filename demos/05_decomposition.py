@@ -18,10 +18,9 @@ from bergmanlab.kernels import engine_for
 disc = dom.disc()
 field = GeodesicField(engine_for(disc), dom.build_grid(disc, 0.025))
 net = build_net(field, 0.5)
-part = partition_of_unity(net)
 sym = symbol_parse("conj(z1)", 1)
 
-dec = decompose(field, net, part, sym, degree=6)
+dec = decompose(partition_of_unity(net), sym, degree=6)
 
 print(f"net: {len(net)} centers at separation 0.5")
 print(f"identity |phi1 + phi2 - phi| on the grid: "

@@ -4,9 +4,9 @@ The central quantity is the weighted least-squares distance from a
 symbol to holomorphic polynomials on a Bergman-metric ball, measured
 either against the metric volume form (bergman-volume mode) or against
 normalized Lebesgue measure (li-normalized mode).  Boundary scans track
-it along rays toward the boundary; the decomposition splits a symbol
-into a holomorphically-glued part and a small remainder and audits the
-inequalities that drive the compactness argument.
+it along rays toward the boundary.  The decomposition glues local
+approximants with a partition of unity (which carries its net and
+field) and audits the inequalities that drive the compactness argument.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix, triu
 
 from .domains import (DomainSpec, boundary_residual, contains,
                       coordinate_cells, coordinate_columns)
-from .geometry import (GeodesicField, GeometryError, MetricBall, Net,
+from .geometry import (GeodesicField, GeometryError, MetricBall,
                        Partition, metric_ball)
 from .kernels import multi_indices, monomial_matrix
 from .operators import SymbolFn
@@ -32,6 +32,13 @@ class ApproximationError(RuntimeError):
 
 
 MODES = ("bergman-volume", "li-normalized")
+# a ball is admissible with at least this many grid nodes per unknown
+MIN_NODE_FACTOR = 10
+AUDIT_PAIRS = 40  # overlapping-support pairs audited per decomposition
+_VARIETY_SAMPLES = 64         # variety_test's sample points w,
+_VARIETY_SAMPLE_RADIUS = 0.7  # drawn with |w| below this radius;
+_VARIETY_STEP = 1e-5          # its central-difference step in w;
+_VARIETY_BOUNDARY_TOL = 1e-8  # its largest boundary residual of F
 
 
 @dataclass(frozen=True)
@@ -177,12 +184,13 @@ def _tail_trend(ts, vals):
 
 
 def boundary_scan(field: GeodesicField, symbol: SymbolFn, radius=1.0,
-                  degree=6, mode="bergman-volume", directions=None,
-                  n_rays=4, steps=(0.3, 0.5, 0.7, 0.8, 0.9, 0.95),
-                  min_node_factor=10, seed=0) -> ScanSummary:
-    """omega along rays from the anchor toward the boundary.
+                  degree=6, directions=None, n_rays=4,
+                  steps=(0.3, 0.5, 0.7, 0.8, 0.9, 0.95),
+                  seed=0) -> ScanSummary:
+    """omega (bergman-volume mode) along rays from the anchor toward the
+    boundary.
 
-    Near-boundary balls with fewer than min_node_factor * unknowns grid
+    Near-boundary balls with fewer than MIN_NODE_FACTOR * unknowns grid
     nodes are flagged inadmissible and excluded from the summary.
     """
     dom = field.domain
@@ -196,22 +204,21 @@ def boundary_scan(field: GeodesicField, symbol: SymbolFn, radius=1.0,
             try:
                 ball = metric_ball(field, zeta, radius)
             except GeometryError:  # outside the domain, or an empty ball
-                rows.append(ScanRow(ray=ray_id, t=float(t), zeta=zeta,
-                                    value=math.nan, admissible=False,
-                                    n_nodes=0, n_unknowns=n_unknowns))
-                continue
-            ov = omega(field, ball, symbol, degree, mode)
-            ok = len(ball) >= min_node_factor * n_unknowns
-            rows.append(ScanRow(ray=ray_id, t=float(t), zeta=zeta,
-                                value=ov.value, admissible=ok,
-                                n_nodes=len(ball), n_unknowns=n_unknowns))
+                value, n_nodes = math.nan, 0
+            else:
+                value = omega(field, ball, symbol, degree).value
+                n_nodes = len(ball)
+            rows.append(ScanRow(
+                ray=ray_id, t=float(t), zeta=zeta, value=value,
+                admissible=n_nodes >= MIN_NODE_FACTOR * n_unknowns,
+                n_nodes=n_nodes, n_unknowns=n_unknowns))
     adm = [r for r in rows if r.admissible]
     if not adm:
         raise ApproximationError("no admissible scan points")
     sup = max(r.value for r in adm)
     trend = _tail_trend([r.t for r in adm], [r.value for r in adm])
     return ScanSummary(rows=rows, radius=float(radius), degree=degree,
-                       mode=mode, sup=sup, tail_trend=trend,
+                       mode="bergman-volume", sup=sup, tail_trend=trend,
                        n_admissible=len(adm))
 
 
@@ -220,8 +227,7 @@ def boundary_scan(field: GeodesicField, symbol: SymbolFn, radius=1.0,
 
 @dataclass
 class Decomposition:
-    net: Net
-    partition: Partition
+    partition: Partition  # with its net and field
     symbol: SymbolFn
     degree: int
     epsilon: np.ndarray  # per-center L^2(dV) residuals
@@ -231,13 +237,12 @@ class Decomposition:
     phi1: np.ndarray
     phi2: np.ndarray
     r_small: float  # the audit ball radius (r_2 in the gluing argument)
-    eps_ball_radius: float
     pair_audit: list = _dc_field(default_factory=list)
     phi2_audit: list = _dc_field(default_factory=list)
     dbar_audit: list = _dc_field(default_factory=list)
 
     def identity_error(self):
-        phi = self.symbol(self.net.field.grid.nodes)
+        phi = self.symbol(self.partition.net.field.grid.nodes)
         return float(np.max(np.abs(self.phi1 + self.phi2 - phi)))
 
     def shell_epsilon_decay(self):
@@ -254,7 +259,7 @@ class Decomposition:
         with open(path, "w") as fh:
             json.dump({
                 "identity_error": self.identity_error(),
-                "n_centers": len(self.net),
+                "n_centers": len(self.epsilon),
                 "eps_max": float(np.max(self.epsilon)),
                 "pair_audit_pass": all(a["holds"] for a in self.pair_audit),
                 "pair_audit_count": len(self.pair_audit),
@@ -268,39 +273,38 @@ class Decomposition:
 
 def _ball_integral(field, center_point, radius, values_sq):
     """integral of values_sq dV over the graph metric ball."""
-    dist = field.distances_from_point(center_point, limit=radius)
-    sel = dist < radius
+    sel = metric_ball(field, center_point, radius).members
     w = field.grid.weights[sel] * field.volume_density_nodes()[sel]
     return float(np.sum(w * values_sq[sel]))
 
 
-def decompose(field: GeodesicField, net: Net, partition: Partition,
-              symbol: SymbolFn, degree=6, min_node_factor=10,
-              audit_pairs=40, audit_dbar=True, seed=0) -> Decomposition:
+def decompose(partition: Partition, symbol: SymbolFn, degree=6,
+              seed=0) -> Decomposition:
     """Build phi_1 = sum chi_hat_m h_m and audit the gluing estimates.
 
-    Per-center approximants h_m minimize the dV-weighted distance on
-    B(zeta_m, r_outer + r_2), so the pairwise bound
+    The net and the field are the partition's.  Per-center approximants
+    h_m minimize the dV-weighted distance on B(zeta_m, r_outer + r_2),
+    so the pairwise bound
     ||h_n - h_m||_{L^2(B(zeta, r_2), dV)} <= eps_n + eps_m holds exactly
     on the graph for any zeta in both supports (triangle inequality plus
     exact containment of the audit ball in both epsilon balls).
     """
-    grid = net.field.grid
-    r1 = net.separation
-    r2 = 0.5 * r1
+    net = partition.net
+    field = net.field
+    grid = field.grid
+    r2 = 0.5 * net.separation
     r_eps = partition.r_outer + r2
-    centers = net.center_points()
     n_unknowns = len(multi_indices(field.domain.dim, degree))
     eps = np.empty(len(net))
     admissible = np.zeros(len(net), dtype=bool)
     approximants = []
     anchor_dist = field.distances_from_point(field.domain.anchor_point)
-    shell = np.floor(anchor_dist[net.centers] / r1).astype(int)
-    for m, c in enumerate(centers):
+    shell = np.floor(anchor_dist[net.centers] / net.separation).astype(int)
+    for m, c in enumerate(net.center_points()):
         ball = metric_ball(field, c, r_eps)
-        ov = omega(field, ball, symbol, degree, mode="bergman-volume")
+        ov = omega(field, ball, symbol, degree)
         eps[m] = math.sqrt(max(ov.value, 0.0))
-        admissible[m] = len(ball) >= min_node_factor * n_unknowns
+        admissible[m] = len(ball) >= MIN_NODE_FACTOR * n_unknowns
         approximants.append(ov)
     # glue: phi1 = sum_m chi_hat_m h_m on the nodes
     chi = partition.values
@@ -308,25 +312,13 @@ def decompose(field: GeodesicField, net: Net, partition: Partition,
     for m, ov in enumerate(approximants):
         sel = chi[m] > 0
         phi1[sel] += chi[m][sel] * ov.approximant(grid.nodes[sel])
-    phi_vals = symbol(grid.nodes)
-    phi2 = phi_vals - phi1
-    dec = Decomposition(net=net, partition=partition, symbol=symbol,
-                        degree=degree, epsilon=eps,
-                        epsilon_admissible=admissible, shell_index=shell,
-                        approximants=approximants, phi1=phi1, phi2=phi2,
-                        r_small=r2, eps_ball_radius=r_eps)
-    # audit (i): local phi_2 mass against the largest nearby epsilon.
-    # Centers touching an inadmissible ball (too few nodes for the
-    # least-squares rank) give vacuous epsilons and are flagged out.
-    phi2_sq = np.abs(phi2) ** 2
-    for m, c in enumerate(centers):
-        mass = _ball_integral(field, c, r2, phi2_sq)
-        local = np.nonzero(chi[:, net.centers[m]] > 0)[0]
-        bound = float(np.max(eps[local]) ** 2) if len(local) else 0.0
-        ok = bool(len(local)) and bool(np.all(admissible[local]))
-        dec.phi2_audit.append(
-            {"center": m, "mass": mass, "eps_sq": bound, "admissible": ok,
-             "ratio": mass / bound if (ok and bound > 0) else 0.0})
+    phi2 = symbol(grid.nodes) - phi1
+    dec = Decomposition(partition=partition, symbol=symbol, degree=degree,
+                        epsilon=eps, epsilon_admissible=admissible,
+                        shell_index=shell, approximants=approximants,
+                        phi1=phi1, phi2=phi2, r_small=r2)
+    # audit (i): local phi_2 mass against the largest nearby epsilon
+    dec.phi2_audit = _local_audits(dec, np.abs(phi2) ** 2)
     # audit (ii): pairwise approximant gaps on overlapping supports
     # candidates: the upper-triangle nonzeros of S S^T, S = supports,
     # in row-major order; witnesses only for the pairs the audit keeps
@@ -336,78 +328,74 @@ def decompose(field: GeodesicField, net: Net, partition: Partition,
     rows, cols = triu(S @ S.T, k=1).nonzero()
     order = np.lexsort((cols, rows))
     pairs = list(zip(rows[order].tolist(), cols[order].tolist()))
-    if len(pairs) > audit_pairs:
+    if len(pairs) > AUDIT_PAIRS:
         pairs = [pairs[i] for i in
-                 sorted(rng.choice(len(pairs), audit_pairs, replace=False))]
+                 sorted(rng.choice(len(pairs), AUDIT_PAIRS, replace=False))]
     for n, m in pairs:
         witness = np.nonzero(supp[n] & supp[m])[0]
         node = int(witness[len(witness) // 2])
-        zeta = grid.nodes[node]
-        hn = approximants[n]
-        hm = approximants[m]
-        gap_sq = np.abs(hn.approximant(grid.nodes)
-                        - hm.approximant(grid.nodes)).ravel() ** 2
-        lhs = math.sqrt(_ball_integral(field, zeta, r2, gap_sq))
+        gap_sq = np.abs(approximants[n].approximant(grid.nodes)
+                        - approximants[m].approximant(grid.nodes)) ** 2
+        lhs = math.sqrt(_ball_integral(field, grid.nodes[node], r2, gap_sq))
         rhs = eps[n] + eps[m]
         dec.pair_audit.append(
             {"pair": (n, m), "witness": node, "lhs": lhs, "rhs": rhs,
              "holds": bool(lhs <= rhs * (1.0 + 1e-9) + 1e-12)})
     # audit (iii): finite-difference dbar phi_1 in the metric norm
-    if audit_dbar:
-        _audit_dbar(dec, field)
+    _audit_dbar(dec)
     return dec
 
 
-def _audit_dbar(dec: Decomposition, field: GeodesicField):
+def _local_audits(dec: Decomposition, values_sq) -> list:
+    """Per center m, the mass of values_sq dV on B(zeta_m, r_2) against
+    the largest eps^2 of the cutoffs alive at zeta_m (m among them).
+    Centers touching an inadmissible ball (too few nodes for the
+    least-squares rank) give vacuous epsilons and are flagged out."""
+    net = dec.partition.net
+    audits = []
+    for m, c in enumerate(net.center_points()):
+        mass = _ball_integral(net.field, c, dec.r_small, values_sq)
+        local = np.nonzero(dec.partition.values[:, net.centers[m]] > 0)[0]
+        bound = float(np.max(dec.epsilon[local]) ** 2)
+        ok = bool(np.all(dec.epsilon_admissible[local]))
+        audits.append(
+            {"center": m, "mass": mass, "eps_sq": bound, "admissible": ok,
+             "ratio": mass / bound if (ok and bound > 0) else 0.0})
+    return audits
+
+
+def _audit_dbar(dec: Decomposition):
     """Mass of ||dbar phi_1||_g^2 dV on audit balls vs local epsilon^2.
 
     dbar phi_1 = sum_m h_m dbar chi_hat_m with chi_hat differentiated by
     central differences of the graph-distance cutoffs.
     """
-    grid = field.grid
+    field = dec.partition.net.field
+    nodes = field.grid.nodes
     d = field.domain.dim
-    h = 0.25 * grid.resolution
-    nodes = grid.nodes
-    centers = dec.net.center_points()
+    h = 0.25 * field.grid.resolution
     # dbar chi_hat at all nodes, one finite-difference stencil per node
-    dbar_chi = np.zeros((len(dec.net), len(nodes), d), dtype=complex)
+    dbar_chi = np.zeros((len(dec.epsilon), len(nodes), d), dtype=complex)
     for j in range(d):
         step = np.zeros(d, dtype=complex)
         step[j] = h
-        ok = contains(field.domain, nodes + step) \
-            & contains(field.domain, nodes - step) \
-            & contains(field.domain, nodes + 1j * step) \
-            & contains(field.domain, nodes - 1j * step)
-        idx = np.nonzero(ok)[0]
-        px = dec.partition.evaluate(nodes[idx] + step, strict=False)
-        mx = dec.partition.evaluate(nodes[idx] - step, strict=False)
-        py = dec.partition.evaluate(nodes[idx] + 1j * step, strict=False)
-        my = dec.partition.evaluate(nodes[idx] - 1j * step, strict=False)
-        covered = (px.sum(axis=0) > 0.5) & (mx.sum(axis=0) > 0.5) \
-            & (py.sum(axis=0) > 0.5) & (my.sum(axis=0) > 0.5)
-        idx = idx[covered]
+        i_step = 1j * step
+        shifts = (step, -step, i_step, -i_step)
+        idx = np.nonzero(np.all([contains(field.domain, nodes + s)
+                                 for s in shifts], axis=0))[0]
+        px, mx, py, my = vals = [
+            dec.partition.evaluate(nodes[idx] + s, strict=False)
+            for s in shifts]
+        covered = np.all([v.sum(axis=0) > 0.5 for v in vals], axis=0)
         dbar = 0.5 * ((px - mx) + 1j * (py - my)) / (2.0 * h)
-        dbar_chi[:, idx, j] = dbar[:, covered]
+        dbar_chi[:, idx[covered], j] = dbar[:, covered]
     dphi1 = np.zeros((len(nodes), d), dtype=complex)
     for m, ov in enumerate(dec.approximants):
         act = np.nonzero(np.any(dbar_chi[m] != 0, axis=1))[0]
-        if len(act):
-            dphi1[act] += ov.approximant(nodes[act])[:, None] \
-                * dbar_chi[m][act]
-    g = field.engine.metric_batch(nodes)
-    ginv = np.linalg.inv(g)
+        dphi1[act] += ov.approximant(nodes[act])[:, None] * dbar_chi[m][act]
+    ginv = np.linalg.inv(field.engine.metric_batch(nodes))
     norm_sq = np.einsum("nj,njk,nk->n", dphi1.conj(), ginv, dphi1).real
-    norm_sq = np.maximum(norm_sq, 0.0)
-    for m, c in enumerate(centers):
-        mass = _ball_integral(field, c, dec.r_small, norm_sq)
-        local = np.nonzero(
-            dec.partition.values[:, dec.net.centers[m]] > 0)[0]
-        bound = float(np.max(dec.epsilon[local]) ** 2) if len(local) else 0.0
-        ok = bool(len(local)) \
-            and bool(np.all(dec.epsilon_admissible[local]))
-        dec.dbar_audit.append(
-            {"center": m, "mass": mass, "eps_sq": bound, "admissible": ok,
-             "ratio": mass / bound if (ok and bound > 0) else 0.0})
+    dec.dbar_audit = _local_audits(dec, np.maximum(norm_sq, 0.0))
 
 
 # -- dbar energy functional (sufficient condition for boundedness) ----
@@ -439,24 +427,22 @@ def dbar_functional(symbol: SymbolFn, field: GeodesicField,
 
 
 def variety_test(symbol: SymbolFn, dom: DomainSpec, disc_map,
-                 sample_count=64, sample_radius=0.7, h=1e-5,
-                 boundary_tol=1e-8, seed=0) -> float:
+                 seed=0) -> float:
     """Mean |dbar (phi o F)| over sample points of the unit disc, for a
     parametrized analytic disc F in the boundary.  Zero iff the symbol
     is holomorphic along the disc."""
+    n, h = _VARIETY_SAMPLES, _VARIETY_STEP
     rng = np.random.default_rng(seed)
-    w = rng.normal(size=sample_count) + 1j * rng.normal(size=sample_count)
-    w *= sample_radius * rng.uniform(0, 1, sample_count) ** 0.5 \
+    w = rng.normal(size=n) + 1j * rng.normal(size=n)
+    w *= _VARIETY_SAMPLE_RADIUS * rng.uniform(0, 1, n) ** 0.5 \
         / np.maximum(np.abs(w), 1e-12)
-    pts = np.stack([np.asarray(disc_map(wi), dtype=complex) for wi in w])
-    res = boundary_residual(dom, pts)
-    if np.max(res) > boundary_tol:
+    def along(ws):  # the disc points F(w)
+        return np.stack([np.asarray(disc_map(v), dtype=complex) for v in ws])
+    res = boundary_residual(dom, along(w))
+    if np.max(res) > _VARIETY_BOUNDARY_TOL:
         raise ApproximationError(
             f"disc map leaves the boundary (residual {np.max(res):.3e})")
-    def comp(ws):
-        zz = np.stack([np.asarray(disc_map(wi), dtype=complex) for wi in ws])
-        return symbol(zz)
-    dx = (comp(w + h) - comp(w - h)) / (2.0 * h)
-    dy = (comp(w + 1j * h) - comp(w - 1j * h)) / (2.0 * h)
+    dx = (symbol(along(w + h)) - symbol(along(w - h))) / (2.0 * h)
+    dy = (symbol(along(w + 1j * h)) - symbol(along(w - 1j * h))) / (2.0 * h)
     dbar = 0.5 * (dx + 1j * dy)
     return float(np.mean(np.abs(dbar)))

@@ -20,6 +20,8 @@ from .domains import boundary_gap
 from .geometry import GeodesicField, chart, metric_ball
 from .kernels import KernelEngine
 
+GAP_FACTOR = 10.0  # admissible nodes lie this many spacings inside
+
 
 class DiagnosticsError(RuntimeError):
     pass
@@ -51,15 +53,15 @@ class ConstantEstimate:
                            if np.isscalar(v)}}
 
 
-def admissible_nodes(engine: KernelEngine, grid, gap_factor=10.0):
-    """Nodes kept for sup-type scans: boundary gap >= factor * spacing.
+def admissible_nodes(engine: KernelEngine, grid):
+    """Nodes kept for sup-type scans: gap >= GAP_FACTOR * spacing.
 
     The threshold is capped at half the largest gap on the grid so that
     coarse grids (or domains whose gap bound is conservative) still
     retain a deep-interior sample instead of nothing.
     """
     gap = boundary_gap(grid.domain, grid.nodes)
-    thr = min(gap_factor * grid.resolution, 0.5 * float(np.max(gap)))
+    thr = min(GAP_FACTOR * grid.resolution, 0.5 * float(np.max(gap)))
     return np.nonzero(gap >= thr)[0]
 
 
@@ -106,7 +108,7 @@ def off_diagonal_ratio(engine: KernelEngine, z, zeta) -> float:
 
 
 def mean_value_check(engine: KernelEngine, field: GeodesicField,
-                     f, r, centers, degree_label="") -> ConstantEstimate:
+                     f, r, centers) -> ConstantEstimate:
     """Bracket for u(zeta) r^{2d} / (B(zeta,zeta) * ball integral of u),
     u = |f|^2, integrated against plain Lebesgue measure."""
     grid = field.grid
@@ -127,7 +129,7 @@ def mean_value_check(engine: KernelEngine, field: GeodesicField,
         raise DiagnosticsError("|f|^2 integrates to 0 on every ball")
     return ConstantEstimate(
         name="C4", value=max(max(ratios), 1e-300),
-        sample=f"{len(ratios)} centers, r={r}{degree_label}",
+        sample=f"{len(ratios)} centers, r={r}",
         detail={"ratios": ratios, "skipped": skipped, "r": float(r)})
 
 
@@ -157,10 +159,9 @@ def mass_positivity_check(engine: KernelEngine, field: GeodesicField,
 # -- volume form vs kernel --------------------------------------------
 
 
-def volume_comparison_check(engine: KernelEngine, grid,
-                            gap_factor=10.0) -> ConstantEstimate:
+def volume_comparison_check(engine: KernelEngine, grid) -> ConstantEstimate:
     """Bracket for volume_density(z) / B(z,z) over admissible nodes."""
-    idx = admissible_nodes(engine, grid, gap_factor)
+    idx = admissible_nodes(engine, grid)
     if not len(idx):
         raise DiagnosticsError("no admissible nodes for volume comparison")
     z = grid.nodes[idx]
@@ -187,10 +188,10 @@ def sbg_values(engine: KernelEngine, z):
     return np.einsum("nj,nj->n", grad.conj(), sol).real
 
 
-def sbg_check(engine: KernelEngine, grid, gap_factor=10.0) -> ConstantEstimate:
+def sbg_check(engine: KernelEngine, grid) -> ConstantEstimate:
     """Q = sup over admissible nodes of the squared gradient of log B in
     the metric norm, with a boundary trend flag."""
-    idx = admissible_nodes(engine, grid, gap_factor)
+    idx = admissible_nodes(engine, grid)
     if not len(idx):
         raise DiagnosticsError("no admissible nodes for SBG scan")
     z = grid.nodes[idx]
@@ -216,7 +217,7 @@ HOMOGENEOUS_KINDS = ("disc", "ball", "polydisc")
 
 
 def t91_equivalences(engine: KernelEngine, field: GeodesicField,
-                     centers, r=1.0, gap_factor=10.0) -> dict:
+                     centers, r=1.0) -> dict:
     """Bracket constants for the five mutually equivalent conditions:
     (1) self-bounded gradient of log B, (2) kernel comparability on
     metric balls, (3) B(zeta,zeta) * Lebesgue ball volume bracket,
@@ -227,7 +228,7 @@ def t91_equivalences(engine: KernelEngine, field: GeodesicField,
     centers = np.atleast_2d(np.asarray(centers, dtype=complex))
     report = {"domain": field.domain.label, "r": float(r)}
     # (1)
-    q = sbg_check(engine, grid, gap_factor)
+    q = sbg_check(engine, grid)
     report["cond1_sbg_sup"] = q.value
     report["cond1_growth_flag"] = q.detail["boundary_growth_flag"]
     # (2), (3), (4) per ball

@@ -2,9 +2,10 @@
 
 A GeodesicField is a k-nearest-neighbor graph over quadrature nodes with
 edges weighted by midpoint-rule Bergman length; graph shortest paths
-approximate the Bergman distance.  On top of it: metric balls, maximal
-r-separated nets (farthest-first), covering multiplicities, cubic-ramp
-partitions of unity, and automorphism charts on the homogeneous models.
+approximate the Bergman distance; off-grid points join it through their
+k nearest nodes.  On top of it: metric balls, maximal r-separated nets,
+multiplicities, cubic-ramp partitions of unity falling from 1 at r to 0
+at 2r, and automorphism charts on the homogeneous models.
 """
 
 from __future__ import annotations
@@ -102,15 +103,16 @@ class GeodesicField:
                                            indices=i)
         return self._node_cache[i]
 
-    def _attach(self, p):
-        """Neighbor indices and exact edge lengths for an off-grid point."""
-        p = np.asarray(p, dtype=complex).reshape(-1)
+    def _attach(self, points):
+        """Neighbor indices and exact edge lengths for off-grid points,
+        both (n_pts, k)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=complex))
         k = min(self.k, len(self.grid))
-        _, idx = self._tree.query(_realify(p[None, :]), k=k)
-        idx = np.atleast_1d(idx.ravel())
-        lengths = self.segment_length(np.repeat(p[None, :], len(idx), axis=0),
-                                      self.grid.nodes[idx])
-        return idx, lengths
+        _, idx = self._tree.query(_realify(pts), k=k)
+        idx = idx.reshape(len(pts), -1)
+        lengths = self.segment_length(np.repeat(pts, k, axis=0),
+                                      self.grid.nodes[idx.ravel()])
+        return idx, lengths.reshape(idx.shape)
 
     def distances_from_point(self, p, limit=np.inf):
         """Graph distance from an arbitrary interior point to all nodes.
@@ -133,7 +135,7 @@ class GeodesicField:
         cached = self._point_cache.get(key)
         if cached is not None and cached[0] >= limit:
             return cached[1]
-        idx, lengths = self._attach(p)
+        idx, lengths = (v[0] for v in self._attach(p))
         if np.allclose(lengths[0], 0.0, atol=1e-13):
             limit = np.inf
             dist = self.distances_from_node(int(idx[0]))
@@ -160,7 +162,7 @@ class GeodesicField:
         if np.array_equal(a, b):
             return 0.0
         dist = self.distances_from_point(a)
-        idx, lengths = self._attach(b)
+        idx, lengths = (v[0] for v in self._attach(b))
         if np.allclose(lengths[0], 0.0, atol=1e-13):
             val = dist[int(idx[0])]
         else:
@@ -230,7 +232,8 @@ class Net:
 def build_net(field: GeodesicField, r: float) -> Net:
     """Greedy farthest-first maximal packing; ties break to the lowest
     node index, so the result is deterministic."""
-    n = len(field.grid)
+    if not r > 0:
+        raise GeometryError("net radius must be positive")
     anchor = field.domain.anchor_point
     first = field.nearest_node(anchor)
     centers = [first]
@@ -252,18 +255,10 @@ def multiplicity(net: Net, R: float) -> int:
     return int(np.max(np.sum(dists < R, axis=0)))
 
 
-def multiplicity_table(net: Net, radii) -> dict:
-    return {float(R): multiplicity(net, R) for R in radii}
-
-
 def separation_audit(net: Net) -> float:
     """Smallest pairwise center distance (>= separation if valid)."""
-    dists = net.center_distances()
-    m = len(net)
-    if m == 1:
-        return math.inf
-    pair = dists[:, net.centers]
-    np.fill_diagonal(pair, np.inf)
+    pair = net.center_distances()[:, net.centers]
+    np.fill_diagonal(pair, np.inf)  # so a lone center reads inf
     return float(np.min(pair))
 
 
@@ -297,17 +292,9 @@ class Partition:
         With strict=False, points outside every cutoff support get all
         zeros instead of raising.
         """
-        field = self.net.field
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        k = min(field.k, len(field.grid))
-        _, idx = field._tree.query(_realify(pts), k=k)
-        idx = idx.reshape(len(pts), -1)
-        flat = idx.ravel()
-        lengths = field.segment_length(
-            np.repeat(pts, idx.shape[1], axis=0),
-            field.grid.nodes[flat]).reshape(idx.shape)
+        idx, lengths = self.net.field._attach(points)
         dists = self.net.center_distances()
-        chi = np.empty((len(self.net), len(pts)))
+        chi = np.empty((len(self.net), len(idx)))
         for m in range(len(self.net)):
             dm = np.min(dists[m][idx] + lengths, axis=1)
             chi[m] = _ramp(dm, self.r_inner, self.r_outer)
@@ -319,29 +306,26 @@ class Partition:
         return chi / total
 
 
-def partition_of_unity(net: Net, r_inner=None, r_outer=None) -> Partition:
+def partition_of_unity(net: Net) -> Partition:
     """Build the normalized cutoffs on the grid nodes.
 
-    r_inner defaults to the net separation (covering makes the raw sum
-    >= 1 everywhere); r_outer defaults to twice that.
+    Each ramps from 1 at the net separation (covering makes the raw sum
+    >= 1 everywhere) to 0 at twice the separation.
     """
-    if r_inner is None:
-        r_inner = net.separation
-    if r_outer is None:
-        r_outer = 2.0 * r_inner
-    if not r_inner < r_outer:
-        raise GeometryError("need r_inner < r_outer")
-    dists = net.center_distances()
-    chi = _ramp(dists, r_inner, r_outer)
+    r_inner, r_outer = net.separation, 2.0 * net.separation
+    chi = _ramp(net.center_distances(), r_inner, r_outer)
     total = np.sum(chi, axis=0)
     if np.any(total <= 0.0):
         raise GeometryError(
             "a grid node is not covered by any cutoff support")
-    return Partition(net=net, r_inner=float(r_inner), r_outer=float(r_outer),
+    return Partition(net=net, r_inner=r_inner, r_outer=r_outer,
                      values=chi / total)
 
 
 # -- charts on homogeneous models ------------------------------------
+
+_CR_SAMPLES = 64  # sample points of the Cauchy-Riemann residual
+_CR_STEP = 1e-5   # its central-difference step
 
 
 @dataclass(frozen=True)
@@ -420,12 +404,13 @@ class ChartMap:
             grad = -self.rho * a_bar / (1.0 + a_bar * self.rho * w)
         return np.sqrt(np.sum(np.abs(grad) ** 2, axis=1))
 
-    def cauchy_riemann_residual(self, n_samples=64, h=1e-5, seed=0):
-        """Max |d Phi / d wbar| over random sample points in 0.5 B."""
-        rng = np.random.default_rng(seed)
+    def cauchy_riemann_residual(self):
+        """Max |d Phi / d wbar| over seeded sample points in 0.5 B."""
+        rng = np.random.default_rng(0)
         d = self.domain.dim
-        w = rng.normal(size=(n_samples, d)) + 1j * rng.normal(size=(n_samples, d))
-        w *= (0.5 * rng.uniform(0, 1, n_samples)
+        n, h = _CR_SAMPLES, _CR_STEP
+        w = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        w *= (0.5 * rng.uniform(0, 1, n)
               / np.maximum(np.linalg.norm(w, axis=1), 1e-12))[:, None]
         worst = 0.0
         for j in range(d):
@@ -461,6 +446,6 @@ def multiplicity_json(net: Net, radii, path):
     with open(path, "w") as fh:
         json.dump({"separation": net.separation,
                    "n_centers": len(net),
-                   "multiplicity": {str(R): m for R, m in
-                                    multiplicity_table(net, radii).items()}},
+                   "multiplicity": {str(float(R)): multiplicity(net, R)
+                                    for R in radii}},
                   fh, indent=2, sort_keys=True)

@@ -64,6 +64,7 @@ COMMANDS = ("kernel", "metric", "distance", "net", "hankel", "omega-scan",
 
 
 _ALLOWED_CALLS = ("conj", "abs2")
+_BUMP_RADIUS = 0.5  # support radius of the built-in "bump" symbol
 
 
 class _Expr:
@@ -184,11 +185,11 @@ def symbol_parse(expr: str, dim: int) -> SymbolFn:
         label=expr)
 
 
-def bump_symbol(dim: int, radius=0.5) -> SymbolFn:
-    """Smooth bump supported where every |z_j| < radius."""
+def bump_symbol(dim: int) -> SymbolFn:
+    """Smooth bump supported where every |z_j| < _BUMP_RADIUS."""
     def fn(z):
         z = np.atleast_2d(np.asarray(z, dtype=complex))
-        s = np.abs(z) ** 2 / radius ** 2
+        s = np.abs(z) ** 2 / _BUMP_RADIUS ** 2
         inside = np.all(s < 1.0, axis=1)
         out = np.zeros(len(z), dtype=complex)
         with np.errstate(divide="ignore", over="ignore"):
@@ -196,7 +197,7 @@ def bump_symbol(dim: int, radius=0.5) -> SymbolFn:
                                  axis=1))
         out[inside] = body[inside]
         return out
-    return SymbolFn(fn=fn, smoothness="C1", label=f"bump({radius})")
+    return SymbolFn(fn=fn, smoothness="C1", label=f"bump({_BUMP_RADIUS})")
 
 
 def resolve_symbol(name: str, dim: int) -> SymbolFn:
@@ -275,9 +276,13 @@ class ExperimentConfig:
         if self.resolution == 0.0:
             self.resolution = _DEFAULT_RESOLUTION[self.domain]
         for name in ("resolution", "basis_degree", "radius",
-                     "approx_degree", "net_radius", "rays"):
+                     "approx_degree", "net_radius", "rays",
+                     "graph_neighbors"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"config field {name} must be positive")
+        for name in ("seed", "threads"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"config field {name} must be >= 0")
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"scheme must be one of {_SCHEMES}")
         if self.kernel_mode not in ("auto", "closed", "numerical"):
@@ -290,10 +295,6 @@ class ExperimentConfig:
         if not self.hankel_degrees or min(self.hankel_degrees) < 1:
             raise ConfigError("hankel_degrees must be a non-empty list of "
                               "degrees >= 1")
-        if self.graph_neighbors < 1:
-            raise ConfigError("config field graph_neighbors must be >= 1")
-        if self.threads < 0:
-            raise ConfigError("config field threads must be >= 0")
 
     def to_json(self, path=None):
         payload = asdict(self)
@@ -535,8 +536,7 @@ def _cmd_omega_scan(ws, out):
 
 def _cmd_decompose(ws, out):
     net = build_net(ws.field, ws.config.net_radius)
-    part = partition_of_unity(net)
-    dec = approx.decompose(ws.field, net, part, ws.symbol(),
+    dec = approx.decompose(partition_of_unity(net), ws.symbol(),
                            degree=ws.config.approx_degree,
                            seed=ws.config.seed)
     dec.audits_json(os.path.join(out, "decomposition.json"))
@@ -638,7 +638,11 @@ def run(config: ExperimentConfig, command: str) -> int:
         except ImportError:
             _warn_once("threads ignored: threadpoolctl is not installed, "
                        "so the BLAS thread count cannot be capped")
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: out_dir: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     ws = _Workspace(config)
     try:
         rows, summary = _DISPATCH[command](ws, config.out_dir)
@@ -651,6 +655,10 @@ def run(config: ExperimentConfig, command: str) -> int:
     except (DomainError, KernelError, GeometryError, OperatorError,
             approx.ApproximationError, diag.DiagnosticsError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except Exception as exc:  # any other failure: one line, exit 5
+        print(f"computation failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_COMPUTE
     report = ScanReport(experiment_id=config.config_hash(),
                         command=command, rows=rows, summary=summary,

@@ -18,6 +18,8 @@ import numpy as np
 from .domains import (DomainSpec, QuadratureGrid, boundary_gap,
                       coordinate_cells, coordinate_columns, monomial_norm2)
 
+_CUTOFF = 1e-10  # relative Gram eigenvalue below which a direction drops
+
 
 class KernelError(RuntimeError):
     pass
@@ -93,11 +95,11 @@ class OrthonormalBasis:
 
 
 def orthonormalize(dom: DomainSpec, grid: QuadratureGrid, degree: int,
-                   cutoff=1e-10, per_variable=False) -> OrthonormalBasis:
+                   per_variable=False) -> OrthonormalBasis:
     """Gram-orthonormalize monomials against grid quadrature.
 
-    Directions whose Gram eigenvalue falls below cutoff * max are dropped
-    and reported in the conditioning fields.
+    Directions whose Gram eigenvalue falls below _CUTOFF * max are
+    dropped and reported in the conditioning fields.
     """
     alphas = multi_indices(dom.dim, degree, per_variable)
     n_mono = len(alphas)
@@ -112,7 +114,7 @@ def orthonormalize(dom: DomainSpec, grid: QuadratureGrid, degree: int,
         L = np.linalg.cholesky(G)
         C = np.linalg.inv(L).conj().T
         small = float(np.min(np.abs(np.diag(L))) ** 2)
-        if small < cutoff * float(np.max(np.abs(np.diag(L))) ** 2):
+        if small < _CUTOFF * float(np.max(np.abs(np.diag(L))) ** 2):
             raise np.linalg.LinAlgError
         return OrthonormalBasis(domain=dom, alphas=alphas, coeffs=C,
                                 grid=grid, degree=degree,
@@ -120,7 +122,7 @@ def orthonormalize(dom: DomainSpec, grid: QuadratureGrid, degree: int,
     except np.linalg.LinAlgError:
         pass
     lam, U = np.linalg.eigh(G)
-    keep = lam > cutoff * lam[-1]
+    keep = lam > _CUTOFF * lam[-1]
     if not np.any(keep):
         raise KernelError("Gram matrix numerically zero")
     C = U[:, keep] / np.sqrt(lam[keep])
@@ -334,16 +336,15 @@ class KernelEngine:
 
 
 def engine_for(dom: DomainSpec, grid: QuadratureGrid = None, degree=None,
-               cutoff=1e-10, exact=False, per_variable=False) -> KernelEngine:
+               exact=False) -> KernelEngine:
     """Convenience constructor: closed form when available, otherwise a
     numerical engine (exact Reinhardt basis or grid orthonormalization)."""
     if degree is None and dom.kind in ("disc", "ball", "polydisc"):
         return KernelEngine(dom)
     if exact or grid is None:
-        basis = reinhardt_basis(dom, degree, per_variable=per_variable)
+        basis = reinhardt_basis(dom, degree)
     else:
-        basis = orthonormalize(dom, grid, degree, cutoff=cutoff,
-                               per_variable=per_variable)
+        basis = orthonormalize(dom, grid, degree)
     return KernelEngine(dom, basis=basis)
 
 

@@ -18,6 +18,9 @@ import numpy as np
 from .domains import QuadratureGrid
 from .kernels import KernelEngine, OrthonormalBasis
 
+_DBAR_STEP = 1e-5         # central-difference step of dbar_values
+_CONSISTENCY_STEP = 1e-4  # and of the dbar_consistency reference
+
 
 class OperatorError(RuntimeError):
     pass
@@ -44,7 +47,7 @@ class SymbolFn:
             raise OperatorError(f"symbol {self.label!r} not finite on grid")
         return out
 
-    def dbar_values(self, z, h=1e-5):
+    def dbar_values(self, z):
         """Analytic dbar when available, else central differences."""
         z = np.atleast_2d(np.asarray(z, dtype=complex))
         if self.dbar is not None:
@@ -52,15 +55,15 @@ class SymbolFn:
         if self.smoothness != "C1":
             raise OperatorError(
                 "dbar requested for a symbol not tagged C1")
-        return self._central_dbar(z, h)
+        return self._central_dbar(z, _DBAR_STEP)
 
-    def dbar_consistency(self, z, h=1e-4):
+    def dbar_consistency(self, z):
         """Max abs gap between analytic dbar and central differences."""
         if self.dbar is None:
             return 0.0
         z = np.atleast_2d(np.asarray(z, dtype=complex))
-        ana = np.asarray(self.dbar(z), dtype=complex)
-        return float(np.max(np.abs(self._central_dbar(z, h) - ana)))
+        gap = self._central_dbar(z, _CONSISTENCY_STEP) - self.dbar_values(z)
+        return float(np.max(np.abs(gap)))
 
     def _central_dbar(self, z, h):
         d = z.shape[1]

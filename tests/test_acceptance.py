@@ -171,7 +171,7 @@ def test_criterion_06_omega_boundary_rate(disc_field_dense):
 def test_criterion_07_decomposition_audits(disc_field):
     net = build_net(disc_field, 0.5)
     part = partition_of_unity(net)
-    d = decompose(disc_field, net, part, zbar1(1), degree=6)
+    d = decompose(part, zbar1(1), degree=6)
     ident = d.identity_error()
     psum = float(np.max(np.abs(
         np.sum(part.evaluate(disc_field.grid.nodes), axis=0) - 1.0)))

@@ -134,9 +134,8 @@ class TestBoundaryScan:
 
 @pytest.fixture(scope="module")
 def dec(disc_field):
-    net = build_net(disc_field, 0.5)
-    part = partition_of_unity(net)
-    return decompose(disc_field, net, part, zbar1(1), degree=6)
+    return decompose(partition_of_unity(build_net(disc_field, 0.5)),
+                     zbar1(1), degree=6)
 
 
 class TestDecomposition:
@@ -173,13 +172,10 @@ class TestDecomposition:
     def test_dbar_bracket_shape(self, dec):
         assert max(a["ratio"] for a in dec.dbar_audit) <= 1.5
 
-    def test_holomorphic_symbol_trivial(self, disc_field):
-        net = build_net(disc_field, 0.5)
-        part = partition_of_unity(net)
+    def test_holomorphic_symbol_trivial(self, dec):
         sym = SymbolFn(fn=lambda z: np.atleast_2d(z)[:, 0] ** 2,
                        smoothness="C1", label="z^2")
-        d = decompose(disc_field, net, part, sym, degree=6,
-                      audit_dbar=False)
+        d = decompose(dec.partition, sym, degree=6)
         assert float(np.max(d.epsilon)) < 1e-10
         assert float(np.max(np.abs(d.phi2))) < 1e-10
 

@@ -7,9 +7,9 @@ from scipy.sparse.csgraph import dijkstra
 
 from bergmanlab import domains as dom
 from bergmanlab.approximation import ray_point, ray_directions
-from bergmanlab.geometry import (GeodesicField, GeometryError, beta,
-                                 build_net, chart, covering_audit,
-                                 metric_ball, multiplicity,
+from bergmanlab.geometry import (GeodesicField, GeometryError, _ramp,
+                                 _realify, beta, build_net, chart,
+                                 covering_audit, metric_ball, multiplicity,
                                  partition_of_unity, separation_audit)
 from bergmanlab.kernels import engine_for
 
@@ -55,7 +55,7 @@ class TestDistances:
 def _lil_reference(field, p):
     """The former off-grid search: a LIL copy of the whole graph with the
     point as node n joined both ways, searched undirected."""
-    idx, lengths = field._attach(p)
+    idx, lengths = (v[0] for v in field._attach(p))
     n = len(field.grid)
     aug = field.graph.tolil(copy=True)
     aug.resize((n + 1, n + 1))
@@ -123,6 +123,16 @@ class TestOffGridSearch:
         assert np.array_equal(near, full)
         assert small_field.distances_from_point(p) is near
 
+    def test_batched_attach_matches_single_points(self, small_field):
+        pts = np.stack(_points(small_field, (0.25, 0.5, 0.75)))
+        idx, lengths = small_field._attach(pts)
+        assert idx.shape == lengths.shape == (len(pts), small_field.k)
+        for p, i, l in zip(pts, idx, lengths):
+            one_i, one_l = small_field._attach(p)
+            assert one_i.shape == (1, small_field.k)
+            assert np.array_equal(one_i[0], i)
+            assert np.array_equal(one_l[0], l)
+
     def test_node_search_matches_undirected(self, small_field):
         i = len(small_field.grid) // 2
         assert np.array_equal(
@@ -162,27 +172,63 @@ class TestNets:
         b = build_net(disc_field, 0.8)
         assert np.array_equal(a.centers, b.centers)
 
+    @pytest.mark.parametrize("r", [0.0, -0.5, math.nan],
+                             ids=["zero", "negative", "nan"])
+    def test_nonpositive_radius_rejected(self, disc_field, r):
+        with pytest.raises(GeometryError, match="net radius"):
+            build_net(disc_field, r)
+
+
+def _evaluate_reference(part, points):
+    """The former Partition.evaluate with strict=False, with its own kNN
+    query and segment lengths."""
+    field = part.net.field
+    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    k = min(field.k, len(field.grid))
+    _, idx = field._tree.query(_realify(pts), k=k)
+    idx = idx.reshape(len(pts), -1)
+    lengths = field.segment_length(
+        np.repeat(pts, idx.shape[1], axis=0),
+        field.grid.nodes[idx.ravel()]).reshape(idx.shape)
+    dists = part.net.center_distances()
+    chi = np.empty((len(part.net), len(pts)))
+    for m in range(len(part.net)):
+        chi[m] = _ramp(np.min(dists[m][idx] + lengths, axis=1),
+                       part.r_inner, part.r_outer)
+    total = np.sum(chi, axis=0)
+    return chi / np.where(total > 0.0, total, 1.0)
+
+
+@pytest.fixture(scope="module")
+def disc_partition(disc_field):
+    return partition_of_unity(build_net(disc_field, 0.5))
+
 
 class TestPartition:
-    def test_sums_to_one_on_nodes(self, disc_field):
-        net = build_net(disc_field, 0.5)
-        part = partition_of_unity(net)
-        total = part.values.sum(axis=0)
+    def test_sums_to_one_on_nodes(self, disc_partition):
+        total = disc_partition.values.sum(axis=0)
         assert np.max(np.abs(total - 1.0)) < 1e-10
 
-    def test_nonnegative_and_supported(self, disc_field):
-        net = build_net(disc_field, 0.5)
-        part = partition_of_unity(net)
+    def test_nonnegative_and_supported(self, disc_partition):
+        part = disc_partition
         assert np.min(part.values) >= 0.0
-        dists = net.center_distances()
+        dists = part.net.center_distances()
         assert np.all(part.values[dists >= part.r_outer] == 0.0)
+        assert (part.r_inner, part.r_outer) == (0.5, 1.0)
 
-    def test_evaluate_matches_nodes(self, disc_field):
-        net = build_net(disc_field, 0.5)
-        part = partition_of_unity(net)
+    def test_evaluate_matches_nodes(self, disc_field, disc_partition):
         sample = disc_field.grid.nodes[::500]
-        vals = part.evaluate(sample)
-        assert np.max(np.abs(vals - part.values[:, ::500])) < 0.05
+        vals = disc_partition.evaluate(sample)
+        assert np.max(np.abs(vals - disc_partition.values[:, ::500])) < 0.05
+
+    def test_evaluate_matches_reference(self, disc_field, disc_partition):
+        nodes = disc_field.grid.nodes[::97]
+        nodes = nodes[np.abs(nodes[:, 0]) < 0.9]
+        h = 0.25 * disc_field.grid.resolution
+        for pts in (nodes, nodes + h, nodes - 1j * h):
+            assert np.array_equal(
+                disc_partition.evaluate(pts, strict=False),
+                _evaluate_reference(disc_partition, pts))
 
 
 class TestCharts:

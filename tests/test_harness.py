@@ -94,7 +94,7 @@ class TestConfig:
                     {"steps": 0.5}, {"net_radius": "0.5"},
                     {"graph_neighbors": 2.5}, {"seed": 1.5},
                     {"hankel_degrees": (4.5,)}, {"scheme": "nope"},
-                    {"scheme": "product-polar"}):
+                    {"scheme": "product-polar"}, {"seed": -1}):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad)
 
@@ -177,6 +177,23 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "computation failed: no admissible scan points\n"
+
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        cfg = self._cfg(tmp_path, out_dir=str(path), resolution=0.05)
+        assert run(cfg, "kernel") == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: out_dir: ") and str(path) in err
+
+    def test_undocumented_exception_exit_code(self, tmp_path, capsys):
+        (tmp_path / "notes.json").write_text("{not json")
+        assert run(self._cfg(tmp_path), "report") == EXIT_COMPUTE
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("computation failed: JSONDecodeError: ")
 
     def test_variety_unsupported_on_disc(self, tmp_path, capsys):
         cfg = self._cfg(tmp_path, resolution=0.05)
