@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 from scipy.sparse import csr_matrix, triu
 
-from .domains import (DomainSpec, boundary_residual, contains,
+from .domains import (DomainSpec, boundary_residual, central_dbar, contains,
                       coordinate_cells, coordinate_columns)
 from .geometry import (GeodesicField, GeometryError, MetricBall,
                        Partition, metric_ball)
@@ -272,10 +272,11 @@ class Decomposition:
 
 
 def _ball_integral(field, center_point, radius, values_sq):
-    """integral of values_sq dV over the graph metric ball."""
+    """integral of values_sq dV over the graph metric ball, where
+    values_sq maps the ball's member node indices to their values."""
     sel = metric_ball(field, center_point, radius).members
     w = field.grid.weights[sel] * field.volume_density_nodes()[sel]
-    return float(np.sum(w * values_sq[sel]))
+    return float(np.sum(w * values_sq(sel)))
 
 
 def decompose(partition: Partition, symbol: SymbolFn, degree=6,
@@ -334,8 +335,9 @@ def decompose(partition: Partition, symbol: SymbolFn, degree=6,
     for n, m in pairs:
         witness = np.nonzero(supp[n] & supp[m])[0]
         node = int(witness[len(witness) // 2])
-        gap_sq = np.abs(approximants[n].approximant(grid.nodes)
-                        - approximants[m].approximant(grid.nodes)) ** 2
+        def gap_sq(sel, a=approximants[n], b=approximants[m]):
+            return np.abs(a.approximant(grid.nodes[sel])
+                          - b.approximant(grid.nodes[sel])) ** 2
         lhs = math.sqrt(_ball_integral(field, grid.nodes[node], r2, gap_sq))
         rhs = eps[n] + eps[m]
         dec.pair_audit.append(
@@ -354,7 +356,7 @@ def _local_audits(dec: Decomposition, values_sq) -> list:
     net = dec.partition.net
     audits = []
     for m, c in enumerate(net.center_points()):
-        mass = _ball_integral(net.field, c, dec.r_small, values_sq)
+        mass = _ball_integral(net.field, c, dec.r_small, values_sq.take)
         local = np.nonzero(dec.partition.values[:, net.centers[m]] > 0)[0]
         bound = float(np.max(dec.epsilon[local]) ** 2)
         ok = bool(np.all(dec.epsilon_admissible[local]))
@@ -431,7 +433,7 @@ def variety_test(symbol: SymbolFn, dom: DomainSpec, disc_map,
     """Mean |dbar (phi o F)| over sample points of the unit disc, for a
     parametrized analytic disc F in the boundary.  Zero iff the symbol
     is holomorphic along the disc."""
-    n, h = _VARIETY_SAMPLES, _VARIETY_STEP
+    n = _VARIETY_SAMPLES
     rng = np.random.default_rng(seed)
     w = rng.normal(size=n) + 1j * rng.normal(size=n)
     w *= _VARIETY_SAMPLE_RADIUS * rng.uniform(0, 1, n) ** 0.5 \
@@ -442,7 +444,6 @@ def variety_test(symbol: SymbolFn, dom: DomainSpec, disc_map,
     if np.max(res) > _VARIETY_BOUNDARY_TOL:
         raise ApproximationError(
             f"disc map leaves the boundary (residual {np.max(res):.3e})")
-    dx = (symbol(along(w + h)) - symbol(along(w - h))) / (2.0 * h)
-    dy = (symbol(along(w + 1j * h)) - symbol(along(w - 1j * h))) / (2.0 * h)
-    dbar = 0.5 * (dx + 1j * dy)
+    dbar = central_dbar(lambda ws: symbol(along(ws[:, 0])), w[:, None],
+                        _VARIETY_STEP)
     return float(np.mean(np.abs(dbar)))

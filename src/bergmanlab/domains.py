@@ -143,6 +143,21 @@ def lebesgue_volume(dom: DomainSpec) -> float:
     return math.pi ** 2 * m / (m + 1.0)
 
 
+def central_dbar(f, z, h):
+    """Central-difference Wirtinger derivatives d f / d zbar_j at an
+    (n, d) batch z with step h, for every j: 0.5 (d/dx_j + i d/dy_j).
+
+    f maps (n, d) points to (n, ...) values; the result is (n, d, ...).
+    """
+    z = np.atleast_2d(np.asarray(z, dtype=complex))
+    out = []
+    for step in h * np.eye(z.shape[1], dtype=complex):
+        dx = (f(z + step) - f(z - step)) / (2 * h)
+        dy = (f(z + 1j * step) - f(z - 1j * step)) / (2 * h)
+        out.append(0.5 * (dx + 1j * dy))
+    return np.stack(out, axis=1)
+
+
 def coordinate_columns(d, name="z"):
     """CSV header cells re_<name>1, im_<name>1, ... for points in C^d."""
     return [f"{part}_{name}{j + 1}" for j in range(d) for part in ("re", "im")]

@@ -20,8 +20,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .domains import (DomainSpec, QuadratureGrid, contains, coordinate_cells,
-                      coordinate_columns)
+from .domains import (DomainSpec, QuadratureGrid, central_dbar, contains,
+                      coordinate_cells, coordinate_columns)
 from .kernels import KernelEngine
 
 
@@ -408,20 +408,11 @@ class ChartMap:
         """Max |d Phi / d wbar| over seeded sample points in 0.5 B."""
         rng = np.random.default_rng(0)
         d = self.domain.dim
-        n, h = _CR_SAMPLES, _CR_STEP
+        n = _CR_SAMPLES
         w = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
         w *= (0.5 * rng.uniform(0, 1, n)
               / np.maximum(np.linalg.norm(w, axis=1), 1e-12))[:, None]
-        worst = 0.0
-        for j in range(d):
-            step = np.zeros(d, dtype=complex)
-            step[j] = h
-            dx = (self.forward(w + step) - self.forward(w - step)) / (2 * h)
-            dy = (self.forward(w + 1j * step)
-                  - self.forward(w - 1j * step)) / (2 * h)
-            dbar = 0.5 * (dx + 1j * dy)
-            worst = max(worst, float(np.max(np.abs(dbar))))
-        return worst
+        return float(np.max(np.abs(central_dbar(self.forward, w, _CR_STEP))))
 
 
 def chart(dom: DomainSpec, zeta, rho=0.5) -> ChartMap:

@@ -22,6 +22,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, asdict, fields, field as _dc_field
+from functools import reduce
 
 import numpy as np
 
@@ -67,33 +68,6 @@ _ALLOWED_CALLS = ("conj", "abs2")
 _BUMP_RADIUS = 0.5  # support radius of the built-in "bump" symbol
 
 
-class _Expr:
-    """Evaluator plus symbolic conjugate-derivative for one AST node."""
-
-    def __init__(self, fn, dbar):
-        self.fn = fn          # (n, d) -> (n,)
-        self.dbar = dbar      # list of d functions (n, d) -> (n,)
-
-
-def _const(c, d):
-    return _Expr(lambda z, c=c: np.full(len(z), c, dtype=complex),
-                 [lambda z: np.zeros(len(z), dtype=complex)] * d)
-
-
-def _combine(a, b, op, d):
-    if op == "+":
-        fn = lambda z: a.fn(z) + b.fn(z)
-        db = [lambda z, j=j: a.dbar[j](z) + b.dbar[j](z) for j in range(d)]
-    elif op == "-":
-        fn = lambda z: a.fn(z) - b.fn(z)
-        db = [lambda z, j=j: a.dbar[j](z) - b.dbar[j](z) for j in range(d)]
-    else:  # product rule
-        fn = lambda z: a.fn(z) * b.fn(z)
-        db = [lambda z, j=j: a.dbar[j](z) * b.fn(z)
-              + a.fn(z) * b.dbar[j](z) for j in range(d)]
-    return _Expr(fn, db)
-
-
 def _var_index(name, dim, offset):
     if not (name.startswith("z") and name[1:].isdigit()):
         raise SymbolParseError(
@@ -105,41 +79,46 @@ def _var_index(name, dim, offset):
     return j
 
 
+def _unit(dim, *slots):
+    """Exponents with a one in each slot and zeros elsewhere: slot j is
+    z_{j+1}, slot dim + j its conjugate."""
+    return tuple(int(k in slots) for k in range(2 * dim))
+
+
 def _build(node, dim):
-    if isinstance(node, ast.Expression):
-        return _build(node.body, dim)
+    """The expression as a polynomial in (z, conj z): a dict from
+    exponent tuples (a_1..a_d, b_1..b_d) of z^a conj(z)^b to real
+    coefficients."""
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise SymbolParseError(
                 f"only real constants allowed at offset {node.col_offset}")
-        return _const(float(node.value), dim)
+        return {_unit(dim): float(node.value)}
     if isinstance(node, ast.Name):
-        j = _var_index(node.id, dim, node.col_offset)
-        zero = [lambda z: np.zeros(len(z), dtype=complex)] * dim
-        return _Expr(lambda z, j=j: z[:, j], zero)
+        return {_unit(dim, _var_index(node.id, dim, node.col_offset)): 1.0}
     if isinstance(node, ast.UnaryOp):
         if isinstance(node.op, ast.USub):
-            return _combine(_const(0.0, dim), _build(node.operand, dim),
-                            "-", dim)
+            return {e: -c for e, c in _build(node.operand, dim).items()}
         if isinstance(node.op, ast.UAdd):
             return _build(node.operand, dim)
         raise SymbolParseError(
             f"unsupported unary operator at offset {node.col_offset}")
     if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Add):
-            op = "+"
-        elif isinstance(node.op, ast.Sub):
-            op = "-"
-        elif isinstance(node.op, ast.Mult):
-            op = "*"
-        elif isinstance(node.op, ast.Div):
-            raise SymbolParseError(
-                f"division rejected at offset {node.col_offset}")
+        if not isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
+            what = "division rejected" if isinstance(node.op, ast.Div) \
+                else "unsupported operator"
+            raise SymbolParseError(f"{what} at offset {node.col_offset}")
+        a, b = _build(node.left, dim), _build(node.right, dim)
+        if isinstance(node.op, ast.Mult):
+            terms = [(tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                     for ea, ca in a.items() for eb, cb in b.items()]
         else:
-            raise SymbolParseError(
-                f"unsupported operator at offset {node.col_offset}")
-        return _combine(_build(node.left, dim), _build(node.right, dim),
-                        op, dim)
+            sign = 1.0 if isinstance(node.op, ast.Add) else -1.0
+            terms = [*a.items(), *((e, sign * c) for e, c in b.items())]
+        table = {}  # like terms merged in order of appearance
+        for e, c in terms:
+            table[e] = table.get(e, 0.0) + c
+        return {e: c for e, c in table.items() if c != 0.0}
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) \
                 or node.func.id not in _ALLOWED_CALLS \
@@ -153,35 +132,44 @@ def _build(node, dim):
                 f"{node.func.id} takes a bare variable "
                 f"at offset {node.col_offset}")
         j = _var_index(arg.id, dim, arg.col_offset)
-        if node.func.id == "conj":
-            fn = lambda z, j=j: np.conj(z[:, j])
-            db = [(lambda z: np.ones(len(z), dtype=complex)) if i == j
-                  else (lambda z: np.zeros(len(z), dtype=complex))
-                  for i in range(dim)]
-        else:  # abs2(z_j) = z_j conj(z_j), dbar_j = z_j
-            fn = lambda z, j=j: (z[:, j] * np.conj(z[:, j]))
-            db = [(lambda z, j=j: z[:, j]) if i == j
-                  else (lambda z: np.zeros(len(z), dtype=complex))
-                  for i in range(dim)]
-        return _Expr(fn, db)
+        slots = (dim + j,) if node.func.id == "conj" else (j, dim + j)
+        return {_unit(dim, *slots): 1.0}
     raise SymbolParseError(
         f"unsupported syntax at offset {getattr(node, 'col_offset', 0)}")
 
 
+def _evaluate(table, z):
+    """Sum of c z^a conj(z)^b over the table at an (n, d) batch z.
+    Each monomial is a product of columns before its coefficient scales
+    it, so a single-term symbol costs no rounding beyond its products."""
+    d = z.shape[1]
+    out = np.zeros(len(z), dtype=complex)
+    for e, c in table.items():
+        cols = [z[:, s] if s < d else np.conj(z[:, s - d])
+                for s, k in enumerate(e) for _ in range(k)]
+        out += c * (reduce(np.multiply, cols) if cols else 1.0)
+    return out
+
+
 def symbol_parse(expr: str, dim: int) -> SymbolFn:
     """Parse an expression over z_j, conj(z_j), abs2(z_j), +, -, *, and
-    real constants into a symbol with analytic conjugate derivatives."""
+    real constants into a polynomial in (z, conj z), with its analytic
+    conjugate derivatives read off the same coefficient table."""
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise SymbolParseError(
             f"syntax error at offset {exc.offset}: {exc.msg}") from exc
-    built = _build(tree, dim)
-    def dbar(z, built=built):
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        return np.stack([g(z) for g in built.dbar], axis=1)
-    return SymbolFn(fn=lambda z: built.fn(np.atleast_2d(
-        np.asarray(z, dtype=complex))), smoothness="C1", dbar=dbar,
+    table = _build(tree.body, dim)
+    # d/d conj(z_j): the conj(z_j) exponent comes down as a factor
+    dbar_tables = [{tuple(k - (i == dim + j) for i, k in enumerate(e)):
+                    c * e[dim + j]
+                    for e, c in table.items() if e[dim + j] > 0}
+                   for j in range(dim)]
+    return SymbolFn(
+        fn=lambda z: _evaluate(table, z), smoothness="C1",
+        dbar=lambda z: np.stack([_evaluate(t, z) for t in dbar_tables],
+                                axis=1),
         label=expr)
 
 
@@ -297,10 +285,7 @@ class ExperimentConfig:
                               "degrees >= 1")
 
     def to_json(self, path=None):
-        payload = asdict(self)
-        payload["steps"] = list(self.steps)
-        payload["hankel_degrees"] = list(self.hankel_degrees)
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(asdict(self), indent=2, sort_keys=True)
         if path:
             with open(path, "w") as fh:
                 fh.write(text + "\n")
@@ -322,7 +307,12 @@ class ExperimentConfig:
         return cls(**data)
 
     def config_hash(self):
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+        """Hash of the fields that can change a result: not out_dir or
+        threads, so an experiment keeps its id in any directory."""
+        payload = asdict(self)
+        del payload["out_dir"], payload["threads"]
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def domain_spec(self) -> DomainSpec:
         return _DOMAINS[self.domain]()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import QuadratureGrid
+from .domains import QuadratureGrid, central_dbar
 from .kernels import KernelEngine, OrthonormalBasis
 
 _DBAR_STEP = 1e-5         # central-difference step of dbar_values
@@ -55,26 +55,14 @@ class SymbolFn:
         if self.smoothness != "C1":
             raise OperatorError(
                 "dbar requested for a symbol not tagged C1")
-        return self._central_dbar(z, _DBAR_STEP)
+        return central_dbar(self, z, _DBAR_STEP)
 
     def dbar_consistency(self, z):
         """Max abs gap between analytic dbar and central differences."""
         if self.dbar is None:
             return 0.0
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        gap = self._central_dbar(z, _CONSISTENCY_STEP) - self.dbar_values(z)
+        gap = central_dbar(self, z, _CONSISTENCY_STEP) - self.dbar_values(z)
         return float(np.max(np.abs(gap)))
-
-    def _central_dbar(self, z, h):
-        d = z.shape[1]
-        out = np.empty_like(z)
-        for j in range(d):
-            step = np.zeros(d, dtype=complex)
-            step[j] = h
-            dx = (self(z + step) - self(z - step)) / (2 * h)
-            dy = (self(z + 1j * step) - self(z - 1j * step)) / (2 * h)
-            out[:, j] = 0.5 * (dx + 1j * dy)
-        return out
 
 
 @dataclass(frozen=True)

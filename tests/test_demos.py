@@ -1,5 +1,7 @@
-"""The demos that call the net, partition and decomposition API run to
-completion; the other demos are left out to keep the suite short."""
+"""The demos that call the net, partition and decomposition API, or that
+parse symbols (the boundary scan, and the diagnostics with their
+analytic-disc tests), run to completion; demos 01 and 03 are left out
+to keep the suite short."""
 
 import os
 import subprocess
@@ -12,7 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", ["02_distances_and_nets.py",
-                                  "05_decomposition.py"])
+                                  "04_omega_boundary_scan.py",
+                                  "05_decomposition.py",
+                                  "06_diagnostics_and_varieties.py"])
 def test_demo_runs(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],

@@ -51,6 +51,41 @@ class TestMembership:
             assert dom.contains(egg, (p + 0.95 * g * direction)[None, :])
 
 
+class TestCentralDbar:
+    """The shared stencil against exact conjugate derivatives."""
+
+    @pytest.fixture
+    def batch(self):
+        rng = np.random.default_rng(7)
+        return 0.5 * (rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2)))
+
+    @staticmethod
+    def _f(w):  # (conj(z2)^2, z1 |z2|^2) per point
+        return np.stack([np.conj(w[:, 1]) ** 2,
+                         w[:, 0] * np.abs(w[:, 1]) ** 2], axis=1)
+
+    def test_scalar(self, batch):
+        z1, z2 = batch.T
+        zero = np.zeros(len(batch))
+        for k, exact in enumerate([(zero, 2.0 * np.conj(z2)),
+                                   (zero, z1 * z2)]):
+            got = dom.central_dbar(lambda w: self._f(w)[:, k], batch, 1e-5)
+            assert got.shape == batch.shape
+            np.testing.assert_allclose(got, np.stack(exact, axis=1),
+                                       rtol=0, atol=1e-8)
+
+    def test_vector_valued(self, batch):
+        z1, z2 = batch.T
+        zero = np.zeros(len(batch))
+        # exact[n, j, k] = d f_k / d zbar_j
+        exact = np.stack([np.stack([zero, zero], axis=1),
+                          np.stack([2.0 * np.conj(z2), z1 * z2], axis=1)],
+                         axis=1)
+        got = dom.central_dbar(self._f, batch, 1e-5)
+        assert got.shape == (len(batch), 2, 2)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-8)
+
+
 class TestVolumes:
     def test_disc_area(self, disc_domain):
         assert dom.lebesgue_volume(disc_domain) == pytest.approx(math.pi)

@@ -46,6 +46,35 @@ class TestSymbolParse:
         z = np.array([[0.2 + 0.1j, -0.3 + 0.2j]])
         assert sym.dbar_consistency(z) < 1e-7
 
+    @pytest.mark.parametrize("expr, value, dbar", [
+        ("2.5", lambda z1, z2: 2.5 + 0 * z1, lambda z1, z2: (0 * z1, 0 * z1)),
+        ("-conj(z1)", lambda z1, z2: -np.conj(z1),
+         lambda z1, z2: (-1 + 0 * z1, 0 * z1)),
+        ("-(z1 - 3*conj(z2))*z2", lambda z1, z2: -(z1 - 3 * np.conj(z2)) * z2,
+         lambda z1, z2: (0 * z1, 3 * z2)),
+        ("(z1 + conj(z1))*(abs2(z2) - 1)*conj(z1)",
+         lambda z1, z2: (z1 + np.conj(z1)) * (abs(z2) ** 2 - 1) * np.conj(z1),
+         lambda z1, z2: ((abs(z2) ** 2 - 1) * (z1 + 2 * np.conj(z1)),
+                         (z1 + np.conj(z1)) * np.conj(z1) * z2)),
+        ("abs2(z2)*conj(z1)*z1", lambda z1, z2: abs(z2 * z1) ** 2,
+         lambda z1, z2: (abs(z2) ** 2 * z1, abs(z1) ** 2 * z2)),
+    ])
+    def test_against_numpy_formulas(self, expr, value, dbar):
+        rng = np.random.default_rng(11)
+        z = 0.6 * (rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2)))
+        sym = symbol_parse(expr, 2)
+        np.testing.assert_allclose(sym(z), value(*z.T), rtol=1e-13,
+                                   atol=1e-15)
+        np.testing.assert_allclose(sym.dbar_values(z),
+                                   np.stack(dbar(*z.T), axis=1),
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_like_terms_cancel_exactly(self):
+        sym = symbol_parse("abs2(z1) - z1*conj(z1)", 2)
+        z = np.array([[0.3 + 0.7j, -0.2j], [-0.6 + 0.1j, 0.5]])
+        assert np.array_equal(sym(z), np.zeros(2))
+        assert np.array_equal(sym.dbar_values(z), np.zeros((2, 2)))
+
     @pytest.mark.parametrize("bad", [
         "z1/z2", "z1**2", "z9", "foo(z1)", "conj(z1*z2)", "1j*z1",
         "import os", "z1 +",
@@ -155,8 +184,12 @@ class TestRun:
                                    scheme="quasi-random",
                                    out_dir=str(d))
             assert run(cfg, "kernel") == EXIT_OK
-        assert (a_dir / "kernel.csv").read_bytes() \
-            == (b_dir / "kernel.csv").read_bytes()
+        names = sorted(p.name for p in a_dir.iterdir())
+        assert "kernel_report.json" in names
+        assert names == sorted(p.name for p in b_dir.iterdir())
+        for name in names:
+            assert (a_dir / name).read_bytes() \
+                == (b_dir / name).read_bytes(), name
 
     def test_omega_scan_decays_on_disc(self, tmp_path):
         cfg = self._cfg(tmp_path, rays=2,
