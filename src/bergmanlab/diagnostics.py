@@ -213,9 +213,6 @@ def sbg_check(engine: KernelEngine, grid) -> ConstantEstimate:
 
 # -- five-way equivalence report --------------------------------------
 
-HOMOGENEOUS_KINDS = ("disc", "ball", "polydisc")
-
-
 def t91_equivalences(engine: KernelEngine, field: GeodesicField,
                      centers, r=1.0) -> dict:
     """Bracket constants for the five mutually equivalent conditions:
@@ -251,7 +248,7 @@ def t91_equivalences(engine: KernelEngine, field: GeodesicField,
     report["cond3_bracket"] = max(c3hi, 1.0 / c3lo)
     report["cond4_volume_bracket"] = c4
     # (5)
-    if field.domain.kind in HOMOGENEOUS_KINDS:
+    if field.domain.homogeneous:
         sup5 = 0.0
         for zeta in centers:
             cm = chart(field.domain, zeta)

@@ -23,7 +23,7 @@ class DomainError(ValueError):
 class DomainSpec:
     """A bounded open model domain in C^d."""
 
-    kind: str  # disc | ball | polydisc | egg
+    kind: str  # ball | polydisc | egg; the disc is the polydisc in C^1
     dim: int
     label: str = ""
     egg_exponent: int = 2
@@ -31,10 +31,8 @@ class DomainSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("dimension must be a positive integer")
-        if self.kind not in ("disc", "ball", "polydisc", "egg"):
+        if self.kind not in ("ball", "polydisc", "egg"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "disc" and self.dim != 1:
-            raise DomainError("disc is one-dimensional")
         if self.kind == "egg" and self.dim != 2:
             raise DomainError("egg domains live in C^2")
 
@@ -46,11 +44,13 @@ class DomainSpec:
 
     @property
     def homogeneous(self):
-        return self.kind in ("disc", "ball", "polydisc")
+        """The one list of kinds with closed-form kernels and charts."""
+        return self.kind in ("ball", "polydisc")
 
 
 def disc(label="disc"):
-    return DomainSpec(kind="disc", dim=1, label=label)
+    """The unit disc: the polydisc in C^1."""
+    return DomainSpec(kind="polydisc", dim=1, label=label)
 
 
 def ball(d, label=None):
@@ -77,9 +77,7 @@ def contains(dom: DomainSpec, z) -> np.ndarray | bool:
             f"point has dimension {z.shape[-1]}, domain has {dom.dim}")
     if not np.all(np.isfinite(z)):
         raise DomainError("point has non-finite coordinates")
-    if dom.kind == "disc":
-        res = np.abs(z[..., 0]) < 1.0
-    elif dom.kind == "ball":
+    if dom.kind == "ball":
         res = np.sum(np.abs(z) ** 2, axis=-1) < 1.0
     elif dom.kind == "polydisc":
         res = np.all(np.abs(z) < 1.0, axis=-1)
@@ -92,16 +90,14 @@ def contains(dom: DomainSpec, z) -> np.ndarray | bool:
 
 
 def boundary_gap(dom: DomainSpec, z):
-    """Distance (disc/ball/polydisc: exact Euclidean; egg: a positive
+    """Distance (ball/polydisc: exact Euclidean; egg: a positive
     lower bound from the defining function) from an interior point to
     the boundary."""
     z = np.asarray(z, dtype=complex)
     inside = contains(dom, z)
     if not np.all(inside):
         raise DomainError("boundary_gap requires interior points")
-    if dom.kind == "disc":
-        gap = 1.0 - np.abs(z[..., 0])
-    elif dom.kind == "ball":
+    if dom.kind == "ball":
         gap = 1.0 - np.sqrt(np.sum(np.abs(z) ** 2, axis=-1))
     elif dom.kind == "polydisc":
         gap = np.min(1.0 - np.abs(z), axis=-1)
@@ -117,8 +113,6 @@ def boundary_gap(dom: DomainSpec, z):
 def boundary_residual(dom: DomainSpec, z):
     """|defining function| at z; zero iff z lies on the boundary."""
     z = np.asarray(z, dtype=complex)
-    if dom.kind == "disc":
-        return np.abs(np.abs(z[..., 0]) - 1.0)
     if dom.kind == "ball":
         return np.abs(np.sqrt(np.sum(np.abs(z) ** 2, axis=-1)) - 1.0)
     if dom.kind == "polydisc":
@@ -133,8 +127,6 @@ def boundary_residual(dom: DomainSpec, z):
 def lebesgue_volume(dom: DomainSpec) -> float:
     """mu(Omega), in closed form."""
     d = dom.dim
-    if dom.kind == "disc":
-        return math.pi
     if dom.kind == "ball":
         return math.pi ** d / math.factorial(d)
     if dom.kind == "polydisc":
@@ -238,11 +230,20 @@ def _disc_polar(n_rad, n_theta):
     return z, w
 
 
+def _with_angles(moduli, wrad, n_theta):
+    """Cross radial nodes (moduli |z_j| of shape (m, d), weights wrad)
+    with n_theta equispaced angles in every coordinate."""
+    d = moduli.shape[1]
+    phases = np.exp(1j * (2.0 * math.pi * np.arange(n_theta) / n_theta))
+    mesh_t = np.meshgrid(*([np.arange(n_theta)] * d), indexing="ij")
+    idx = np.stack([m.ravel() for m in mesh_t], axis=-1)
+    z = moduli.astype(complex)[:, None, :] * phases[idx][None, :, :]
+    return (z.reshape(-1, d),
+            np.repeat(wrad * (math.pi / n_theta) ** d, len(idx)))
+
+
 def _product_polar(dom, n_rad, n_theta):
     d = dom.dim
-    if dom.kind == "disc":
-        z, w = _disc_polar(n_rad, n_theta)
-        return z[:, None], w
     if dom.kind == "polydisc":
         z1, w1 = _disc_polar(n_rad, n_theta)
         zs, ws = z1[:, None], w1
@@ -266,35 +267,16 @@ def _product_polar(dom, n_rad, n_theta):
             u[:, j] = x[:, j] * rem
             wrad = wrad * rem
             rem = rem * (1.0 - x[:, j])
-        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-        phases = np.exp(1j * theta)
-        z = np.sqrt(u)[:, None, :].astype(complex)
-        weights = wrad * (math.pi / n_theta) ** d
-        mesh_t = np.meshgrid(*([np.arange(n_theta)] * d), indexing="ij")
-        idx = np.stack([m.ravel() for m in mesh_t], axis=-1)
-        zfull = (z * phases[idx][None, :, :]).reshape(-1, d)
-        wfull = np.repeat(weights, len(idx))
-        return zfull, wfull
-    if dom.kind == "egg":
-        m = dom.egg_exponent
-        tv, wv = _gauss01(n_rad * max(1, m))  # v = |z2|^2
-        tu, wu = _gauss01(n_rad)  # u = |z1|^2 / (1 - v^m)
-        U, V = np.meshgrid(tu, tv, indexing="ij")
-        WU, WV = np.meshgrid(wu, wv, indexing="ij")
-        scale = 1.0 - V ** m
-        u1 = (U * scale).ravel()
-        u2 = V.ravel()
-        wrad = (WU * WV * scale).ravel()
-        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-        phases = np.exp(1j * theta)
-        mesh_t = np.meshgrid(np.arange(n_theta), np.arange(n_theta),
-                             indexing="ij")
-        idx = np.stack([mm.ravel() for mm in mesh_t], axis=-1)
-        base = np.stack([np.sqrt(u1), np.sqrt(u2)], axis=-1).astype(complex)
-        zfull = (base[:, None, :] * phases[idx][None, :, :]).reshape(-1, 2)
-        wfull = np.repeat(wrad * (math.pi / n_theta) ** 2, len(idx))
-        return zfull, wfull
-    raise DomainError(f"product-polar scheme unavailable for {dom.kind}")
+        return _with_angles(np.sqrt(u), wrad, n_theta)
+    m = dom.egg_exponent
+    tv, wv = _gauss01(n_rad * max(1, m))  # v = |z2|^2
+    tu, wu = _gauss01(n_rad)  # u = |z1|^2 / (1 - v^m)
+    U, V = np.meshgrid(tu, tv, indexing="ij")
+    WU, WV = np.meshgrid(wu, wv, indexing="ij")
+    scale = 1.0 - V ** m
+    moduli = np.stack([np.sqrt((U * scale).ravel()), np.sqrt(V.ravel())],
+                      axis=-1)
+    return _with_angles(moduli, (WU * WV * scale).ravel(), n_theta)
 
 
 def build_grid(dom: DomainSpec, resolution: float, scheme="tensor-midpoint",
@@ -337,8 +319,6 @@ def monomial_norm2(dom: DomainSpec, alpha) -> float:
     """Exact squared L^2(mu) norm of z^alpha on Reinhardt model domains."""
     alpha = np.asarray(alpha, dtype=int)
     d = dom.dim
-    if dom.kind == "disc":
-        return math.pi / (alpha[0] + 1.0)
     if dom.kind == "polydisc":
         return float(np.prod([math.pi / (a + 1.0) for a in alpha]))
     if dom.kind == "ball":
@@ -346,9 +326,7 @@ def monomial_norm2(dom: DomainSpec, alpha) -> float:
         num = math.pi ** d * math.factorial(d) \
             * float(np.prod([math.factorial(a) for a in alpha]))
         return num / (d * math.factorial(n + d))
-    if dom.kind == "egg":
-        m = dom.egg_exponent
-        a, b = int(alpha[0]), int(alpha[1])
-        radial = beta_fn((b + 1.0) / m, a + 2.0) / m
-        return math.pi ** 2 / (a + 1.0) * radial
-    raise DomainError(f"no closed-form monomial norms for {dom.kind}")
+    m = dom.egg_exponent
+    a, b = int(alpha[0]), int(alpha[1])
+    radial = beta_fn((b + 1.0) / m, a + 2.0) / m
+    return math.pi ** 2 / (a + 1.0) * radial

@@ -339,13 +339,22 @@ class ChartMap:
     def __post_init__(self):
         if not self.domain.homogeneous:
             raise GeometryError(
-                "charts are only constructed on disc/ball/polydisc")
+                "charts are only constructed on balls and polydiscs")
 
     def forward(self, w):
         w = np.atleast_2d(np.asarray(w, dtype=complex))
-        a = self.center
+        return self._automorphism(self.rho * w, self.center)
+
+    def inverse(self, z):
+        # phi_a is an involution; a Moebius factor inverts at -a
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
+        a = self.center if self.domain.kind == "ball" else -self.center
+        return self._automorphism(z, a) / self.rho
+
+    def _automorphism(self, u, a):
+        """The automorphism taking 0 to a: phi_a on the ball, the Moebius
+        map (u + a) / (1 + conj(a) u) in each polydisc factor."""
         if self.domain.kind == "ball":
-            u = self.rho * w
             na2 = float(np.sum(np.abs(a) ** 2))
             if na2 < 1e-30:
                 return u
@@ -354,26 +363,10 @@ class ChartMap:
             proj = (inner / na2)[:, None] * a[None, :]
             return (a[None, :] - proj - s * (u - proj)) \
                 / (1.0 - inner)[:, None]
-        u = self.rho * w
         return (u + a[None, :]) / (1.0 + a.conj()[None, :] * u)
 
-    def inverse(self, z):
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        a = self.center
-        if self.domain.kind == "ball":
-            na2 = float(np.sum(np.abs(a) ** 2))
-            if na2 < 1e-30:
-                return z / self.rho
-            s = math.sqrt(1.0 - na2)
-            inner = z @ a.conj()
-            proj = (inner / na2)[:, None] * a[None, :]
-            phi = (a[None, :] - proj - s * (z - proj)) \
-                / (1.0 - inner)[:, None]
-            return phi / self.rho
-        return (z - a[None, :]) / (1.0 - a.conj()[None, :] * z) / self.rho
-
     def det_jacobian(self, w):
-        """det Phi'(w) over a batch, analytic for disc/polydisc, exact
+        """det Phi'(w) over a batch, analytic for the polydisc, exact
         formula up to a unimodular constant for the ball."""
         w = np.atleast_2d(np.asarray(w, dtype=complex))
         a = self.center

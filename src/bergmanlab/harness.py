@@ -18,6 +18,7 @@ import ast
 import csv
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -90,9 +91,10 @@ def _build(node, dim):
     exponent tuples (a_1..a_d, b_1..b_d) of z^a conj(z)^b to real
     coefficients."""
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise SymbolParseError(
-                f"only real constants allowed at offset {node.col_offset}")
+        if type(node.value) not in (int, float) \
+                or not abs(node.value) <= sys.float_info.max:
+            raise SymbolParseError(f"only finite real constants allowed "
+                                   f"at offset {node.col_offset}")
         return {_unit(dim): float(node.value)}
     if isinstance(node, ast.Name):
         return {_unit(dim, _var_index(node.id, dim, node.col_offset)): 1.0}
@@ -156,16 +158,22 @@ def symbol_parse(expr: str, dim: int) -> SymbolFn:
     real constants into a polynomial in (z, conj z), with its analytic
     conjugate derivatives read off the same coefficient table."""
     try:
-        tree = ast.parse(expr, mode="eval")
+        table = _build(ast.parse(expr, mode="eval").body, dim)
     except SyntaxError as exc:
         raise SymbolParseError(
             f"syntax error at offset {exc.offset}: {exc.msg}") from exc
-    table = _build(tree.body, dim)
+    except RecursionError as exc:
+        raise SymbolParseError("expression nested too deeply") from exc
     # d/d conj(z_j): the conj(z_j) exponent comes down as a factor
     dbar_tables = [{tuple(k - (i == dim + j) for i, k in enumerate(e)):
                     c * e[dim + j]
                     for e, c in table.items() if e[dim + j] > 0}
                    for j in range(dim)]
+    # sum |c| bounds a table's values on the unit polydisc, which holds
+    # every model domain
+    if not all(math.isfinite(sum(map(abs, t.values())))
+               for t in (table, *dbar_tables)):
+        raise SymbolParseError("coefficients out of floating-point range")
     return SymbolFn(
         fn=lambda z: _evaluate(table, z), smoothness="C1",
         dbar=lambda z: np.stack([_evaluate(t, z) for t in dbar_tables],
@@ -198,14 +206,14 @@ def resolve_symbol(name: str, dim: int) -> SymbolFn:
 # -- configuration ----------------------------------------------------
 
 
-_DOMAINS = {
-    "disc": lambda: disc(),
-    "ball2": lambda: ball(2),
-    "ball3": lambda: ball(3),
-    "polydisc2": lambda: polydisc(2),
-    "polydisc3": lambda: polydisc(3),
-    "egg2": lambda: egg(2),
-    "egg4": lambda: egg(4),
+_DOMAINS = {  # config name: (domain, default resolution)
+    "disc": (disc(), 0.025),
+    "ball2": (ball(2), 0.1),
+    "ball3": (ball(3), 0.2),
+    "polydisc2": (polydisc(2), 0.08),
+    "polydisc3": (polydisc(3), 0.2),
+    "egg2": (egg(2), 0.15),
+    "egg4": (egg(4), 0.15),
 }
 
 _SCHEMES = ("tensor-midpoint", "quasi-random")
@@ -225,11 +233,6 @@ def _has_type_of(value, default):
     if isinstance(default, float):
         return isinstance(value, numbers.Real)
     return isinstance(value, type(default))
-
-
-_DEFAULT_RESOLUTION = {"disc": 0.025, "ball2": 0.1, "polydisc2": 0.08,
-                       "polydisc3": 0.2, "ball3": 0.2, "egg2": 0.15,
-                       "egg4": 0.15}
 
 
 @dataclass
@@ -262,7 +265,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown domain {self.domain!r}; "
                               f"choose from {sorted(_DOMAINS)}")
         if self.resolution == 0.0:
-            self.resolution = _DEFAULT_RESOLUTION[self.domain]
+            self.resolution = _DOMAINS[self.domain][1]
         for name in ("resolution", "basis_degree", "radius",
                      "approx_degree", "net_radius", "rays",
                      "graph_neighbors"):
@@ -315,7 +318,7 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def domain_spec(self) -> DomainSpec:
-        return _DOMAINS[self.domain]()
+        return _DOMAINS[self.domain][0]
 
 
 @dataclass
@@ -377,14 +380,13 @@ class _Workspace:
     def engine(self):
         cfg = self.config
         if self._engine is None:
-            if cfg.kernel_mode == "numerical" \
-                    or (cfg.kernel_mode == "auto" and self.dom.kind == "egg"):
+            if cfg.kernel_mode == "closed" and not self.dom.homogeneous:
+                raise UnsupportedCommandError(
+                    "no closed-form kernel on this domain")
+            if cfg.kernel_mode == "numerical" or not self.dom.homogeneous:
                 self._engine = engine_for(self.dom, self.grid,
                                           degree=cfg.basis_degree)
             else:
-                if self.dom.kind == "egg":
-                    raise UnsupportedCommandError(
-                        "no closed-form kernel on this domain")
                 self._engine = engine_for(self.dom)
         return self._engine
 
@@ -426,8 +428,7 @@ def _cmd_kernel(ws, out):
     pairs = [(pts[i], pts[(i * 7 + 3) % len(pts)]) for i in range(len(pts))]
     kernel_scan_csv(ws.engine, pairs, os.path.join(out, "kernel.csv"))
     summary = {"n_pairs": len(pairs), "mode": ws.engine.mode}
-    if ws.engine.mode == "numerical" \
-            and ws.dom.kind in ("disc", "ball", "polydisc"):
+    if ws.engine.mode == "numerical" and ws.dom.homogeneous:
         ref = engine_for(ws.dom)
         z = np.stack([p[0] for p in pairs])
         w = np.stack([p[1] for p in pairs])
@@ -566,9 +567,10 @@ def _cmd_t91(ws, out):
 
 
 def _cmd_variety(ws, out):
-    if ws.dom.kind != "polydisc":
+    if ws.dom.kind != "polydisc" or ws.dom.dim < 2:
         raise UnsupportedCommandError(
-            "boundary analytic discs are built in only for polydiscs")
+            "boundary analytic discs are built in only for polydiscs "
+            "of dimension 2 or more")
     theta = 0.0
     def disc_map(w):
         point = [np.exp(1j * theta)] * (ws.dom.dim - 1) + [w]

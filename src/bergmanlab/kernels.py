@@ -1,10 +1,11 @@
 """Bergman kernels, metrics, and normalized kernel sections.
 
-Closed forms are used on the disc, ball, and polydisc; on other domains
-the kernel is approximated by orthonormalizing monomials against a
-quadrature grid.  The metric is the complex Hessian (Levi form) of
-log B(z, z) and the volume density is its determinant, so that the
-metric volume form is ``volume_density * dmu``.
+Closed forms are used on the ball and the polydisc (the disc is the
+polydisc in C^1); on other domains the kernel is approximated by
+orthonormalizing monomials against a quadrature grid.  The metric is
+the complex Hessian (Levi form) of log B(z, z) and the volume density
+is its determinant, so that the metric volume form is
+``volume_density * dmu``.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ class MetricTensor:
 class KernelEngine:
     """Evaluator for B_Omega, the Bergman metric, and kernel sections.
 
-    mode 'closed-form' on disc/ball/polydisc, 'numerical' (orthonormal
+    mode 'closed-form' on ball/polydisc, 'numerical' (orthonormal
     basis) elsewhere.
     """
 
@@ -166,7 +167,7 @@ class KernelEngine:
         self.basis = basis
         if basis is not None:
             self.mode = "numerical"
-        elif dom.kind in ("disc", "ball", "polydisc"):
+        elif dom.homogeneous:
             self.mode = "closed-form"
         else:
             raise KernelError(
@@ -195,12 +196,8 @@ class KernelEngine:
         return val
 
     def _closed_form(self, z, w):
-        kind, d = self.domain.kind, self.domain.dim
-        if kind == "disc":
-            den = 1.0 - z[..., 0] * w[..., 0].conj()
-            self._check_denominator(den)
-            return 1.0 / (math.pi * den ** 2)
-        if kind == "ball":
+        d = self.domain.dim
+        if self.domain.kind == "ball":
             den = 1.0 - np.sum(z * w.conj(), axis=-1)
             self._check_denominator(den)
             return math.factorial(d) / (math.pi ** d * den ** (d + 1))
@@ -278,12 +275,8 @@ class KernelEngine:
         return 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
 
     def _closed_form_metric(self, z):
-        kind, d = self.domain.kind, self.domain.dim
-        n = len(z)
-        if kind == "disc":
-            s = (1.0 - np.abs(z[:, 0]) ** 2) ** 2
-            return (2.0 / s).reshape(n, 1, 1).astype(complex)
-        if kind == "ball":
+        n, d = z.shape
+        if self.domain.kind == "ball":
             nrm2 = np.sum(np.abs(z) ** 2, axis=1)
             s = 1.0 - nrm2
             eye = np.eye(d)
@@ -307,12 +300,9 @@ class KernelEngine:
     def dlog_kernel(self, z):
         """Holomorphic gradient (d log B(z,z) / d z_j), batched (n, d)."""
         z = np.atleast_2d(np.asarray(z, dtype=complex))
-        kind, d = self.domain.kind, self.domain.dim
+        d = self.domain.dim
         if self.mode == "closed-form":
-            if kind == "disc":
-                s = 1.0 - np.abs(z[:, 0]) ** 2
-                return (2.0 * z.conj()[:, 0] / s)[:, None]
-            if kind == "ball":
+            if self.domain.kind == "ball":
                 s = 1.0 - np.sum(np.abs(z) ** 2, axis=1)
                 return (d + 1) * z.conj() / s[:, None]
             s = 1.0 - np.abs(z) ** 2
@@ -339,7 +329,7 @@ def engine_for(dom: DomainSpec, grid: QuadratureGrid = None, degree=None,
                exact=False) -> KernelEngine:
     """Convenience constructor: closed form when available, otherwise a
     numerical engine (exact Reinhardt basis or grid orthonormalization)."""
-    if degree is None and dom.kind in ("disc", "ball", "polydisc"):
+    if degree is None and dom.homogeneous:
         return KernelEngine(dom)
     if exact or grid is None:
         basis = reinhardt_basis(dom, degree)

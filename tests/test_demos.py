@@ -1,7 +1,8 @@
-"""The demos that call the net, partition and decomposition API, or that
-parse symbols (the boundary scan, and the diagnostics with their
-analytic-disc tests), run to completion; demos 01 and 03 are left out
-to keep the suite short."""
+"""The demos that drive the closed-form disc and ball kernels and
+metrics, call the net, partition and decomposition API, or parse
+symbols (the boundary scan, and the diagnostics with their
+analytic-disc tests), run to completion; demo 03 is left out to keep
+the suite short."""
 
 import os
 import subprocess
@@ -13,7 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["02_distances_and_nets.py",
+@pytest.mark.parametrize("name", ["01_kernels_and_metric.py",
+                                  "02_distances_and_nets.py",
                                   "04_omega_boundary_scan.py",
                                   "05_decomposition.py",
                                   "06_diagnostics_and_varieties.py"])

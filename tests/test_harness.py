@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergmanlab import harness
 from bergmanlab.cli import main as cli_main
@@ -16,7 +17,40 @@ from bergmanlab.harness import (ConfigError, EXIT_COMPUTE, EXIT_CONFIG,
 from bergmanlab.operators import hankel_matrix
 
 
+# expressions from the symbol grammar, with names out of range, bools,
+# and constants beyond floating-point range or that overflow once
+# multiplied
+_ATOMS = st.one_of(
+    st.sampled_from(["z1", "z2", "z3", "z0", "z4"]),
+    st.builds("{}({})".format, st.sampled_from(["conj", "abs2"]),
+              st.sampled_from(["z1", "z2", "z3", "z4"])),
+    st.integers(-5, 5).map(str),
+    st.floats(-10.0, 10.0).map(repr),
+    st.sampled_from(["True", "False", "1e400", "1e308", "1e200",
+                     "1e-400", str(10 ** 400)]),
+)
+_EXPRS = st.recursive(_ATOMS, lambda sub: st.one_of(
+    sub.map("-({})".format),
+    st.builds("({}){}({})".format, sub, st.sampled_from(["+", "-", "*"]),
+              sub)), max_leaves=10)
+# fixed points in the unit polydisc of C^3, out to modulus 0.99
+_BATCH = 0.99 * np.random.default_rng(3).uniform(size=(16, 3)) \
+    * np.exp(2j * np.pi * np.random.default_rng(4).uniform(size=(16, 3)))
+
+
 class TestSymbolParse:
+    @given(expr=st.one_of(_EXPRS, st.text(max_size=40)),
+           dim=st.integers(1, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_rejects_or_stays_finite(self, expr, dim):
+        try:
+            sym = symbol_parse(expr, dim)
+        except SymbolParseError:
+            return
+        z = _BATCH[:, :dim]
+        assert np.all(np.isfinite(sym(z)))
+        assert np.all(np.isfinite(sym.dbar_values(z)))
+
     def test_conj_basic(self):
         sym = symbol_parse("conj(z1)", 1)
         z = np.array([[0.3 + 0.4j]])
@@ -232,7 +266,21 @@ class TestRun:
         cfg = self._cfg(tmp_path, resolution=0.05)
         assert run(cfg, "variety") == EXIT_UNSUPPORTED
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("unsupported: ")
+        assert out == ""
+        assert err == ("unsupported: boundary analytic discs are built in "
+                       "only for polydiscs of dimension 2 or more\n")
+
+    @pytest.mark.parametrize("expr", [
+        "True", "False", "1e400", "1e200*1e200*conj(z1)", "-1e400+1e400",
+        str(10 ** 400), "-" * 5000 + "z1"],
+        ids=["True", "False", "1e400", "product-overflow", "inf-minus-inf",
+             "401-digit-int", "deep-nesting"])
+    def test_out_of_range_symbol_exit_code(self, tmp_path, capsys, expr):
+        cfg = self._cfg(tmp_path, symbol=expr, resolution=0.05)
+        assert run(cfg, "hankel") == EXIT_SYMBOL
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("symbol error: ")
 
     def test_threads_without_threadpoolctl_warn_once(self, tmp_path, capsys,
                                                      monkeypatch):
