@@ -6,7 +6,8 @@ kernels (kernel engines, orthonormal bases, metrics), geometry
 (graph geodesics, nets, partitions, charts), operators (truncated
 Hankel and multiplication operators), approximation (local holomorphic
 approximation, boundary scans, decompositions), diagnostics (constant
-estimation and coherence checks), harness (configs and command runner).
+estimation and coherence checks), harness (configs, the command runner
+and every artifact file).
 """
 
 __version__ = "1.0.0"
@@ -27,5 +28,4 @@ from .diagnostics import (ConstantEstimate, mass_positivity_check,
                           mean_value_check, off_diagonal_check, sbg_check,
                           t91_equivalences, volume_comparison_check,
                           volume_equivalence_bracket)
-from .harness import (ExperimentConfig, ScanReport, resolve_symbol, run,
-                      symbol_parse)
+from .harness import ExperimentConfig, resolve_symbol, run, symbol_parse

@@ -11,16 +11,13 @@ field) and audits the inequalities that drive the compactness argument.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 from scipy.sparse import csr_matrix, triu
 
-from .domains import (DomainSpec, boundary_residual, central_dbar, contains,
-                      coordinate_cells, coordinate_columns)
+from .domains import DomainSpec, boundary_residual, central_dbar, contains
 from .geometry import (GeodesicField, GeometryError, MetricBall,
                        Partition, metric_ball)
 from .kernels import multi_indices, monomial_matrix
@@ -148,26 +145,6 @@ class ScanSummary:
     def decaying(self):
         return self.sup < 1e-10 or self.tail_trend < 0.5
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            d = len(self.rows[0].zeta) if self.rows else 0
-            w.writerow(["ray", "t"] + coordinate_columns(d, "zeta")
-                       + ["r", "D", "mode", "omega", "admissible"])
-            for row in self.rows:
-                w.writerow([row.ray, repr(row.t)] + coordinate_cells(row.zeta)
-                           + [repr(self.radius), self.degree, self.mode,
-                              repr(row.value), int(row.admissible)])
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump({"radius": self.radius, "degree": self.degree,
-                       "mode": self.mode, "sup": self.sup,
-                       "tail_trend": self.tail_trend,
-                       "decaying": self.decaying,
-                       "n_admissible": self.n_admissible}, fh,
-                      indent=2, sort_keys=True)
-
 
 def _tail_trend(ts, vals):
     """Mean of the last t-quartile over the mean of the first."""
@@ -254,21 +231,6 @@ class Decomposition:
             sel = (self.shell_index == s) & self.epsilon_admissible
             return float(np.max(self.epsilon[sel]))
         return shell_max(shells[0]) / max(shell_max(shells[-1]), 1e-300)
-
-    def audits_json(self, path):
-        with open(path, "w") as fh:
-            json.dump({
-                "identity_error": self.identity_error(),
-                "n_centers": len(self.epsilon),
-                "eps_max": float(np.max(self.epsilon)),
-                "pair_audit_pass": all(a["holds"] for a in self.pair_audit),
-                "pair_audit_count": len(self.pair_audit),
-                "phi2_bracket": max((a["ratio"] for a in self.phi2_audit),
-                                    default=0.0),
-                "dbar_bracket": max((a["ratio"] for a in self.dbar_audit),
-                                    default=0.0),
-                "shell_epsilon_decay": self.shell_epsilon_decay(),
-            }, fh, indent=2, sort_keys=True)
 
 
 def _ball_integral(field, center_point, radius, values_sq):

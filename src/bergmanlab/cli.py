@@ -6,7 +6,8 @@ Usage: bergmanlab COMMAND [--config PATH] [--out DIR] [--threads K]
 COMMAND is one of: kernel, metric, distance, net, hankel, omega-scan,
 decompose, sbg-check, t91, variety, report.  Exit codes: 0 success,
 2 config error, 3 symbol parse error, 4 unsupported domain/command
-pair, 5 computation failure.
+pair, 5 computation failure.  A symbol that starts with "-" is passed
+as --symbol=EXPR.
 """
 
 from __future__ import annotations
@@ -19,8 +20,16 @@ from .harness import (COMMANDS, ConfigError, EXIT_CONFIG, ExperimentConfig,
                       run)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are config errors, reported on
+    one line by main rather than with a usage block."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="bergmanlab",
         description="Bergman kernel, metric, and operator experiments "
                     "on model domains.")
@@ -37,8 +46,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = (ExperimentConfig.from_json(args.config)
                   if args.config else ExperimentConfig())
         overrides = {}

@@ -10,7 +10,6 @@ of consistency, not proofs; report wording stays at "consistent with".
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as _dc_field
 
@@ -45,12 +44,6 @@ class ConstantEstimate:
         return ConstantEstimate(name=self.name, value=self.value,
                                 sample=self.sample, stability=rel,
                                 detail=dict(self.detail))
-
-    def to_json_dict(self):
-        return {"name": self.name, "value": self.value,
-                "sample": self.sample, "stability": self.stability,
-                "detail": {k: v for k, v in self.detail.items()
-                           if np.isscalar(v)}}
 
 
 def admissible_nodes(engine: KernelEngine, grid):
@@ -291,11 +284,3 @@ def volume_equivalence_bracket(engine: KernelEngine, field: GeodesicField,
     return ConstantEstimate(name="L", value=best,
                             sample=f"{used} centers, r={r}",
                             detail={"r": float(r)})
-
-
-def diagnostics_json(estimates, path, extra=None):
-    payload = {"constants": [e.to_json_dict() for e in estimates]}
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)

@@ -150,16 +150,6 @@ def central_dbar(f, z, h):
     return np.stack(out, axis=1)
 
 
-def coordinate_columns(d, name="z"):
-    """CSV header cells re_<name>1, im_<name>1, ... for points in C^d."""
-    return [f"{part}_{name}{j + 1}" for j in range(d) for part in ("re", "im")]
-
-
-def coordinate_cells(z):
-    """CSV cells (Re, Im per coordinate) written as plain float reprs."""
-    return [repr(float(x)) for c in np.ravel(z) for x in (c.real, c.imag)]
-
-
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Deterministic quadrature nodes/weights for Lebesgue integration."""

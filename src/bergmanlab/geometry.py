@@ -10,8 +10,6 @@ at 2r, and automorphism charts on the homogeneous models.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,8 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .domains import (DomainSpec, QuadratureGrid, central_dbar, contains,
-                      coordinate_cells, coordinate_columns)
+from .domains import DomainSpec, QuadratureGrid, central_dbar, contains
 from .kernels import KernelEngine
 
 
@@ -220,14 +217,6 @@ class Net:
         return np.stack([self.field.distances_from_node(int(c))
                          for c in self.centers])
 
-    def to_csv(self, path):
-        pts = self.center_points()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["node_index"] + coordinate_columns(pts.shape[1]))
-            for c, p in zip(self.centers, pts):
-                w.writerow([int(c)] + coordinate_cells(p))
-
 
 def build_net(field: GeodesicField, r: float) -> Net:
     """Greedy farthest-first maximal packing; ties break to the lowest
@@ -424,12 +413,3 @@ def beta(chartmap: ChartMap, engine: KernelEngine, u, w):
     val = engine.kernel(zu, zw)
     return complex(val * chartmap.det_jacobian(u[None, :])[0]
                    * np.conj(chartmap.det_jacobian(w[None, :])[0]))
-
-
-def multiplicity_json(net: Net, radii, path):
-    with open(path, "w") as fh:
-        json.dump({"separation": net.separation,
-                   "n_centers": len(net),
-                   "multiplicity": {str(float(R)): multiplicity(net, R)
-                                    for R in radii}},
-                  fh, indent=2, sort_keys=True)

@@ -1,8 +1,10 @@
 """Experiment configuration, symbol parsing, and command orchestration.
 
 A flat key-value JSON config drives every command; the same config plus
-the same seed yields byte-identical CSV artifacts.  Reports embed a
-config hash and a grid checksum so regenerated outputs can be compared.
+the same seed yields byte-identical artifacts.  Every artifact file is
+written here, by _write_csv and _write_json; the numeric modules return
+values and do no file I/O.  Reports embed a config hash and a grid
+checksum so regenerated outputs can be compared.
 
 Exit codes used by the command runner and the console script:
   0  success
@@ -22,7 +24,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, asdict, fields, field as _dc_field
+from dataclasses import dataclass, asdict, fields
 from functools import reduce
 
 import numpy as np
@@ -30,12 +32,13 @@ import numpy as np
 from . import __version__ as _version
 from . import approximation as approx
 from . import diagnostics as diag
-from .domains import (DomainSpec, DomainError, ball, build_grid,
-                      coordinate_cells, coordinate_columns, disc, egg,
+from .domains import (DomainSpec, DomainError, ball, build_grid, disc, egg,
                       polydisc)
 from .geometry import (GeodesicField, GeometryError, build_net,
-                       multiplicity_json, partition_of_unity)
-from .kernels import KernelError, engine_for, kernel_scan_csv
+                       covering_audit, multiplicity, partition_of_unity,
+                       separation_audit)
+from .kernels import (KernelError, engine_for, orthonormalize,
+                      reinhardt_basis)
 from .operators import (OperatorError, SymbolFn, compactness_indicator,
                         hankel_matrix, weak_null_probe)
 
@@ -221,8 +224,9 @@ _SCHEMES = ("tensor-midpoint", "quasi-random")
 
 def _has_type_of(value, default):
     """Whether a config value fits the type of its field's default: an
-    int (never a bool) where the default is an int, any real number
-    where it is a float, a list or tuple of such where it is a tuple."""
+    int (never a bool) where the default is an int, any finite real
+    number where it is a float, a list or tuple of such where it is a
+    tuple."""
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) \
             and all(_has_type_of(v, default[0]) for v in value)
@@ -231,7 +235,9 @@ def _has_type_of(value, default):
     if isinstance(default, int):
         return isinstance(value, numbers.Integral)
     if isinstance(default, float):
-        return isinstance(value, numbers.Real)
+        # bounded, so float() cannot overflow on a huge int
+        return isinstance(value, numbers.Real) \
+            and abs(value) <= sys.float_info.max
     return isinstance(value, type(default))
 
 
@@ -303,6 +309,8 @@ class ExperimentConfig:
             data = json.loads(source)
         else:
             raise ConfigError(f"config file not found: {source}")
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -321,21 +329,7 @@ class ExperimentConfig:
         return _DOMAINS[self.domain][0]
 
 
-@dataclass
-class ScanReport:
-    experiment_id: str
-    command: str
-    rows: list
-    summary: dict
-    provenance: dict = _dc_field(default_factory=dict)
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump({"experiment_id": self.experiment_id,
-                       "command": self.command, "rows": self.rows,
-                       "summary": self.summary,
-                       "provenance": self.provenance}, fh,
-                      indent=2, sort_keys=True, default=_jsonable)
+# -- artifacts --------------------------------------------------------
 
 
 def _jsonable(x):
@@ -353,6 +347,28 @@ def _grid_checksum(grid):
     h.update(np.ascontiguousarray(grid.nodes).tobytes())
     h.update(np.ascontiguousarray(grid.weights).tobytes())
     return h.hexdigest()[:16]
+
+
+def _coordinate_columns(d, name="z"):
+    """CSV header cells re_<name>1, im_<name>1, ... for points in C^d."""
+    return [f"{part}_{name}{j + 1}" for j in range(d) for part in ("re", "im")]
+
+
+def _coordinate_cells(z):
+    """CSV cells (Re, Im per coordinate) written as plain float reprs."""
+    return [repr(float(x)) for c in np.ravel(z) for x in (c.real, c.imag)]
+
+
+def _write_csv(out, name, header, rows):
+    with open(os.path.join(out, name), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_json(out, name, payload):
+    with open(os.path.join(out, name), "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
 
 
 # -- orchestration ----------------------------------------------------
@@ -401,15 +417,12 @@ class _Workspace:
     def symbol(self):
         return resolve_symbol(self.config.symbol, self.dom.dim)
 
-    def provenance(self, extra=None):
-        p = {"config_hash": self.config.config_hash(),
-             "grid_checksum": _grid_checksum(self.grid),
-             "version": _version, "domain": self.config.domain,
-             "resolution": self.config.resolution,
-             "seed": self.config.seed}
-        if extra:
-            p.update(extra)
-        return p
+    def provenance(self):
+        return {"config_hash": self.config.config_hash(),
+                "grid_checksum": _grid_checksum(self.grid),
+                "version": _version, "domain": self.config.domain,
+                "resolution": self.config.resolution,
+                "seed": self.config.seed}
 
     def scan_centers(self, n=5):
         """Deterministic interior sample: anchor plus ray points."""
@@ -421,23 +434,31 @@ class _Workspace:
         return np.stack(pts)
 
 
+def _report(ws, command, rows, summary):
+    """The JSON report of one command, with the run's provenance."""
+    return {"experiment_id": ws.config.config_hash(), "command": command,
+            "rows": rows, "summary": summary, "provenance": ws.provenance()}
+
+
 def _cmd_kernel(ws, out):
     grid = ws.grid
     step = max(1, len(grid) // 64)
     pts = grid.nodes[::step]
     pairs = [(pts[i], pts[(i * 7 + 3) % len(pts)]) for i in range(len(pts))]
-    kernel_scan_csv(ws.engine, pairs, os.path.join(out, "kernel.csv"))
+    vals = [ws.engine.kernel(z, w) for z, w in pairs]
+    d = ws.dom.dim
+    _write_csv(out, "kernel.csv",
+               _coordinate_columns(d, "z") + _coordinate_columns(d, "w")
+               + ["re_B", "im_B"],
+               [_coordinate_cells(z) + _coordinate_cells(w)
+                + [repr(v.real), repr(v.imag)]
+                for (z, w), v in zip(pairs, vals)])
     summary = {"n_pairs": len(pairs), "mode": ws.engine.mode}
     if ws.engine.mode == "numerical" and ws.dom.homogeneous:
         ref = engine_for(ws.dom)
-        z = np.stack([p[0] for p in pairs])
-        w = np.stack([p[1] for p in pairs])
-        a = np.array([ws.engine.kernel(zi[None], wi[None])[0]
-                      for zi, wi in zip(z, w)])
-        b = np.array([ref.kernel(zi[None], wi[None])[0]
-                      for zi, wi in zip(z, w)])
+        b = np.array([ref.kernel(z, w) for z, w in pairs])
         summary["max_rel_err_vs_closed_form"] = float(
-            np.max(np.abs(a - b) / np.abs(b)))
+            np.max(np.abs(np.array(vals) - b) / np.abs(b)))
     return [], summary
 
 
@@ -446,42 +467,39 @@ def _cmd_metric(ws, out):
     z = ws.grid.nodes[idx[::max(1, len(idx) // 500)]]
     g = ws.engine.metric_batch(z)
     lam = np.linalg.eigvalsh(g)
-    rows = []
-    with open(os.path.join(out, "metric.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(coordinate_columns(ws.dom.dim)
-                   + ["lambda_min", "lambda_max", "det_g"])
-        for zi, li in zip(z, lam):
-            det = float(np.prod(li))
-            w.writerow(coordinate_cells(zi)
-                       + [repr(float(li[0])), repr(float(li[-1])),
-                          repr(det)])
-            rows.append({"lambda_min": float(li[0]), "det": det})
-    return rows, {"n_points": len(z),
-                  "min_eigenvalue": float(np.min(lam))}
+    dets = [float(np.prod(li)) for li in lam]
+    _write_csv(out, "metric.csv",
+               _coordinate_columns(ws.dom.dim)
+               + ["lambda_min", "lambda_max", "det_g"],
+               [_coordinate_cells(zi) + [repr(float(li[0])),
+                                         repr(float(li[-1])), repr(det)]
+                for zi, li, det in zip(z, lam, dets)])
+    rows = [{"lambda_min": float(li[0]), "det": det}
+            for li, det in zip(lam, dets)]
+    return rows, {"n_points": len(z), "min_eigenvalue": float(np.min(lam))}
 
 
 def _cmd_distance(ws, out):
-    field = ws.field
     anchor = ws.dom.anchor_point
     targets = ws.scan_centers(9)[1:]
-    rows = []
-    with open(os.path.join(out, "distance.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["target", "bergman_distance"])
-        for i, t in enumerate(targets):
-            dist = field.distance(anchor, t)
-            w.writerow([i, repr(dist)])
-            rows.append({"target": i, "distance": dist})
+    dists = [ws.field.distance(anchor, t) for t in targets]
+    _write_csv(out, "distance.csv", ["target", "bergman_distance"],
+               [[i, repr(dist)] for i, dist in enumerate(dists)])
+    rows = [{"target": i, "distance": dist} for i, dist in enumerate(dists)]
     return rows, {"n_targets": len(targets)}
 
 
 def _cmd_net(ws, out):
     net = build_net(ws.field, ws.config.net_radius)
-    net.to_csv(os.path.join(out, "net.csv"))
+    _write_csv(out, "net.csv",
+               ["node_index"] + _coordinate_columns(ws.dom.dim),
+               [[int(c)] + _coordinate_cells(p)
+                for c, p in zip(net.centers, net.center_points())])
     radii = [ws.config.net_radius * s for s in (0.5, 1.0, 2.0)]
-    multiplicity_json(net, radii, os.path.join(out, "multiplicity.json"))
-    from .geometry import covering_audit, separation_audit
+    _write_json(out, "multiplicity.json", {
+        "separation": net.separation, "n_centers": len(net),
+        "multiplicity": {str(float(R)): multiplicity(net, R)
+                         for R in radii}})
     return [], {"n_centers": len(net),
                 "separation_min": separation_audit(net),
                 "covering_max": covering_audit(net)}
@@ -491,7 +509,6 @@ def _cmd_hankel(ws, out):
     cfg = ws.config
     symbol = ws.symbol()
     per_var = ws.dom.kind == "polydisc"
-    from .kernels import orthonormalize, reinhardt_basis
     def basis_at(n):
         if ws.engine.mode == "numerical":
             return orthonormalize(ws.dom, ws.grid, n, per_variable=per_var)
@@ -507,10 +524,11 @@ def _cmd_hankel(ws, out):
                             ws.scan_centers(6))
     ind = compactness_indicator(build, cfg.hankel_degrees,
                                 probe_values=probe)
-    trunc = truncs[top]
-    trunc.sigma_csv(os.path.join(out, "sigma.csv"), degree=top)
+    sigma = truncs[top].singular_values
+    _write_csv(out, "sigma.csv", ["degree", "k", "sigma"],
+               [[top, k, repr(float(s))] for k, s in enumerate(sigma)])
     return [], {"compact": ind.compact, "counts": list(ind.counts),
-                "sigma0": float(trunc.singular_values[0]),
+                "sigma0": float(sigma[0]),
                 "probe": [float(p) for p in probe]}
 
 
@@ -519,10 +537,19 @@ def _cmd_omega_scan(ws, out):
         ws.field, ws.symbol(), radius=ws.config.radius,
         degree=ws.config.approx_degree, n_rays=ws.config.rays,
         steps=ws.config.steps, seed=ws.config.seed)
-    scan.to_csv(os.path.join(out, "omega_scan.csv"))
-    scan.to_json(os.path.join(out, "omega_summary.json"))
-    return [], {"sup": scan.sup, "tail_trend": scan.tail_trend,
-                "decaying": scan.decaying}
+    _write_csv(out, "omega_scan.csv",
+               ["ray", "t"] + _coordinate_columns(ws.dom.dim, "zeta")
+               + ["r", "D", "mode", "omega", "admissible"],
+               [[row.ray, repr(row.t)] + _coordinate_cells(row.zeta)
+                + [repr(scan.radius), scan.degree, scan.mode,
+                   repr(row.value), int(row.admissible)]
+                for row in scan.rows])
+    payload = {"radius": scan.radius, "degree": scan.degree,
+               "mode": scan.mode, "sup": scan.sup,
+               "tail_trend": scan.tail_trend, "decaying": scan.decaying,
+               "n_admissible": scan.n_admissible}
+    _write_json(out, "omega_summary.json", payload)
+    return [], {k: payload[k] for k in ("sup", "tail_trend", "decaying")}
 
 
 def _cmd_decompose(ws, out):
@@ -530,24 +557,34 @@ def _cmd_decompose(ws, out):
     dec = approx.decompose(partition_of_unity(net), ws.symbol(),
                            degree=ws.config.approx_degree,
                            seed=ws.config.seed)
-    dec.audits_json(os.path.join(out, "decomposition.json"))
-    with open(os.path.join(out, "epsilon.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["center", "shell", "epsilon", "admissible"])
-        for m in range(len(net)):
-            w.writerow([m, int(dec.shell_index[m]),
-                        repr(float(dec.epsilon[m])),
-                        int(dec.epsilon_admissible[m])])
-    return [], {"identity_error": dec.identity_error(),
-                "eps_max": float(np.max(dec.epsilon)),
-                "pair_audit_pass": all(a["holds"] for a in dec.pair_audit),
-                "shell_epsilon_decay": dec.shell_epsilon_decay()}
+    audit = {
+        "identity_error": dec.identity_error(),
+        "n_centers": len(dec.epsilon),
+        "eps_max": float(np.max(dec.epsilon)),
+        "pair_audit_pass": all(a["holds"] for a in dec.pair_audit),
+        "pair_audit_count": len(dec.pair_audit),
+        "phi2_bracket": max((a["ratio"] for a in dec.phi2_audit),
+                            default=0.0),
+        "dbar_bracket": max((a["ratio"] for a in dec.dbar_audit),
+                            default=0.0),
+        "shell_epsilon_decay": dec.shell_epsilon_decay()}
+    _write_json(out, "decomposition.json", audit)
+    _write_csv(out, "epsilon.csv",
+               ["center", "shell", "epsilon", "admissible"],
+               [[m, int(dec.shell_index[m]), repr(float(dec.epsilon[m])),
+                 int(dec.epsilon_admissible[m])] for m in range(len(net))])
+    return [], {k: audit[k] for k in ("identity_error", "eps_max",
+                                      "pair_audit_pass",
+                                      "shell_epsilon_decay")}
 
 
 def _cmd_sbg(ws, out):
     q = diag.sbg_check(ws.engine, ws.grid)
     c5 = diag.volume_comparison_check(ws.engine, ws.grid)
-    diag.diagnostics_json([q, c5], os.path.join(out, "sbg.json"))
+    # each constant without its non-scalar details
+    _write_json(out, "sbg.json", {"constants": [
+        {**asdict(e), "detail": {k: v for k, v in e.detail.items()
+                                 if np.isscalar(v)}} for e in (q, c5)]})
     return [], {"Q": q.value, "C5": c5.value,
                 "near_boundary_max": q.detail["near_boundary_max"]}
 
@@ -555,8 +592,7 @@ def _cmd_sbg(ws, out):
 def _cmd_t91(ws, out):
     rep = diag.t91_equivalences(ws.engine, ws.field, ws.scan_centers(5),
                                 r=ws.config.radius)
-    with open(os.path.join(out, "t91.json"), "w") as fh:
-        json.dump(rep, fh, indent=2, sort_keys=True, default=_jsonable)
+    _write_json(out, "t91.json", rep)
     summary = {"all_finite": rep["all_finite"],
                "coherent": rep["coherent"],
                "cond5_skipped": rep["cond5_skipped"]}
@@ -577,24 +613,20 @@ def _cmd_variety(ws, out):
         return np.array(point, dtype=complex)
     res = approx.variety_test(ws.symbol(), ws.dom, disc_map,
                               seed=ws.config.seed)
-    with open(os.path.join(out, "variety.json"), "w") as fh:
-        json.dump({"residual": res, "symbol": ws.config.symbol},
-                  fh, indent=2, sort_keys=True)
+    _write_json(out, "variety.json",
+                {"residual": res, "symbol": ws.config.symbol})
     return [], {"residual": res}
 
 
 def _cmd_report(ws, out):
-    gathered = {}
-    for name in sorted(os.listdir(out)):
-        if name.endswith(".json") and name != "report.json":
-            with open(os.path.join(out, name)) as fh:
-                gathered[name] = json.load(fh)
-    report = ScanReport(experiment_id=ws.config.config_hash(),
-                        command="report", rows=[],
-                        summary={"artifacts": sorted(gathered)},
-                        provenance=ws.provenance())
-    report.to_json(os.path.join(out, "report.json"))
-    return [], {"artifacts": sorted(gathered)}
+    names = sorted(name for name in os.listdir(out)
+                   if name.endswith(".json") and name != "report.json")
+    for name in names:  # each must parse
+        with open(os.path.join(out, name)) as fh:
+            json.load(fh)
+    summary = {"artifacts": names}
+    _write_json(out, "report.json", _report(ws, "report", [], summary))
+    return [], summary
 
 
 _DISPATCH = {
@@ -652,9 +684,6 @@ def run(config: ExperimentConfig, command: str) -> int:
         print(f"computation failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_COMPUTE
-    report = ScanReport(experiment_id=config.config_hash(),
-                        command=command, rows=rows, summary=summary,
-                        provenance=ws.provenance())
-    report.to_json(os.path.join(config.out_dir,
-                                f"{command.replace('-', '_')}_report.json"))
+    _write_json(config.out_dir, f"{command.replace('-', '_')}_report.json",
+                _report(ws, command, rows, summary))
     return EXIT_OK

@@ -10,14 +10,12 @@ is its determinant, so that the metric volume form is
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (DomainSpec, QuadratureGrid, boundary_gap,
-                      coordinate_cells, coordinate_columns, monomial_norm2)
+from .domains import DomainSpec, QuadratureGrid, boundary_gap, monomial_norm2
 
 _CUTOFF = 1e-10  # relative Gram eigenvalue below which a direction drops
 
@@ -336,16 +334,3 @@ def engine_for(dom: DomainSpec, grid: QuadratureGrid = None, degree=None,
     else:
         basis = orthonormalize(dom, grid, degree)
     return KernelEngine(dom, basis=basis)
-
-
-def kernel_scan_csv(engine: KernelEngine, pairs, path):
-    """Export kernel values over (z, w) pairs as CSV."""
-    d = engine.domain.dim
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(coordinate_columns(d, "z") + coordinate_columns(d, "w")
-                   + ["re_B", "im_B"])
-        for zp, wp in pairs:
-            val = engine.kernel(np.asarray(zp), np.asarray(wp))
-            w.writerow(coordinate_cells(zp) + coordinate_cells(wp)
-                       + [repr(val.real), repr(val.imag)])

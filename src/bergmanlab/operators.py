@@ -10,7 +10,6 @@ matrices.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,14 +71,6 @@ class OperatorTruncation:
     basis: OrthonormalBasis
     source_size: int
     singular_values: np.ndarray  # descending, nonnegative
-
-    def sigma_csv(self, path, degree=None):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["degree", "k", "sigma"])
-            for k, s in enumerate(self.singular_values):
-                w.writerow([degree if degree is not None
-                            else self.basis.degree, k, repr(float(s))])
 
 
 _CHUNK_BUDGET = 4_000_000  # array entries per chunk of nodes

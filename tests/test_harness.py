@@ -1,7 +1,12 @@
 import csv
 import json
 import math
+import os
+import re
 import sys
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from bergmanlab import harness
 from bergmanlab.cli import main as cli_main
-from bergmanlab.harness import (ConfigError, EXIT_COMPUTE, EXIT_CONFIG,
-                                EXIT_OK, EXIT_SYMBOL, EXIT_UNSUPPORTED,
-                                ExperimentConfig, SymbolParseError,
-                                bump_symbol, resolve_symbol, run,
-                                symbol_parse)
+from bergmanlab.harness import (COMMANDS, ConfigError, EXIT_COMPUTE,
+                                EXIT_CONFIG, EXIT_OK, EXIT_SYMBOL,
+                                EXIT_UNSUPPORTED, ExperimentConfig,
+                                SymbolParseError, bump_symbol,
+                                resolve_symbol, run, symbol_parse)
 from bergmanlab.operators import hankel_matrix
 
 
@@ -36,6 +41,29 @@ _EXPRS = st.recursive(_ATOMS, lambda sub: st.one_of(
 # fixed points in the unit polydisc of C^3, out to modulus 0.99
 _BATCH = 0.99 * np.random.default_rng(3).uniform(size=(16, 3)) \
     * np.exp(2j * np.pi * np.random.default_rng(4).uniform(size=(16, 3)))
+
+# any JSON value: nested lists and objects over null, bools, ints, floats
+# with NaN and infinities, text and some valid field values; object keys
+# mix the config's field names with other text
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(["disc", "egg2", "quasi-random", "numerical"]),
+    lambda sub: st.lists(sub, max_size=4) | st.dictionaries(
+        st.sampled_from([f.name for f in fields(ExperimentConfig)])
+        | st.text(max_size=8), sub, max_size=5),
+    max_leaves=12)
+
+
+def _readme_csv_columns():
+    """CSV file name: columns, from the Artifacts table of the README."""
+    readme = Path(__file__).parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    columns = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[1].endswith(".csv`"):
+            columns[cells[1].strip("`")] = re.findall(r"`([^`]*)`", cells[2])
+    return columns
 
 
 class TestSymbolParse:
@@ -168,6 +196,29 @@ class TestConfig:
     def test_default_resolution_filled(self):
         assert ExperimentConfig(domain="disc").resolution == 0.025
 
+    @given(value=_JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_loads_or_is_config_error(self, value):
+        # only parsed: a valid config may ask for a huge grid
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "config.json")
+            with open(path, "w") as fh:
+                json.dump(value, fh)
+            try:
+                cfg = ExperimentConfig.from_json(path)
+            except ConfigError:
+                return
+        assert isinstance(cfg, ExperimentConfig)
+
+    @pytest.mark.parametrize("text", ["[]", "1", "null", "[{}]", '"abc"'])
+    def test_non_object_config_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert cli_main(["kernel", "--config", str(path)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: config must be a JSON object\n"
+
     def test_missing_config_file_reported(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         with pytest.raises(ConfigError, match="config file not found"):
@@ -215,11 +266,17 @@ class TestRun:
         b_dir = tmp_path / "b"
         for d in (a_dir, b_dir):
             cfg = ExperimentConfig(domain="disc", resolution=0.05,
-                                   scheme="quasi-random",
+                                   scheme="quasi-random", rays=2,
+                                   steps=(0.3, 0.6), hankel_degrees=(2, 4),
                                    out_dir=str(d))
-            assert run(cfg, "kernel") == EXIT_OK
+            bidisc = ExperimentConfig(domain="polydisc2", resolution=0.2,
+                                      out_dir=str(d))
+            for command in COMMANDS:
+                assert run(bidisc if command == "variety" else cfg,
+                           command) == EXIT_OK, command
         names = sorted(p.name for p in a_dir.iterdir())
-        assert "kernel_report.json" in names
+        assert {f"{c.replace('-', '_')}_report.json" for c in COMMANDS} \
+            <= set(names)
         assert names == sorted(p.name for p in b_dir.iterdir())
         for name in names:
             assert (a_dir / name).read_bytes() \
@@ -294,12 +351,20 @@ class TestRun:
         assert err.count("warning: threads ignored") == 1
 
     def test_csv_cells_are_plain_numbers(self, tmp_path):
-        cfg = self._cfg(tmp_path, resolution=0.05, rays=2, steps=(0.3, 0.6))
-        for command, name in (("metric", "metric.csv"), ("net", "net.csv"),
-                              ("omega-scan", "omega_scan.csv")):
+        cfg = self._cfg(tmp_path, resolution=0.05, rays=2, steps=(0.3, 0.6),
+                        hankel_degrees=(2, 4))
+        written = (("kernel", "kernel.csv"), ("metric", "metric.csv"),
+                   ("distance", "distance.csv"), ("net", "net.csv"),
+                   ("hankel", "sigma.csv"), ("omega-scan", "omega_scan.csv"),
+                   ("decompose", "epsilon.csv"))
+        columns = _readme_csv_columns()  # as written on the disc
+        assert sorted(columns) == sorted(name for _, name in written)
+        for command, name in written:
             assert run(cfg, command) == EXIT_OK
             with open(tmp_path / name) as fh:
-                rows = list(csv.DictReader(fh))
+                reader = csv.DictReader(fh)
+                rows = list(reader)
+            assert reader.fieldnames == columns[name], name
             assert rows
             for row in rows:
                 for key, cell in row.items():
@@ -355,9 +420,23 @@ class TestCli:
         assert (out / "kernel.csv").exists()
 
     def test_symbol_override(self, tmp_path):
-        code = cli_main(["omega-scan", "--out", str(tmp_path / "s"),
-                         "--resolution", "0.05", "--symbol", "z1/z1"])
-        assert code == EXIT_SYMBOL
+        # a symbol that starts with "-" reaches the parser as --symbol=EXPR
+        for symbol in (["--symbol", "z1/z1"], ["--symbol=-z1/z1"]):
+            code = cli_main(["omega-scan", "--out", str(tmp_path / "s"),
+                             "--resolution", "0.05", *symbol])
+            assert code == EXIT_SYMBOL
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--resolution", "abc"], ["explode"],
+        ["hankel", "--symbol", "-conj(z1)"]],
+        ids=["bad-float", "unknown-command", "symbol-starting-with-minus"])
+    def test_bad_argument_is_one_config_error_line(self, tmp_path, capsys,
+                                                   argv):
+        assert cli_main(argv + ["--out", str(tmp_path / "o")]) \
+            == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("config error: ")
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--resolution", "-1", "config field resolution must be positive"),
