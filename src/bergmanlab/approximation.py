@@ -347,9 +347,8 @@ def _audit_dbar(dec: Decomposition):
         shifts = (step, -step, i_step, -i_step)
         idx = np.nonzero(np.all([contains(field.domain, nodes + s)
                                  for s in shifts], axis=0))[0]
-        px, mx, py, my = vals = [
-            dec.partition.evaluate(nodes[idx] + s, strict=False)
-            for s in shifts]
+        px, mx, py, my = vals = [dec.partition.evaluate(nodes[idx] + s)
+                                 for s in shifts]
         covered = np.all([v.sum(axis=0) > 0.5 for v in vals], axis=0)
         dbar = 0.5 * ((px - mx) + 1j * (py - my)) / (2.0 * h)
         dbar_chi[:, idx[covered], j] = dbar[:, covered]

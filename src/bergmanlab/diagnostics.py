@@ -31,19 +31,12 @@ class ConstantEstimate:
     name: str
     value: float
     sample: str
-    stability: float = math.nan  # relative change under grid halving
     detail: dict = _dc_field(default_factory=dict)
 
     def __post_init__(self):
         if not math.isfinite(self.value) or self.value <= 0:
             raise DiagnosticsError(
                 f"constant {self.name} is not finite positive: {self.value}")
-
-    def with_stability(self, other: "ConstantEstimate") -> "ConstantEstimate":
-        rel = abs(self.value - other.value) / max(abs(self.value), 1e-300)
-        return ConstantEstimate(name=self.name, value=self.value,
-                                sample=self.sample, stability=rel,
-                                detail=dict(self.detail))
 
 
 def admissible_nodes(engine: KernelEngine, grid):

@@ -200,10 +200,13 @@ def metric_ball(field: GeodesicField, zeta, r: float) -> MetricBall:
 
 @dataclass
 class Net:
-    """Maximal r-separated set of grid nodes covering the grid."""
+    """Maximal r-separated set of grid nodes covering the grid; ``near``
+    holds the graph distances (n_centers, n_nodes) below 2r, the outer
+    radius of the cutoffs, and an absent entry means farther."""
 
     separation: float
     centers: np.ndarray  # node indices, insertion order
+    near: csr_matrix = field(repr=False)
     field: GeodesicField = field(repr=False, default=None)
 
     def __len__(self):
@@ -212,49 +215,51 @@ class Net:
     def center_points(self):
         return self.field.grid.nodes[self.centers]
 
-    def center_distances(self):
-        """(n_centers, n_nodes) graph distances, cached per node."""
-        return np.stack([self.field.distances_from_node(int(c))
-                         for c in self.centers])
-
 
 def build_net(field: GeodesicField, r: float) -> Net:
     """Greedy farthest-first maximal packing; ties break to the lowest
     node index, so the result is deterministic."""
     if not r > 0:
         raise GeometryError("net radius must be positive")
-    anchor = field.domain.anchor_point
-    first = field.nearest_node(anchor)
-    centers = [first]
-    dmin = field.distances_from_node(first).copy()
+    centers = [field.nearest_node(field.domain.anchor_point)]
+    dmin, cols, vals = np.inf, [], []
     while True:
-        far = float(np.max(dmin))
-        if far < r:
+        row = field.distances_from_node(centers[-1])
+        cols.append(np.nonzero(row < 2.0 * r)[0])
+        vals.append(row[cols[-1]])
+        dmin = np.minimum(dmin, row)
+        if float(np.max(dmin)) < r:
             break
-        nxt = int(np.argmax(dmin))  # argmax returns the lowest tied index
-        centers.append(nxt)
-        dmin = np.minimum(dmin, field.distances_from_node(nxt))
+        centers.append(int(np.argmax(dmin)))  # the lowest tied index
+    indptr = np.cumsum([0] + [len(c) for c in cols])
+    near = csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
+                      shape=(len(centers), len(field.grid)))
     return Net(separation=float(r), centers=np.array(centers, dtype=int),
-               field=field)
+               field=field, near=near)
 
 
 def multiplicity(net: Net, R: float) -> int:
     """max over grid nodes x of #{centers within graph distance R of x}."""
-    dists = net.center_distances()
-    return int(np.max(np.sum(dists < R, axis=0)))
+    if R > 2.0 * net.separation:
+        raise GeometryError("multiplicity radius beyond 2r, the table's reach")
+    near = net.near
+    return int(np.max(np.bincount(near.indices[near.data < R],
+                                  minlength=near.shape[1])))
 
 
 def separation_audit(net: Net) -> float:
-    """Smallest pairwise center distance (>= separation if valid)."""
-    pair = net.center_distances()[:, net.centers]
-    np.fill_diagonal(pair, np.inf)  # so a lone center reads inf
-    return float(np.min(pair))
+    """Smallest pairwise center distance (>= separation if valid); inf
+    when no two centers lie within twice the separation."""
+    pair = net.near[:, net.centers].tocoo()
+    off = pair.data[pair.row != pair.col]
+    return float(np.min(off)) if len(off) else math.inf
 
 
 def covering_audit(net: Net) -> float:
     """Fraction of grid nodes within the separation radius of a center."""
-    dists = net.center_distances()
-    return float(np.mean(np.min(dists, axis=0) < net.separation))
+    near = net.near
+    covered = np.unique(near.indices[near.data < net.separation])
+    return len(covered) / near.shape[1]
 
 
 # -- partitions of unity ---------------------------------------------
@@ -275,24 +280,24 @@ class Partition:
     r_outer: float
     values: np.ndarray  # (n_centers, n_nodes), rows sum to 1 columnwise
 
-    def evaluate(self, points, strict=True):
-        """chi_hat_m at arbitrary interior points, (n_centers, n_pts).
-
-        With strict=False, points outside every cutoff support get all
-        zeros instead of raising.
-        """
+    def evaluate(self, points):
+        """chi_hat_m at arbitrary interior points, (n_centers, n_pts), all
+        zeros outside every support.  Distances come from the table rows
+        of each point's ``_attach`` neighbors: an omitted entry is 2r or
+        farther, where the ramp is exactly 0."""
         idx, lengths = self.net.field._attach(points)
-        dists = self.net.center_distances()
-        chi = np.empty((len(self.net), len(idx)))
-        for m in range(len(self.net)):
-            dm = np.min(dists[m][idx] + lengths, axis=1)
-            chi[m] = _ramp(dm, self.r_inner, self.r_outer)
-        total = np.sum(chi, axis=0)
-        if np.any(total <= 0.0):
-            if strict:
-                raise GeometryError("partition covering violated at a point")
-            total = np.where(total > 0.0, total, 1.0)
-        return chi / total
+        by_node = self.net.near.T.tocsr()
+        dist = np.full((len(self.net), len(idx)), np.inf)
+        for j in range(idx.shape[1]):
+            rows = by_node[idx[:, j]]
+            pts = np.repeat(np.arange(len(idx)), np.diff(rows.indptr))
+            np.minimum.at(dist, (rows.indices, pts),
+                          rows.data + lengths[pts, j])
+        near = dist < self.r_outer
+        dist[near] = _ramp(dist[near], self.r_inner, self.r_outer)
+        dist[~near] = 0.0
+        total = np.sum(dist, axis=0)
+        return np.divide(dist, np.where(total > 0.0, total, 1.0), out=dist)
 
 
 def partition_of_unity(net: Net) -> Partition:
@@ -302,7 +307,9 @@ def partition_of_unity(net: Net) -> Partition:
     >= 1 everywhere) to 0 at twice the separation.
     """
     r_inner, r_outer = net.separation, 2.0 * net.separation
-    chi = _ramp(net.center_distances(), r_inner, r_outer)
+    chi = np.zeros(net.near.shape)
+    near = net.near.tocoo()
+    chi[near.row, near.col] = _ramp(near.data, r_inner, r_outer)
     total = np.sum(chi, axis=0)
     if np.any(total <= 0.0):
         raise GeometryError(

@@ -333,13 +333,18 @@ class ExperimentConfig:
 
 
 def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
+    """x as JSON values; a non-finite float becomes None (null)."""
+    if isinstance(x, (np.ndarray, np.floating, np.integer)):
+        x = x.tolist()
     if isinstance(x, complex):
-        return [x.real, x.imag]
-    return str(x)
+        x = [x.real, x.imag]
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    return x if x is None or isinstance(x, (str, int)) else str(x)
 
 
 def _grid_checksum(grid):
@@ -368,7 +373,8 @@ def _write_csv(out, name, header, rows):
 
 def _write_json(out, name, payload):
     with open(os.path.join(out, name), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
 
 
 # -- orchestration ----------------------------------------------------
@@ -620,13 +626,11 @@ def _cmd_variety(ws, out):
 
 def _cmd_report(ws, out):
     names = sorted(name for name in os.listdir(out)
-                   if name.endswith(".json") and name != "report.json")
+                   if name.endswith(".json") and name != "report_report.json")
     for name in names:  # each must parse
         with open(os.path.join(out, name)) as fh:
             json.load(fh)
-    summary = {"artifacts": names}
-    _write_json(out, "report.json", _report(ws, "report", [], summary))
-    return [], summary
+    return [], {"artifacts": names}
 
 
 _DISPATCH = {

@@ -110,11 +110,6 @@ class TestSBG:
         est = sbg_check(disc_engine, grid)
         assert 1.8 <= est.value <= 2.0
 
-    def test_stability_helper(self, disc_engine, disc_grid):
-        a = sbg_check(disc_engine, disc_grid)
-        b = sbg_check(disc_engine, disc_grid)
-        assert a.with_stability(b).stability == 0.0
-
 
 class TestEquivalences:
     def test_disc_report_coherent(self, disc_engine, disc_field):

@@ -70,15 +70,19 @@ _SMALL = {"disc": (dom.disc, 0.05, None),
           "egg2": (lambda: dom.egg(2), 0.25, 6)}
 
 
-@pytest.fixture(scope="module", params=sorted(_SMALL))
-def small_field(request):
-    """A coarse field of its own, so the point cache starts empty."""
-    make, res, degree = _SMALL[request.param]
+def _small(name):
+    make, res, degree = _SMALL[name]
     domain = make()
     grid = dom.build_grid(domain, res)
     engine = engine_for(domain) if degree is None \
         else engine_for(domain, grid, degree=degree)
     return GeodesicField(engine, grid)
+
+
+@pytest.fixture(scope="module", params=sorted(_SMALL))
+def small_field(request):
+    """A coarse field of its own, so the point cache starts empty."""
+    return _small(request.param)
 
 
 def _points(field, ts):
@@ -167,6 +171,11 @@ class TestNets:
         net = build_net(disc_field, 0.5)
         assert multiplicity(net, 0.25) == 1
 
+    def test_multiplicity_beyond_table_rejected(self, disc_field):
+        net = build_net(disc_field, 0.5)
+        with pytest.raises(GeometryError, match="multiplicity radius"):
+            multiplicity(net, 2.5 * 0.5)
+
     def test_deterministic(self, disc_field):
         a = build_net(disc_field, 0.8)
         b = build_net(disc_field, 0.8)
@@ -179,9 +188,16 @@ class TestNets:
             build_net(disc_field, r)
 
 
+def _dense_distances(net):
+    """The former Net.center_distances(): (n_centers, n_nodes) graph
+    distances, one full row per center."""
+    return np.stack([net.field.distances_from_node(int(c))
+                     for c in net.centers])
+
+
 def _evaluate_reference(part, points):
-    """The former Partition.evaluate with strict=False, with its own kNN
-    query and segment lengths."""
+    """The former dense Partition.evaluate, zeros outside every support,
+    with its own kNN query and segment lengths."""
     field = part.net.field
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     k = min(field.k, len(field.grid))
@@ -190,7 +206,7 @@ def _evaluate_reference(part, points):
     lengths = field.segment_length(
         np.repeat(pts, idx.shape[1], axis=0),
         field.grid.nodes[idx.ravel()]).reshape(idx.shape)
-    dists = part.net.center_distances()
+    dists = _dense_distances(part.net)
     chi = np.empty((len(part.net), len(pts)))
     for m in range(len(part.net)):
         chi[m] = _ramp(np.min(dists[m][idx] + lengths, axis=1),
@@ -212,7 +228,7 @@ class TestPartition:
     def test_nonnegative_and_supported(self, disc_partition):
         part = disc_partition
         assert np.min(part.values) >= 0.0
-        dists = part.net.center_distances()
+        dists = _dense_distances(part.net)
         assert np.all(part.values[dists >= part.r_outer] == 0.0)
         assert (part.r_inner, part.r_outer) == (0.5, 1.0)
 
@@ -227,8 +243,73 @@ class TestPartition:
         h = 0.25 * disc_field.grid.resolution
         for pts in (nodes, nodes + h, nodes - 1j * h):
             assert np.array_equal(
-                disc_partition.evaluate(pts, strict=False),
+                disc_partition.evaluate(pts),
                 _evaluate_reference(disc_partition, pts))
+
+
+@pytest.fixture(scope="module", params=[None] + sorted(_SMALL),
+                ids=lambda p: f"{p}-small" if p else "disc")
+def nets(request, disc_field):
+    """Nets of radius 0.5 and 0.8 on the default disc field and on each
+    coarse field."""
+    field = _small(request.param) if request.param else disc_field
+    return [build_net(field, r) for r in (0.5, 0.8)]
+
+
+class TestNearTable:
+    """The sparse center table against the dense rows it replaces."""
+
+    def test_holds_the_dense_rows_below_twice_the_radius(self, nets):
+        for net in nets:
+            dense = _dense_distances(net)
+            kept = dense < 2.0 * net.separation
+            table = net.near.tocoo()
+            assert table.nnz == np.count_nonzero(kept)
+            full = np.full(dense.shape, np.inf)
+            full[table.row, table.col] = table.data
+            assert np.array_equal(full, np.where(kept, dense, np.inf))
+            assert np.all(full[np.arange(len(net)), net.centers] == 0.0)
+
+    def test_multiplicity(self, nets):
+        for net in nets:
+            dense = _dense_distances(net)
+            for s in (0.0, 0.5, 1.0, 2.0):
+                R = s * net.separation
+                assert multiplicity(net, R) \
+                    == int(np.max(np.sum(dense < R, axis=0)))
+
+    def test_separation_audit(self, nets):
+        for net in nets:
+            pair = _dense_distances(net)[:, net.centers]
+            np.fill_diagonal(pair, np.inf)
+            ref = float(np.min(pair))
+            assert separation_audit(net) \
+                == (ref if ref < 2.0 * net.separation else math.inf)
+
+    def test_covering_audit(self, nets):
+        for net in nets:
+            dense = _dense_distances(net)
+            assert covering_audit(net) \
+                == float(np.mean(np.min(dense, axis=0) < net.separation))
+
+    def test_partition_values(self, nets):
+        for net in nets:
+            r = net.separation
+            chi = _ramp(_dense_distances(net), r, 2.0 * r)
+            assert np.array_equal(partition_of_unity(net).values,
+                                  chi / np.sum(chi, axis=0))
+
+    def test_evaluate_off_grid(self, nets):
+        for net in nets:
+            part = partition_of_unity(net)
+            field = net.field
+            nodes = field.grid.nodes[::7]
+            h = 0.25 * field.grid.resolution
+            for pts in (nodes + h, nodes - 1j * h):
+                pts = pts[dom.contains(field.domain, pts)]
+                assert len(pts)
+                assert np.array_equal(part.evaluate(pts),
+                                      _evaluate_reference(part, pts))
 
 
 class TestCharts:

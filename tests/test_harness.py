@@ -406,9 +406,33 @@ class TestRun:
     def test_report_gathers_artifacts(self, tmp_path):
         cfg = self._cfg(tmp_path, resolution=0.05)
         run(cfg, "kernel")
-        assert run(cfg, "report") == EXIT_OK
-        rep = json.loads((tmp_path / "report.json").read_text())
-        assert "kernel_report.json" in rep["summary"]["artifacts"]
+        listed = []
+        for _ in range(2):  # a rerun lists the same files
+            assert run(cfg, "report") == EXIT_OK
+            rep = json.loads((tmp_path / "report_report.json").read_text())
+            listed.append(rep["summary"]["artifacts"])
+        assert listed[0] == listed[1] == ["kernel_report.json"]
+        assert not (tmp_path / "report.json").exists()
+
+    def test_json_is_strict(self, tmp_path):
+        """Non-finite numbers are written as null, never as the NaN or
+        Infinity tokens that strict JSON parsers reject."""
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        assert run(self._cfg(tmp_path, resolution=0.05),
+                   "sbg-check") == EXIT_OK
+        lone = self._cfg(tmp_path, resolution=0.05, net_radius=50.0)
+        assert run(lone, "net") == EXIT_OK
+        for name in ("sbg.json", "sbg_check_report.json",
+                     "multiplicity.json", "net_report.json"):
+            json.loads((tmp_path / name).read_text(), parse_constant=reject)
+        rep = json.loads((tmp_path / "net_report.json").read_text())
+        assert rep["summary"]["n_centers"] == 1
+        assert rep["summary"]["separation_min"] is None
+        assert harness._jsonable(
+            {"a": np.array([[np.nan, 1.0]]), "b": complex(-np.inf, 2.0),
+             "c": (np.float64(np.inf), np.int64(3))}) \
+            == {"a": [[None, 1.0]], "b": [None, 2.0], "c": [None, 3]}
 
 
 class TestCli:
