@@ -272,9 +272,8 @@ def decompose(partition: Partition, symbol: SymbolFn, degree=6,
     # glue: phi1 = sum_m chi_hat_m h_m on the nodes
     chi = partition.values
     phi1 = np.zeros(len(grid), dtype=complex)
-    for m, ov in enumerate(approximants):
-        sel = chi[m] > 0
-        phi1[sel] += chi[m][sel] * ov.approximant(grid.nodes[sel])
+    for ov, c in zip(approximants, chi):
+        phi1[c.indices] += c.data * ov.approximant(grid.nodes[c.indices])
     phi2 = symbol(grid.nodes) - phi1
     dec = Decomposition(partition=partition, symbol=symbol, degree=degree,
                         epsilon=eps, epsilon_admissible=admissible,
@@ -283,19 +282,17 @@ def decompose(partition: Partition, symbol: SymbolFn, degree=6,
     # audit (i): local phi_2 mass against the largest nearby epsilon
     dec.phi2_audit = _local_audits(dec, np.abs(phi2) ** 2)
     # audit (ii): pairwise approximant gaps on overlapping supports
-    # candidates: the upper-triangle nonzeros of S S^T, S = supports,
-    # in row-major order; witnesses only for the pairs the audit keeps
+    # candidates: the upper-triangle pattern of chi chi^T (the support
+    # overlaps) in row-major order; witnesses only for the kept pairs
     rng = np.random.default_rng(seed)
-    supp = chi > 0
-    S = csr_matrix(supp, dtype=np.int32)
-    rows, cols = triu(S @ S.T, k=1).nonzero()
+    rows, cols = triu(chi @ chi.T, k=1).nonzero()
     order = np.lexsort((cols, rows))
     pairs = list(zip(rows[order].tolist(), cols[order].tolist()))
     if len(pairs) > AUDIT_PAIRS:
         pairs = [pairs[i] for i in
                  sorted(rng.choice(len(pairs), AUDIT_PAIRS, replace=False))]
     for n, m in pairs:
-        witness = np.nonzero(supp[n] & supp[m])[0]
+        witness = np.intersect1d(chi[n].indices, chi[m].indices)
         node = int(witness[len(witness) // 2])
         def gap_sq(sel, a=approximants[n], b=approximants[m]):
             return np.abs(a.approximant(grid.nodes[sel])
@@ -316,10 +313,11 @@ def _local_audits(dec: Decomposition, values_sq) -> list:
     Centers touching an inadmissible ball (too few nodes for the
     least-squares rank) give vacuous epsilons and are flagged out."""
     net = dec.partition.net
+    by_node = dec.partition.values.T.tocsr()
     audits = []
     for m, c in enumerate(net.center_points()):
         mass = _ball_integral(net.field, c, dec.r_small, values_sq.take)
-        local = np.nonzero(dec.partition.values[:, net.centers[m]] > 0)[0]
+        local = by_node[net.centers[m]].indices
         bound = float(np.max(dec.epsilon[local]) ** 2)
         ok = bool(np.all(dec.epsilon_admissible[local]))
         audits.append(
@@ -332,30 +330,34 @@ def _audit_dbar(dec: Decomposition):
     """Mass of ||dbar phi_1||_g^2 dV on audit balls vs local epsilon^2.
 
     dbar phi_1 = sum_m h_m dbar chi_hat_m with chi_hat differentiated by
-    central differences of the graph-distance cutoffs.
+    central differences of the graph-distance cutoffs; dbar chi_hat_m in
+    direction j at a node is row m, column node * d + j of ``dbar_chi``.
     """
     field = dec.partition.net.field
     nodes = field.grid.nodes
     d = field.domain.dim
     h = 0.25 * field.grid.resolution
-    # dbar chi_hat at all nodes, one finite-difference stencil per node
-    dbar_chi = np.zeros((len(dec.epsilon), len(nodes), d), dtype=complex)
+    parts = []
     for j in range(d):
-        step = np.zeros(d, dtype=complex)
-        step[j] = h
-        i_step = 1j * step
-        shifts = (step, -step, i_step, -i_step)
+        step = h * np.eye(d, dtype=complex)[j]
+        shifts = (step, -step, 1j * step, -(1j * step))
         idx = np.nonzero(np.all([contains(field.domain, nodes + s)
                                  for s in shifts], axis=0))[0]
-        px, mx, py, my = vals = [dec.partition.evaluate(nodes[idx] + s)
-                                 for s in shifts]
-        covered = np.all([v.sum(axis=0) > 0.5 for v in vals], axis=0)
-        dbar = 0.5 * ((px - mx) + 1j * (py - my)) / (2.0 * h)
-        dbar_chi[:, idx[covered], j] = dbar[:, covered]
+        vals = [dec.partition.evaluate(nodes[idx] + s) for s in shifts]
+        # nodes with a shift outside every support are left out
+        covered = np.all([np.bincount(v.indices, minlength=len(idx)) > 0
+                          for v in vals], axis=0)
+        px, mx, py, my = (v[:, covered] for v in vals)
+        dbar = ((px - mx) + 1j * (py - my)).tocoo()
+        parts.append((dbar.row, idx[covered][dbar.col] * d + j,
+                      0.5 * dbar.data / (2.0 * h)))
+    rows, cols, data = map(np.concatenate, zip(*parts))
+    dbar_chi = csr_matrix((data, (rows, cols)),
+                          shape=(len(dec.epsilon), len(nodes) * d))
     dphi1 = np.zeros((len(nodes), d), dtype=complex)
-    for m, ov in enumerate(dec.approximants):
-        act = np.nonzero(np.any(dbar_chi[m] != 0, axis=1))[0]
-        dphi1[act] += ov.approximant(nodes[act])[:, None] * dbar_chi[m][act]
+    for ov, c in zip(dec.approximants, dbar_chi):
+        act, at = np.unique(c.indices // d, return_inverse=True)
+        dphi1.flat[c.indices] += ov.approximant(nodes[act])[at] * c.data
     ginv = np.linalg.inv(field.engine.metric_batch(nodes))
     norm_sq = np.einsum("nj,njk,nk->n", dphi1.conj(), ginv, dphi1).real
     dec.dbar_audit = _local_audits(dec, np.maximum(norm_sq, 0.0))

@@ -271,51 +271,54 @@ def _ramp(t, r_inner, r_outer):
     return 1.0 - s * s * (3.0 - 2.0 * s)
 
 
+def _cutoffs(table, r_inner, r_outer):
+    """Ramped CSR distances, without the entries that round to 0.0, each
+    divided by its column sum (bincount adds in center order)."""
+    chi = table.copy()
+    chi.data = _ramp(chi.data, r_inner, r_outer)
+    chi.eliminate_zeros()
+    chi.data /= np.bincount(chi.indices, chi.data, chi.shape[1])[chi.indices]
+    return chi
+
+
 @dataclass
 class Partition:
-    """Cutoffs chi_hat_m = chi_m / sum_n chi_n supported in metric balls."""
+    """Cutoffs chi_hat_m = chi_m / sum_n chi_n in metric balls; columns
+    of ``values`` sum to 1."""
 
     net: Net
     r_inner: float
     r_outer: float
-    values: np.ndarray  # (n_centers, n_nodes), rows sum to 1 columnwise
+    values: csr_matrix  # (n_centers, n_nodes), Net.near's layout
 
     def evaluate(self, points):
-        """chi_hat_m at arbitrary interior points, (n_centers, n_pts), all
-        zeros outside every support.  Distances come from the table rows
-        of each point's ``_attach`` neighbors: an omitted entry is 2r or
-        farther, where the ramp is exactly 0."""
+        """chi_hat_m at interior points, CSR (n_centers, n_pts) with an
+        empty column outside every support.  A distance is the least
+        ``_attach`` edge plus table entry; an omitted entry ramps to 0."""
         idx, lengths = self.net.field._attach(points)
-        by_node = self.net.near.T.tocsr()
-        dist = np.full((len(self.net), len(idx)), np.inf)
-        for j in range(idx.shape[1]):
-            rows = by_node[idx[:, j]]
-            pts = np.repeat(np.arange(len(idx)), np.diff(rows.indptr))
-            np.minimum.at(dist, (rows.indices, pts),
-                          rows.data + lengths[pts, j])
-        near = dist < self.r_outer
-        dist[near] = _ramp(dist[near], self.r_inner, self.r_outer)
-        dist[~near] = 0.0
-        total = np.sum(dist, axis=0)
-        return np.divide(dist, np.where(total > 0.0, total, 1.0), out=dist)
+        m = len(self.net)
+        rows = self.net.near.T.tocsr()[idx.ravel()]
+        slot = np.repeat(np.arange(idx.size), np.diff(rows.indptr))
+        key = slot // idx.shape[1] * m + rows.indices  # point-major
+        order = np.argsort(key)
+        key, dist = key[order], (rows.data + lengths.ravel()[slot])[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        point, center = divmod(key[first], m)
+        table = csr_matrix((np.minimum.reduceat(dist, first), (center, point)),
+                           shape=(m, len(idx)))
+        return _cutoffs(table, self.r_inner, self.r_outer)
 
 
 def partition_of_unity(net: Net) -> Partition:
-    """Build the normalized cutoffs on the grid nodes.
-
-    Each ramps from 1 at the net separation (covering makes the raw sum
-    >= 1 everywhere) to 0 at twice the separation.
-    """
+    """The normalized cutoffs on the grid nodes; each ramps from 1 at the
+    net separation (covering makes the raw sum >= 1 everywhere) to 0 at
+    twice the separation."""
     r_inner, r_outer = net.separation, 2.0 * net.separation
-    chi = np.zeros(net.near.shape)
-    near = net.near.tocoo()
-    chi[near.row, near.col] = _ramp(near.data, r_inner, r_outer)
-    total = np.sum(chi, axis=0)
-    if np.any(total <= 0.0):
+    chi = _cutoffs(net.near, r_inner, r_outer)
+    if len(np.unique(chi.indices)) < chi.shape[1]:
         raise GeometryError(
             "a grid node is not covered by any cutoff support")
-    return Partition(net=net, r_inner=r_inner, r_outer=r_outer,
-                     values=chi / total)
+    return Partition(net=net, r_inner=r_inner, r_outer=r_outer, values=chi)
 
 
 # -- charts on homogeneous models ------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bergmanlab import domains as dom
-from bergmanlab.geometry import GeodesicField
+from bergmanlab.geometry import GeodesicField, _ramp
 from bergmanlab.kernels import engine_for
 
 RHO = math.tanh(1.0 / math.sqrt(2.0))  # Euclidean radius of B(0,1) on disc
@@ -97,3 +97,39 @@ def zbar1(dim):
         return out
     return SymbolFn(fn=lambda z: np.conj(np.atleast_2d(z)[:, 0]),
                     smoothness="C1", dbar=db, label="conj(z1)")
+
+
+# -- the dense partition of unity, kept as the reference for the CSR one
+
+
+def dense_partition_values(net):
+    """The former dense Partition.values: the ramped table entries in a
+    zero (n_centers, n_nodes) array, over the column sums."""
+    chi = np.zeros(net.near.shape)
+    near = net.near.tocoo()
+    chi[near.row, near.col] = _ramp(near.data, net.separation,
+                                    2.0 * net.separation)
+    return chi / np.sum(chi, axis=0)
+
+
+def dense_evaluate(part, points):
+    """The former dense Partition.evaluate, (n_centers, n_pts) with zero
+    columns outside every support: the least table row plus attach edge
+    per slot into an inf-filled array, ramped and normalized in place."""
+    idx, lengths = part.net.field._attach(points)
+    by_node = part.net.near.T.tocsr()
+    dist = np.full((len(part.net), len(idx)), np.inf)
+    for j in range(idx.shape[1]):
+        rows = by_node[idx[:, j]]
+        pts = np.repeat(np.arange(len(idx)), np.diff(rows.indptr))
+        np.minimum.at(dist, (rows.indices, pts), rows.data + lengths[pts, j])
+    near = dist < part.r_outer
+    dist[near] = _ramp(dist[near], part.r_inner, part.r_outer)
+    dist[~near] = 0.0
+    total = np.sum(dist, axis=0)
+    return np.divide(dist, np.where(total > 0.0, total, 1.0), out=dist)
+
+
+def assert_no_stored_zeros(mat):
+    """Every stored entry of a sparse matrix is nonzero."""
+    assert mat.nnz == np.count_nonzero(mat.data)

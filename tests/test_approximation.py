@@ -8,11 +8,14 @@ from bergmanlab import domains as dom
 from bergmanlab.approximation import (ApproximationError, boundary_scan,
                                       dbar_functional, decompose, omega,
                                       ray_point, variety_test)
-from bergmanlab.geometry import (GeometryError, build_net, metric_ball,
-                                 partition_of_unity)
+from bergmanlab.approximation import AUDIT_PAIRS, MIN_NODE_FACTOR
+from bergmanlab.geometry import (GeodesicField, GeometryError, build_net,
+                                 metric_ball, partition_of_unity)
+from bergmanlab.kernels import engine_for, multi_indices
 from bergmanlab.operators import SymbolFn
 
-from conftest import RHO, zbar1
+from conftest import (RHO, assert_no_stored_zeros, dense_evaluate,
+                      dense_partition_values, zbar1)
 
 # closed-form value of the dV-weighted distance from conj(z) to
 # holomorphic functions on the unit-radius metric ball at 0
@@ -150,7 +153,7 @@ class TestDecomposition:
     def test_audited_pairs_match_loop_reference(self, dec):
         """The former O(centers^2) enumeration of overlapping supports,
         with the median common node as witness and the same draw."""
-        chi = dec.partition.values
+        chi = dec.partition.values.toarray()
         pairs = []
         for n in range(len(chi)):
             supp_n = chi[n] > 0
@@ -241,3 +244,140 @@ class TestVarietyTest:
         inner = lambda w: np.array([0.5, w])
         with pytest.raises(ApproximationError):
             variety_test(sym, bidisc_domain, inner)
+
+
+# -- the dense decomposition, kept as the reference for the CSR one ----
+
+
+def _dense_decompose(partition, symbol, degree, seed=0):
+    """The former decompose on dense (n_centers, n_nodes) cutoffs: the
+    glue over the positive entries of each row, pairs from S S^T with S
+    the dense supports, and the dbar audit on a dense (n_centers,
+    n_nodes, d) stencil array.  Returns phi1, epsilon and the audits."""
+    from scipy.sparse import csr_matrix, triu
+    net = partition.net
+    field = net.field
+    grid = field.grid
+    r2 = 0.5 * net.separation
+    n_unknowns = len(multi_indices(field.domain.dim, degree))
+    eps = np.empty(len(net))
+    admissible = np.zeros(len(net), dtype=bool)
+    approximants = []
+    for m, c in enumerate(net.center_points()):
+        ball = metric_ball(field, c, partition.r_outer + r2)
+        ov = omega(field, ball, symbol, degree)
+        eps[m] = math.sqrt(max(ov.value, 0.0))
+        admissible[m] = len(ball) >= MIN_NODE_FACTOR * n_unknowns
+        approximants.append(ov)
+    chi = dense_partition_values(net)
+    phi1 = np.zeros(len(grid), dtype=complex)
+    for m, ov in enumerate(approximants):
+        sel = chi[m] > 0
+        phi1[sel] += chi[m][sel] * ov.approximant(grid.nodes[sel])
+    phi2 = symbol(grid.nodes) - phi1
+
+    def local_audits(values_sq):
+        audits = []
+        for m, c in enumerate(net.center_points()):
+            mass = approximation._ball_integral(field, c, r2, values_sq.take)
+            local = np.nonzero(chi[:, net.centers[m]] > 0)[0]
+            bound = float(np.max(eps[local]) ** 2)
+            ok = bool(np.all(admissible[local]))
+            audits.append(
+                {"center": m, "mass": mass, "eps_sq": bound,
+                 "admissible": ok,
+                 "ratio": mass / bound if (ok and bound > 0) else 0.0})
+        return audits
+
+    rng = np.random.default_rng(seed)
+    supp = chi > 0
+    S = csr_matrix(supp, dtype=np.int32)
+    rows, cols = triu(S @ S.T, k=1).nonzero()
+    order = np.lexsort((cols, rows))
+    pairs = list(zip(rows[order].tolist(), cols[order].tolist()))
+    if len(pairs) > AUDIT_PAIRS:
+        pairs = [pairs[i] for i in
+                 sorted(rng.choice(len(pairs), AUDIT_PAIRS, replace=False))]
+    pair_audit = []
+    for n, m in pairs:
+        witness = np.nonzero(supp[n] & supp[m])[0]
+        node = int(witness[len(witness) // 2])
+        def gap_sq(sel, a=approximants[n], b=approximants[m]):
+            return np.abs(a.approximant(grid.nodes[sel])
+                          - b.approximant(grid.nodes[sel])) ** 2
+        lhs = math.sqrt(approximation._ball_integral(
+            field, grid.nodes[node], r2, gap_sq))
+        rhs = eps[n] + eps[m]
+        pair_audit.append(
+            {"pair": (n, m), "witness": node, "lhs": lhs, "rhs": rhs,
+             "holds": bool(lhs <= rhs * (1.0 + 1e-9) + 1e-12)})
+    nodes = grid.nodes
+    d = field.domain.dim
+    h = 0.25 * grid.resolution
+    dbar_chi = np.zeros((len(net), len(nodes), d), dtype=complex)
+    for j in range(d):
+        step = np.zeros(d, dtype=complex)
+        step[j] = h
+        i_step = 1j * step
+        shifts = (step, -step, i_step, -i_step)
+        idx = np.nonzero(np.all([dom.contains(field.domain, nodes + s)
+                                 for s in shifts], axis=0))[0]
+        px, mx, py, my = vals = [dense_evaluate(partition, nodes[idx] + s)
+                                 for s in shifts]
+        covered = np.all([v.sum(axis=0) > 0.5 for v in vals], axis=0)
+        dbar = 0.5 * ((px - mx) + 1j * (py - my)) / (2.0 * h)
+        dbar_chi[:, idx[covered], j] = dbar[:, covered]
+    dphi1 = np.zeros((len(nodes), d), dtype=complex)
+    for m, ov in enumerate(approximants):
+        act = np.nonzero(np.any(dbar_chi[m] != 0, axis=1))[0]
+        dphi1[act] += ov.approximant(nodes[act])[:, None] * dbar_chi[m][act]
+    ginv = np.linalg.inv(field.engine.metric_batch(nodes))
+    norm_sq = np.einsum("nj,njk,nk->n", dphi1.conj(), ginv, dphi1).real
+    return {"phi1": phi1, "epsilon": eps, "pair_audit": pair_audit,
+            "phi2_audit": local_audits(np.abs(phi2) ** 2),
+            "dbar_audit": local_audits(np.maximum(norm_sq, 0.0))}
+
+
+def _coarse_field(domain, resolution, degree=None):
+    grid = dom.build_grid(domain, resolution)
+    engine = engine_for(domain) if degree is None \
+        else engine_for(domain, grid, degree=degree)
+    return GeodesicField(engine, grid)
+
+
+# (field, net radius, approximation degree); the coarse polydisc keeps
+# the reference's (n_centers, n_nodes, d) array near 74 MB
+_REFERENCE_CASES = {
+    "disc": (None, 0.5, 6),
+    "polydisc2": (lambda: _coarse_field(dom.polydisc(2), 0.25), 0.8, 4),
+    "egg2": (lambda: _coarse_field(dom.egg(2), 0.25, degree=6), 0.5, 4)}
+
+
+@pytest.fixture(scope="module", params=sorted(_REFERENCE_CASES))
+def dense_pair(request, disc_field):
+    """A decomposition of conj(z1) and its dense reference."""
+    make, r, degree = _REFERENCE_CASES[request.param]
+    field = make() if make else disc_field
+    part = partition_of_unity(build_net(field, r))
+    sym = zbar1(field.domain.dim)
+    return (decompose(part, sym, degree=degree),
+            _dense_decompose(part, sym, degree))
+
+
+class TestDenseReference:
+    """The CSR partition path against the dense one it replaced."""
+
+    def test_phi1_and_epsilon(self, dense_pair):
+        dec, ref = dense_pair
+        assert np.array_equal(dec.phi1, ref["phi1"])
+        assert np.array_equal(dec.epsilon, ref["epsilon"])
+
+    def test_audits(self, dense_pair):
+        dec, ref = dense_pair
+        assert len(dec.pair_audit) == AUDIT_PAIRS
+        assert dec.pair_audit == ref["pair_audit"]
+        assert dec.phi2_audit == ref["phi2_audit"]
+        assert dec.dbar_audit == ref["dbar_audit"]
+
+    def test_values_have_no_stored_zeros(self, dense_pair):
+        assert_no_stored_zeros(dense_pair[0].partition.values)

@@ -136,6 +136,20 @@ class TestGrids:
         assert not np.array_equal(a.nodes, c.nodes)
         assert a.weights.sum() == pytest.approx(math.pi, rel=0.05)
 
+    def test_quasi_random_count_follows_resolution(self, disc_domain):
+        """No floor on the candidate count: a coarser resolution draws
+        fewer candidates (1.0 and 2.0 once both drew 64)."""
+        sizes = [len(dom.build_grid(disc_domain, h, scheme="quasi-random",
+                                    seed=1)) for h in (1.0, 2.0)]
+        assert sizes[0] > sizes[1]
+
+    @pytest.mark.parametrize("h", [0.001, 0.0012, 1e-200])
+    def test_quasi_random_beyond_cap_raises(self, disc_domain, h):
+        """No silent ceiling: 0.001 and 0.0012 once both drew the capped
+        2,000,000 candidates."""
+        with pytest.raises(dom.DomainError, match="above the cap of 2000000"):
+            dom.build_grid(disc_domain, h, scheme="quasi-random", seed=1)
+
     def test_product_polar_integrates_monomials_exactly(self, disc_domain):
         grid = dom.build_grid(disc_domain, 0.0, scheme="product-polar",
                               degree=12)

@@ -10,8 +10,12 @@ from bergmanlab.approximation import ray_point, ray_directions
 from bergmanlab.geometry import (GeodesicField, GeometryError, _ramp,
                                  _realify, beta, build_net, chart,
                                  covering_audit, metric_ball, multiplicity,
-                                 partition_of_unity, separation_audit)
+                                 Net, Partition, partition_of_unity,
+                                 separation_audit)
 from bergmanlab.kernels import engine_for
+
+from conftest import (assert_no_stored_zeros, dense_evaluate,
+                      dense_partition_values)
 
 DIST_0_HALF = math.sqrt(2.0) * math.atanh(0.5)  # 0.77682...
 RHO = math.tanh(1.0 / math.sqrt(2.0))
@@ -227,15 +231,16 @@ class TestPartition:
 
     def test_nonnegative_and_supported(self, disc_partition):
         part = disc_partition
-        assert np.min(part.values) >= 0.0
+        assert np.min(part.values.toarray()) >= 0.0
         dists = _dense_distances(part.net)
-        assert np.all(part.values[dists >= part.r_outer] == 0.0)
+        assert np.all(part.values.toarray()[dists >= part.r_outer] == 0.0)
         assert (part.r_inner, part.r_outer) == (0.5, 1.0)
 
     def test_evaluate_matches_nodes(self, disc_field, disc_partition):
         sample = disc_field.grid.nodes[::500]
-        vals = disc_partition.evaluate(sample)
-        assert np.max(np.abs(vals - disc_partition.values[:, ::500])) < 0.05
+        vals = disc_partition.evaluate(sample).toarray()
+        assert np.max(np.abs(
+            vals - disc_partition.values[:, ::500].toarray())) < 0.05
 
     def test_evaluate_matches_reference(self, disc_field, disc_partition):
         nodes = disc_field.grid.nodes[::97]
@@ -243,7 +248,7 @@ class TestPartition:
         h = 0.25 * disc_field.grid.resolution
         for pts in (nodes, nodes + h, nodes - 1j * h):
             assert np.array_equal(
-                disc_partition.evaluate(pts),
+                disc_partition.evaluate(pts).toarray(),
                 _evaluate_reference(disc_partition, pts))
 
 
@@ -296,8 +301,12 @@ class TestNearTable:
         for net in nets:
             r = net.separation
             chi = _ramp(_dense_distances(net), r, 2.0 * r)
-            assert np.array_equal(partition_of_unity(net).values,
+            values = partition_of_unity(net).values
+            assert np.array_equal(values.toarray(),
                                   chi / np.sum(chi, axis=0))
+            assert np.array_equal(values.toarray(),
+                                  dense_partition_values(net))
+            assert_no_stored_zeros(values)
 
     def test_evaluate_off_grid(self, nets):
         for net in nets:
@@ -308,8 +317,27 @@ class TestNearTable:
             for pts in (nodes + h, nodes - 1j * h):
                 pts = pts[dom.contains(field.domain, pts)]
                 assert len(pts)
-                assert np.array_equal(part.evaluate(pts),
+                vals = part.evaluate(pts)
+                assert_no_stored_zeros(vals)
+                assert np.array_equal(vals.toarray(),
                                       _evaluate_reference(part, pts))
+                assert np.array_equal(vals.toarray(),
+                                      dense_evaluate(part, pts))
+
+    def test_evaluate_outside_every_support(self, nets):
+        """Points beyond every cutoff get an empty column; the others a
+        column that sums to 1."""
+        net = nets[0]
+        part = partition_of_unity(net)
+        far = net.near.copy()
+        far.data[:] = part.r_outer  # every center at the rim of its ball
+        rim = Partition(net=Net(net.separation, net.centers, far, net.field),
+                        r_inner=part.r_inner, r_outer=part.r_outer,
+                        values=part.values)
+        pts = net.field.grid.nodes[:5]
+        assert rim.evaluate(pts).nnz == 0
+        total = np.asarray(part.evaluate(pts).sum(axis=0)).ravel()
+        assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 class TestCharts:

@@ -302,6 +302,14 @@ class TestRun:
         assert out == ""
         assert err == "computation failed: no admissible scan points\n"
 
+    def test_quasi_random_beyond_cap_exit_code(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, scheme="quasi-random", resolution=0.001)
+        assert run(cfg, "net") == EXIT_COMPUTE
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("computation failed: quasi-random resolution "
+                              "0.001 asks for 4e+06 candidate nodes")
+
     def test_out_dir_that_is_a_file(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")
