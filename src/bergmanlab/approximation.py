@@ -233,12 +233,11 @@ class Decomposition:
         return shell_max(shells[0]) / max(shell_max(shells[-1]), 1e-300)
 
 
-def _ball_integral(field, center_point, radius, values_sq):
-    """integral of values_sq dV over the graph metric ball, where
-    values_sq maps the ball's member node indices to their values."""
-    sel = metric_ball(field, center_point, radius).members
-    w = field.grid.weights[sel] * field.volume_density_nodes()[sel]
-    return float(np.sum(w * values_sq(sel)))
+def _ball_integral(field, members, values):
+    """integral of values dV over a ball, given values at its member node
+    indices."""
+    w = field.grid.weights[members] * field.volume_density_nodes()[members]
+    return float(np.sum(w * values))
 
 
 def decompose(partition: Partition, symbol: SymbolFn, degree=6,
@@ -294,10 +293,10 @@ def decompose(partition: Partition, symbol: SymbolFn, degree=6,
     for n, m in pairs:
         witness = np.intersect1d(chi[n].indices, chi[m].indices)
         node = int(witness[len(witness) // 2])
-        def gap_sq(sel, a=approximants[n], b=approximants[m]):
-            return np.abs(a.approximant(grid.nodes[sel])
-                          - b.approximant(grid.nodes[sel])) ** 2
-        lhs = math.sqrt(_ball_integral(field, grid.nodes[node], r2, gap_sq))
+        sel = metric_ball(field, grid.nodes[node], r2).members
+        gap = approximants[n].approximant(grid.nodes[sel]) \
+            - approximants[m].approximant(grid.nodes[sel])
+        lhs = math.sqrt(_ball_integral(field, sel, np.abs(gap) ** 2))
         rhs = eps[n] + eps[m]
         dec.pair_audit.append(
             {"pair": (n, m), "witness": node, "lhs": lhs, "rhs": rhs,
@@ -310,13 +309,16 @@ def decompose(partition: Partition, symbol: SymbolFn, degree=6,
 def _local_audits(dec: Decomposition, values_sq) -> list:
     """Per center m, the mass of values_sq dV on B(zeta_m, r_2) against
     the largest eps^2 of the cutoffs alive at zeta_m (m among them).
+    The ball's members are row m of Net.near below r_2 (r_2 < 2r).
     Centers touching an inadmissible ball (too few nodes for the
     least-squares rank) give vacuous epsilons and are flagged out."""
     net = dec.partition.net
     by_node = dec.partition.values.T.tocsr()
     audits = []
-    for m, c in enumerate(net.center_points()):
-        mass = _ball_integral(net.field, c, dec.r_small, values_sq.take)
+    for m in range(len(net)):
+        row = slice(net.near.indptr[m], net.near.indptr[m + 1])
+        members = net.near.indices[row][net.near.data[row] < dec.r_small]
+        mass = _ball_integral(net.field, members, values_sq[members])
         local = by_node[net.centers[m]].indices
         bound = float(np.max(dec.epsilon[local]) ** 2)
         ok = bool(np.all(dec.epsilon_admissible[local]))
@@ -383,9 +385,7 @@ def dbar_functional(symbol: SymbolFn, field: GeodesicField,
         raise ApproximationError("metric not positive definite on the ball")
     ginv = np.linalg.inv(g)
     norm_sq = np.einsum("nj,njk,nk->n", alpha.conj(), ginv, alpha).real
-    w = field.grid.weights[ball.members] \
-        * field.volume_density_nodes()[ball.members]
-    return float(np.sum(w * norm_sq))
+    return _ball_integral(field, ball.members, norm_sq)
 
 
 # -- boundary analytic-disc test --------------------------------------

@@ -192,13 +192,16 @@ def _tensor_midpoint(dom, resolution):
 
 def _quasi_random(dom, resolution, seed):
     box = 2.0 ** (2 * dom.dim)  # one candidate per resolution^(2d) cell
-    n_cand = box / max(resolution ** (2 * dom.dim), math.ulp(0.0))
+    try:
+        n_cand = box / max(resolution ** (2 * dom.dim), math.ulp(0.0))
+    except OverflowError:  # a cell past float range holds no candidate
+        n_cand = 0.0
     if n_cand > 2_000_000:
         raise DomainError(f"quasi-random resolution {resolution} asks for "
                           f"{n_cand:.4g} candidate nodes, above the cap "
                           f"of 2000000")
     sampler = qmc.Halton(d=2 * dom.dim, scramble=True, seed=seed)
-    x = qmc.scale(sampler.random(math.ceil(n_cand)), -1.0, 1.0)
+    x = 2.0 * sampler.random(math.ceil(n_cand)) - 1.0  # into [-1, 1]
     z = x[:, 0::2] + 1j * x[:, 1::2]
     z = z[contains(dom, z)]
     if len(z) == 0:

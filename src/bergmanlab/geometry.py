@@ -44,6 +44,9 @@ class GeodesicField:
         d = self.domain.dim
         self.k = neighbors_per_dim * 2 * d
         nodes = grid.nodes
+        if len(nodes) < 2:
+            raise GeometryError(f"a geodesic graph needs at least 2 grid "
+                                f"nodes, the grid has {len(nodes)}")
         self._tree = cKDTree(_realify(nodes))
         k = min(self.k + 1, len(nodes))
         _, idx = self._tree.query(_realify(nodes), k=k)
@@ -59,7 +62,6 @@ class GeodesicField:
         n = len(nodes)
         mat = csr_matrix((lengths, (rows, cols)), shape=(n, n))
         self.graph = mat.maximum(mat.T)  # symmetrize
-        self._node_cache: dict = {}
         self._point_cache: dict = {}
         self._density = None
 
@@ -93,12 +95,10 @@ class GeodesicField:
         p = np.asarray(p, dtype=complex).reshape(1, -1)
         return int(self._tree.query(_realify(p), k=1)[1][0])
 
-    def distances_from_node(self, i: int):
-        if i not in self._node_cache:
-            # self.graph is symmetric, so a directed search is exact
-            self._node_cache[i] = dijkstra(self.graph, directed=True,
-                                           indices=i)
-        return self._node_cache[i]
+    def distances_from_node(self, i: int, limit=np.inf):
+        """Uncached graph distances from node i, ``inf`` beyond ``limit``;
+        self.graph is symmetric, so a directed search is exact."""
+        return dijkstra(self.graph, directed=True, indices=i, limit=limit)
 
     def _attach(self, points):
         """Neighbor indices and exact edge lengths for off-grid points,
@@ -116,9 +116,9 @@ class GeodesicField:
 
         Every node within graph distance ``limit`` of p gets its exact
         distance; nodes farther away read ``inf`` (scipy's Dijkstra
-        keeps ``dist <= limit``).  A cached row computed with a limit at
-        least as large is returned as is, so it may hold finite values
-        beyond ``limit``.
+        keeps ``dist <= limit``).  At a grid node this is
+        ``distances_from_node``.  An off-grid row is cached, and one from a
+        limit at least as large is returned whole.
 
         Off-grid, p becomes a virtual node n whose only edges are its
         ``_attach`` edges, stored as one extra CSR row.  The search from
@@ -134,19 +134,16 @@ class GeodesicField:
             return cached[1]
         idx, lengths = (v[0] for v in self._attach(p))
         if np.allclose(lengths[0], 0.0, atol=1e-13):
-            limit = np.inf
-            dist = self.distances_from_node(int(idx[0]))
-        else:
-            g = self.graph
-            n = len(self.grid)
-            order = np.argsort(idx)
-            aug = csr_matrix(
-                (np.concatenate([g.data, lengths[order]]),
-                 np.concatenate([g.indices,
-                                 idx[order].astype(g.indices.dtype)]),
-                 np.append(g.indptr, g.indptr.dtype.type(g.nnz + len(idx)))),
-                shape=(n + 1, n + 1))
-            dist = dijkstra(aug, directed=True, indices=n, limit=limit)[:n]
+            return self.distances_from_node(int(idx[0]), limit)
+        g = self.graph
+        n = len(self.grid)
+        order = np.argsort(idx)
+        aug = csr_matrix(
+            (np.concatenate([g.data, lengths[order]]),
+             np.concatenate([g.indices, idx[order].astype(g.indices.dtype)]),
+             np.append(g.indptr, g.indptr.dtype.type(g.nnz + len(idx)))),
+            shape=(n + 1, n + 1))
+        dist = dijkstra(aug, directed=True, indices=n, limit=limit)[:n]
         self._point_cache[key] = (limit, dist)
         return dist
 
@@ -176,7 +173,6 @@ class MetricBall:
     radius: float
     members: np.ndarray  # node indices
     lebesgue_mass: float
-    bergman_mass: float
 
     def __len__(self):
         return len(self.members)
@@ -191,11 +187,9 @@ def metric_ball(field: GeodesicField, zeta, r: float) -> MetricBall:
         raise GeometryError(
             f"metric ball of radius {r} contains no grid nodes")
     w = field.grid.weights[members]
-    dens = field.volume_density_nodes()[members]
     return MetricBall(center=np.asarray(zeta, dtype=complex).reshape(-1),
                       radius=float(r), members=members,
-                      lebesgue_mass=float(np.sum(w)),
-                      bergman_mass=float(np.sum(w * dens)))
+                      lebesgue_mass=float(np.sum(w)))
 
 
 @dataclass
@@ -222,13 +216,15 @@ def build_net(field: GeodesicField, r: float) -> Net:
     if not r > 0:
         raise GeometryError("net radius must be positive")
     centers = [field.nearest_node(field.domain.anchor_point)]
-    dmin, cols, vals = np.inf, [], []
+    dmin, far, cols, vals = np.inf, math.inf, [], []
     while True:
-        row = field.distances_from_node(centers[-1])
+        # a node beyond far keeps its dmin, and near needs all below 2r
+        row = field.distances_from_node(centers[-1], max(far, 2.0 * r))
         cols.append(np.nonzero(row < 2.0 * r)[0])
         vals.append(row[cols[-1]])
         dmin = np.minimum(dmin, row)
-        if float(np.max(dmin)) < r:
+        far = float(np.max(dmin))
+        if far < r:
             break
         centers.append(int(np.argmax(dmin)))  # the lowest tied index
     indptr = np.cumsum([0] + [len(c) for c in cols])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from bergmanlab import approximation
 from bergmanlab import domains as dom
@@ -279,7 +280,8 @@ def _dense_decompose(partition, symbol, degree, seed=0):
     def local_audits(values_sq):
         audits = []
         for m, c in enumerate(net.center_points()):
-            mass = approximation._ball_integral(field, c, r2, values_sq.take)
+            sel = metric_ball(field, c, r2).members
+            mass = approximation._ball_integral(field, sel, values_sq[sel])
             local = np.nonzero(chi[:, net.centers[m]] > 0)[0]
             bound = float(np.max(eps[local]) ** 2)
             ok = bool(np.all(admissible[local]))
@@ -305,8 +307,8 @@ def _dense_decompose(partition, symbol, degree, seed=0):
         def gap_sq(sel, a=approximants[n], b=approximants[m]):
             return np.abs(a.approximant(grid.nodes[sel])
                           - b.approximant(grid.nodes[sel])) ** 2
-        lhs = math.sqrt(approximation._ball_integral(
-            field, grid.nodes[node], r2, gap_sq))
+        sel = metric_ball(field, grid.nodes[node], r2).members
+        lhs = math.sqrt(approximation._ball_integral(field, sel, gap_sq(sel)))
         rhs = eps[n] + eps[m]
         pair_audit.append(
             {"pair": (n, m), "witness": node, "lhs": lhs, "rhs": rhs,
@@ -381,3 +383,39 @@ class TestDenseReference:
 
     def test_values_have_no_stored_zeros(self, dense_pair):
         assert_no_stored_zeros(dense_pair[0].partition.values)
+
+    def test_net_matches_unbounded_searches(self, dense_pair):
+        net = dense_pair[0].partition.net
+        centers, indptr, indices, data = _unbounded_net(net.field,
+                                                        net.separation)
+        assert np.array_equal(net.centers, centers)
+        assert np.array_equal(net.near.indptr, indptr)
+        assert np.array_equal(net.near.indices, indices)
+        assert net.near.data.tobytes() == data.tobytes()
+
+    def test_phi2_masses_match_metric_balls(self, dense_pair):
+        dec = dense_pair[0]
+        net = dec.partition.net
+        phi2_sq = np.abs(dec.phi2) ** 2
+        for audit, c in zip(dec.phi2_audit, net.center_points()):
+            sel = metric_ball(net.field, c, dec.r_small).members
+            assert audit["mass"] == approximation._ball_integral(
+                net.field, sel, phi2_sq[sel])
+
+
+def _unbounded_net(field, r):
+    """build_net from full Dijkstra rows: the greedy farthest-first
+    centres and, per centre, the node indices and distances below 2r, as
+    CSR indptr, indices and data."""
+    centers = [field.nearest_node(field.domain.anchor_point)]
+    cols, vals, dmin = [], [], np.inf
+    while True:
+        row = dijkstra(field.graph, directed=False, indices=centers[-1])
+        cols.append(np.nonzero(row < 2.0 * r)[0])
+        vals.append(row[cols[-1]])
+        dmin = np.minimum(dmin, row)
+        if np.max(dmin) < r:
+            break
+        centers.append(int(np.argmax(dmin)))
+    return (np.array(centers), np.cumsum([0] + [len(c) for c in cols]),
+            np.concatenate(cols), np.concatenate(vals))

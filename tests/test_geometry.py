@@ -123,13 +123,14 @@ class TestOffGridSearch:
             full = _lil_reference(small_field, p)
             assert np.array_equal(ball.members, np.nonzero(full < 1.0)[0])
 
-    def test_on_node_point_caches_the_full_row(self, small_field):
+    def test_on_node_point_obeys_limit(self, small_field):
         i = len(small_field.grid) // 3
         p = small_field.grid.nodes[i]
-        near = small_field.distances_from_point(p, limit=0.5)
         full = dijkstra(small_field.graph, directed=False, indices=i)
-        assert np.array_equal(near, full)
-        assert small_field.distances_from_point(p) is near
+        assert np.any(full <= 0.5) and np.any(full > 0.5)
+        near = small_field.distances_from_point(p, limit=0.5)
+        assert np.array_equal(near, np.where(full <= 0.5, full, np.inf))
+        assert np.array_equal(near, small_field.distances_from_node(i, 0.5))
 
     def test_batched_attach_matches_single_points(self, small_field):
         pts = np.stack(_points(small_field, (0.25, 0.5, 0.75)))
@@ -194,9 +195,14 @@ class TestNets:
 
 def _dense_distances(net):
     """The former Net.center_distances(): (n_centers, n_nodes) graph
-    distances, one full row per center."""
-    return np.stack([net.field.distances_from_node(int(c))
-                     for c in net.centers])
+    distances, one full row per center.  The field keeps no rows, so
+    they are searched once per net and kept, read-only, on the net
+    (directed, as test_node_search_matches_undirected allows)."""
+    if not hasattr(net, "_dense_rows"):
+        net._dense_rows = dijkstra(net.field.graph, directed=True,
+                                   indices=net.centers)
+        net._dense_rows.flags.writeable = False
+    return net._dense_rows
 
 
 def _evaluate_reference(part, points):

@@ -310,6 +310,19 @@ class TestRun:
         assert err.startswith("computation failed: quasi-random resolution "
                               "0.001 asks for 4e+06 candidate nodes")
 
+    @pytest.mark.parametrize("scheme, message", [
+        ("tensor-midpoint", "a geodesic graph needs at least 2 grid nodes, "
+                            "the grid has 1"),
+        ("quasi-random", "no quasi-random nodes landed inside the domain")],
+        ids=["tensor-midpoint", "quasi-random"])
+    def test_huge_resolution_exit_code(self, tmp_path, capsys, scheme,
+                                       message):
+        cfg = self._cfg(tmp_path, domain="polydisc2", scheme=scheme,
+                        resolution=1e200)
+        assert run(cfg, "net") == EXIT_COMPUTE
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"computation failed: {message}\n"
+
     def test_out_dir_that_is_a_file(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")
