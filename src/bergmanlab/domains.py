@@ -8,11 +8,12 @@ dmu = product over coordinates of dx_j dy_j.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.stats import qmc
 
 
 class DomainError(ValueError):
@@ -170,43 +171,30 @@ class QuadratureGrid:
         return len(self.nodes)
 
 
-def _midpoint_axis(resolution):
-    """Midpoints of a uniform split of [-1, 1], the bounding box side."""
-    n = int(math.ceil(2.0 / resolution))
-    if n < 1:
-        raise DomainError("resolution too coarse for the bounding box")
-    h = 2.0 / n
-    return -1.0 + h * (np.arange(n) + 0.5), h
+# candidate nodes of a tensor-midpoint grid, before clipping to the
+# domain: ball2 at 0.05 (criterion 09) needs 2,560,000
+_MIDPOINT_CAP = 8_000_000
 
 
 def _tensor_midpoint(dom, resolution):
-    axis, h = _midpoint_axis(resolution)
+    """Midpoint rule on a uniform split of the bounding box [-1, 1]^2d,
+    clipped to the domain."""
+    # below resolution 2 / float_max, 2 / resolution passes float
+    # range; float_max cells per axis are past the cap all the same
+    n = math.ceil(min(2.0 / resolution, sys.float_info.max))
+    n_cand = n ** (2 * dom.dim)  # a Python int, so it cannot overflow
+    if n_cand > _MIDPOINT_CAP:
+        raise DomainError(f"tensor-midpoint resolution {resolution} asks "
+                          f"for {Decimal(n_cand):.4g} candidate nodes, "
+                          f"above the cap of {_MIDPOINT_CAP}")
+    h = 2.0 / n
+    axis = -1.0 + h * (np.arange(n) + 0.5)
     grids = np.meshgrid(*([axis] * (2 * dom.dim)), indexing="ij")
     x = np.stack([g.ravel() for g in grids], axis=-1)
     z = x[:, 0::2] + 1j * x[:, 1::2]
     keep = contains(dom, z)
     z = z[keep]
     w = np.full(len(z), h ** (2 * dom.dim))
-    return z, w
-
-
-def _quasi_random(dom, resolution, seed):
-    box = 2.0 ** (2 * dom.dim)  # one candidate per resolution^(2d) cell
-    try:
-        n_cand = box / max(resolution ** (2 * dom.dim), math.ulp(0.0))
-    except OverflowError:  # a cell past float range holds no candidate
-        n_cand = 0.0
-    if n_cand > 2_000_000:
-        raise DomainError(f"quasi-random resolution {resolution} asks for "
-                          f"{n_cand:.4g} candidate nodes, above the cap "
-                          f"of 2000000")
-    sampler = qmc.Halton(d=2 * dom.dim, scramble=True, seed=seed)
-    x = 2.0 * sampler.random(math.ceil(n_cand)) - 1.0  # into [-1, 1]
-    z = x[:, 0::2] + 1j * x[:, 1::2]
-    z = z[contains(dom, z)]
-    if len(z) == 0:
-        raise DomainError("no quasi-random nodes landed inside the domain")
-    w = np.full(len(z), lebesgue_volume(dom) / len(z))
     return z, w
 
 
@@ -276,12 +264,12 @@ def _product_polar(dom, n_rad, n_theta):
 
 
 def build_grid(dom: DomainSpec, resolution: float, scheme="tensor-midpoint",
-               seed=0, degree=None) -> QuadratureGrid:
+               degree=None) -> QuadratureGrid:
     """Build a deterministic quadrature grid.
 
     schemes:
-      tensor-midpoint  midpoint rule on a clipped tensor grid (default)
-      quasi-random     Halton nodes with equal weights mu(Omega)/N
+      tensor-midpoint  midpoint rule on a clipped tensor grid (default);
+                       at most _MIDPOINT_CAP candidate nodes
       product-polar    polar/Reinhardt product rule, exact for monomial
                        inner products up to ``degree`` (required argument)
     """
@@ -289,8 +277,6 @@ def build_grid(dom: DomainSpec, resolution: float, scheme="tensor-midpoint",
         raise DomainError("resolution must be positive")
     if scheme == "tensor-midpoint":
         z, w = _tensor_midpoint(dom, resolution)
-    elif scheme == "quasi-random":
-        z, w = _quasi_random(dom, resolution, seed)
     elif scheme == "product-polar":
         if degree is None:
             raise DomainError("product-polar scheme requires a degree")

@@ -219,9 +219,6 @@ _DOMAINS = {  # config name: (domain, default resolution)
     "egg4": (egg(4), 0.15),
 }
 
-_SCHEMES = ("tensor-midpoint", "quasi-random")
-
-
 def _has_type_of(value, default):
     """Whether a config value fits the type of its field's default: an
     int (never a bool) where the default is an int, any finite real
@@ -245,7 +242,6 @@ def _has_type_of(value, default):
 class ExperimentConfig:
     domain: str = "disc"
     resolution: float = 0.0  # 0 selects the per-domain default
-    scheme: str = "tensor-midpoint"
     seed: int = 20240817
     basis_degree: int = 20
     radius: float = 1.0
@@ -255,7 +251,6 @@ class ExperimentConfig:
     rays: int = 4
     steps: tuple = (0.3, 0.5, 0.7, 0.8, 0.9, 0.95)
     hankel_degrees: tuple = (4, 8, 12, 16)
-    kernel_mode: str = "auto"  # auto | closed | numerical
     graph_neighbors: int = 8
     out_dir: str = "out"
     threads: int = 0  # 0 = library default; speed only
@@ -280,10 +275,6 @@ class ExperimentConfig:
         for name in ("seed", "threads"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"config field {name} must be >= 0")
-        if self.scheme not in _SCHEMES:
-            raise ConfigError(f"scheme must be one of {_SCHEMES}")
-        if self.kernel_mode not in ("auto", "closed", "numerical"):
-            raise ConfigError("kernel_mode must be auto|closed|numerical")
         self.steps = tuple(float(t) for t in self.steps)
         self.hankel_degrees = tuple(int(n) for n in self.hankel_degrees)
         if not self.steps or not all(0.0 < t < 1.0 for t in self.steps):
@@ -293,12 +284,8 @@ class ExperimentConfig:
             raise ConfigError("hankel_degrees must be a non-empty list of "
                               "degrees >= 1")
 
-    def to_json(self, path=None):
-        text = json.dumps(asdict(self), indent=2, sort_keys=True)
-        if path:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+    def to_json(self):
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, source):
@@ -393,23 +380,17 @@ class _Workspace:
     @property
     def grid(self):
         if self._grid is None:
-            self._grid = build_grid(self.dom, self.config.resolution,
-                                    scheme=self.config.scheme,
-                                    seed=self.config.seed)
+            self._grid = build_grid(self.dom, self.config.resolution)
         return self._grid
 
     @property
     def engine(self):
-        cfg = self.config
+        """Closed form on homogeneous domains, else orthonormalized on
+        the grid."""
         if self._engine is None:
-            if cfg.kernel_mode == "closed" and not self.dom.homogeneous:
-                raise UnsupportedCommandError(
-                    "no closed-form kernel on this domain")
-            if cfg.kernel_mode == "numerical" or not self.dom.homogeneous:
-                self._engine = engine_for(self.dom, self.grid,
-                                          degree=cfg.basis_degree)
-            else:
-                self._engine = engine_for(self.dom)
+            self._engine = engine_for(self.dom) if self.dom.homogeneous \
+                else engine_for(self.dom, self.grid,
+                                degree=self.config.basis_degree)
         return self._engine
 
     @property
@@ -459,13 +440,7 @@ def _cmd_kernel(ws, out):
                [_coordinate_cells(z) + _coordinate_cells(w)
                 + [repr(v.real), repr(v.imag)]
                 for (z, w), v in zip(pairs, vals)])
-    summary = {"n_pairs": len(pairs), "mode": ws.engine.mode}
-    if ws.engine.mode == "numerical" and ws.dom.homogeneous:
-        ref = engine_for(ws.dom)
-        b = np.array([ref.kernel(z, w) for z, w in pairs])
-        summary["max_rel_err_vs_closed_form"] = float(
-            np.max(np.abs(np.array(vals) - b) / np.abs(b)))
-    return [], summary
+    return [], {"n_pairs": len(pairs), "mode": ws.engine.mode}
 
 
 def _cmd_metric(ws, out):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,27 +132,17 @@ class TestGrids:
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.weights, b.weights)
 
-    def test_quasi_random_scheme_seeded(self, disc_domain):
-        a = dom.build_grid(disc_domain, 0.1, scheme="quasi-random", seed=3)
-        b = dom.build_grid(disc_domain, 0.1, scheme="quasi-random", seed=3)
-        c = dom.build_grid(disc_domain, 0.1, scheme="quasi-random", seed=4)
-        assert np.array_equal(a.nodes, b.nodes)
-        assert not np.array_equal(a.nodes, c.nodes)
-        assert a.weights.sum() == pytest.approx(math.pi, rel=0.05)
-
-    def test_quasi_random_count_follows_resolution(self, disc_domain):
-        """No floor on the candidate count: a coarser resolution draws
-        fewer candidates (1.0 and 2.0 once both drew 64)."""
-        sizes = [len(dom.build_grid(disc_domain, h, scheme="quasi-random",
-                                    seed=1)) for h in (1.0, 2.0)]
-        assert sizes[0] > sizes[1]
-
-    @pytest.mark.parametrize("h", [0.001, 0.0012, 1e-200])
-    def test_quasi_random_beyond_cap_raises(self, disc_domain, h):
-        """No silent ceiling: 0.001 and 0.0012 once both drew the capped
-        2,000,000 candidates."""
-        with pytest.raises(dom.DomainError, match="above the cap of 2000000"):
-            dom.build_grid(disc_domain, h, scheme="quasi-random", seed=1)
+    @pytest.mark.parametrize("h, count", [(1e-200, "4.000e+400"),
+                                          (0.000707, "8.003e+6")],
+                             ids=["1e-200", "0.000707"])
+    def test_midpoint_beyond_cap_raises(self, disc_domain, h, count):
+        """ceil(2/h)^2 candidates on the disc: 0.000707 asks for 2829^2,
+        just over the cap, and 1e-200 once overflowed numpy's size."""
+        with pytest.raises(dom.DomainError) as exc:
+            dom.build_grid(disc_domain, h)
+        assert str(exc.value) == (f"tensor-midpoint resolution {h} asks "
+                                  f"for {count} candidate nodes, above "
+                                  f"the cap of 8000000")
 
     def test_product_polar_integrates_monomials_exactly(self, disc_domain):
         grid = dom.build_grid(disc_domain, 0.0, scheme="product-polar",
@@ -160,6 +154,18 @@ class TestGrids:
     def test_nonpositive_resolution_raises(self, disc_domain):
         with pytest.raises(dom.DomainError):
             dom.build_grid(disc_domain, -0.1)
+
+
+def test_import_leaves_scipy_stats_out():
+    """scipy.stats took most of the package's import time and memory."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bergmanlab; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestMonomialNorms:

@@ -47,7 +47,7 @@ _BATCH = 0.99 * np.random.default_rng(3).uniform(size=(16, 3)) \
 # mix the config's field names with other text
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-    | st.sampled_from(["disc", "egg2", "quasi-random", "numerical"]),
+    | st.sampled_from(["disc", "egg2", "conj(z1)", "bump"]),
     lambda sub: st.lists(sub, max_size=4) | st.dictionaries(
         st.sampled_from([f.name for f in fields(ExperimentConfig)])
         | st.text(max_size=8), sub, max_size=5),
@@ -162,7 +162,7 @@ class TestConfig:
     def test_roundtrip_lossless(self, tmp_path):
         cfg = ExperimentConfig(domain="polydisc2", symbol="conj(z2)")
         path = tmp_path / "config.json"
-        cfg.to_json(path)
+        path.write_text(cfg.to_json())
         back = ExperimentConfig.from_json(path)
         assert back.to_json() == cfg.to_json()
         assert back.config_hash() == cfg.config_hash()
@@ -172,9 +172,11 @@ class TestConfig:
             ExperimentConfig(domain="torus")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_json(json.dumps({"domain": "disc",
-                                                   "frobnicate": 1}))
+        # scheme and kernel_mode were fields once; they are unknown now
+        for key in ("frobnicate", "scheme", "kernel_mode"):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                ExperimentConfig.from_json(json.dumps({"domain": "disc",
+                                                       key: 1}))
 
     def test_nonpositive_field_rejected(self):
         for bad in ({"radius": -1.0}, {"steps": (0.5, 1.5)}, {"steps": ()},
@@ -184,8 +186,7 @@ class TestConfig:
                     {"approx_degree": 2.5}, {"rays": "4"}, {"rays": True},
                     {"steps": 0.5}, {"net_radius": "0.5"},
                     {"graph_neighbors": 2.5}, {"seed": 1.5},
-                    {"hankel_degrees": (4.5,)}, {"scheme": "nope"},
-                    {"scheme": "product-polar"}, {"seed": -1}):
+                    {"hankel_degrees": (4.5,)}, {"seed": -1}):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad)
 
@@ -265,8 +266,7 @@ class TestRun:
         a_dir = tmp_path / "a"
         b_dir = tmp_path / "b"
         for d in (a_dir, b_dir):
-            cfg = ExperimentConfig(domain="disc", resolution=0.05,
-                                   scheme="quasi-random", rays=2,
+            cfg = ExperimentConfig(domain="disc", resolution=0.05, rays=2,
                                    steps=(0.3, 0.6), hankel_degrees=(2, 4),
                                    out_dir=str(d))
             bidisc = ExperimentConfig(domain="polydisc2", resolution=0.2,
@@ -302,23 +302,18 @@ class TestRun:
         assert out == ""
         assert err == "computation failed: no admissible scan points\n"
 
-    def test_quasi_random_beyond_cap_exit_code(self, tmp_path, capsys):
-        cfg = self._cfg(tmp_path, scheme="quasi-random", resolution=0.001)
-        assert run(cfg, "net") == EXIT_COMPUTE
-        out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1
-        assert err.startswith("computation failed: quasi-random resolution "
-                              "0.001 asks for 4e+06 candidate nodes")
-
-    @pytest.mark.parametrize("scheme, message", [
-        ("tensor-midpoint", "a geodesic graph needs at least 2 grid nodes, "
-                            "the grid has 1"),
-        ("quasi-random", "no quasi-random nodes landed inside the domain")],
-        ids=["tensor-midpoint", "quasi-random"])
-    def test_huge_resolution_exit_code(self, tmp_path, capsys, scheme,
+    @pytest.mark.parametrize("resolution, message", [
+        (1e200, "a geodesic graph needs at least 2 grid nodes, "
+                "the grid has 1"),
+        (1e-200, "tensor-midpoint resolution 1e-200 asks for 1.600e+801 "
+                 "candidate nodes, above the cap of 8000000"),
+        (0.0375, "tensor-midpoint resolution 0.0375 asks for 8.503e+6 "
+                 "candidate nodes, above the cap of 8000000")],
+        ids=["tensor-midpoint", "1e-200", "0.0375"])
+    def test_huge_resolution_exit_code(self, tmp_path, capsys, resolution,
                                        message):
-        cfg = self._cfg(tmp_path, domain="polydisc2", scheme=scheme,
-                        resolution=1e200)
+        """One grid node, or more candidates than the cap allows."""
+        cfg = self._cfg(tmp_path, domain="polydisc2", resolution=resolution)
         assert run(cfg, "net") == EXIT_COMPUTE
         out, err = capsys.readouterr()
         assert out == "" and err == f"computation failed: {message}\n"
@@ -510,5 +505,5 @@ class TestCli:
         cfg = ExperimentConfig(domain="disc", resolution=0.05,
                                out_dir=str(tmp_path / "c"))
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        path.write_text(cfg.to_json())
         assert cli_main(["kernel", "--config", str(path)]) == EXIT_OK
