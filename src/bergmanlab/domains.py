@@ -8,6 +8,7 @@ dmu = product over coordinates of dx_j dy_j.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -153,13 +154,22 @@ def central_dbar(f, z, h):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Deterministic quadrature nodes/weights for Lebesgue integration."""
+    """Deterministic quadrature nodes/weights for Lebesgue integration.
+
+    A product-polar grid also keeps its torus layout: orbit rho is the
+    n_theta ** d nodes moduli[rho] * exp(2 pi i t / n_theta) over every
+    t in Z_{n_theta}^d, each of weight orbit_weights[rho].  A
+    tensor-midpoint grid has none (n_theta 0).
+    """
 
     nodes: np.ndarray  # (n, d) complex
     weights: np.ndarray  # (n,) positive
     resolution: float
     scheme: str
     domain: DomainSpec
+    moduli: np.ndarray | None = None  # (m, d) radial part of each orbit
+    orbit_weights: np.ndarray | None = None  # (m,)
+    n_theta: int = 0
 
     def __post_init__(self):
         if len(self.nodes) == 0:
@@ -169,6 +179,12 @@ class QuadratureGrid:
 
     def __len__(self):
         return len(self.nodes)
+
+    def orbit_nodes(self, lo=0, hi=None):
+        """The nodes of orbits lo..hi, orbit by orbit and each in the
+        C order of t; shape ((hi - lo) * n_theta ** d, d)."""
+        return _with_angles(self.moduli[lo:hi], self.orbit_weights[lo:hi],
+                            self.n_theta)[0]
 
 
 # candidate nodes of a tensor-midpoint grid, before clipping to the
@@ -203,41 +219,29 @@ def _gauss01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _disc_polar(n_rad, n_theta):
-    """Nodes/weights integrating z^a conj(z)^b exactly for a,b <= n_rad-1
-    and |a-b| < n_theta."""
-    t, wt = _gauss01(n_rad)  # t = r^2
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    r = np.sqrt(t)
-    z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    w = np.repeat(wt * math.pi / n_theta, n_theta)
-    return z, w
-
-
-def _with_angles(moduli, wrad, n_theta):
-    """Cross radial nodes (moduli |z_j| of shape (m, d), weights wrad)
-    with n_theta equispaced angles in every coordinate."""
+def _with_angles(moduli, orbit_weights, n_theta):
+    """Cross radial nodes (moduli |z_j| of shape (m, d), one weight per
+    orbit) with n_theta equispaced angles in every coordinate."""
     d = moduli.shape[1]
     phases = np.exp(1j * (2.0 * math.pi * np.arange(n_theta) / n_theta))
     mesh_t = np.meshgrid(*([np.arange(n_theta)] * d), indexing="ij")
     idx = np.stack([m.ravel() for m in mesh_t], axis=-1)
     z = moduli.astype(complex)[:, None, :] * phases[idx][None, :, :]
-    return (z.reshape(-1, d),
-            np.repeat(wrad * (math.pi / n_theta) ** d, len(idx)))
+    return z.reshape(-1, d), np.repeat(orbit_weights, len(idx))
 
 
 def _product_polar(dom, n_rad, n_theta):
+    """Moduli (m, d) and orbit weights (m,) of the product-polar rule."""
     d = dom.dim
     if dom.kind == "polydisc":
-        z1, w1 = _disc_polar(n_rad, n_theta)
-        zs, ws = z1[:, None], w1
-        for _ in range(d - 1):
-            n0 = len(ws)
-            zs = np.concatenate(
-                [np.repeat(zs, len(z1), axis=0),
-                 np.tile(z1, n0)[:, None]], axis=1)
-            ws = np.repeat(ws, len(w1)) * np.tile(w1, n0)
-        return zs, ws
+        t, wt = _gauss01(n_rad)  # t = r^2 in each factor
+        mesh = np.meshgrid(*([np.sqrt(t)] * d), indexing="ij")
+        wf = wt * math.pi / n_theta
+        w = wf
+        for _ in range(d - 1):  # products in coordinate order
+            w = (w[:, None] * wf[None, :]).ravel()
+        return np.stack([m.ravel() for m in mesh], axis=-1), w
+    angular = (math.pi / n_theta) ** d
     if dom.kind == "ball":
         # radial part over the simplex {u_1+...+u_d < 1} by stick breaking
         t_axes = [_gauss01(n_rad) for _ in range(d)]
@@ -251,7 +255,7 @@ def _product_polar(dom, n_rad, n_theta):
             u[:, j] = x[:, j] * rem
             wrad = wrad * rem
             rem = rem * (1.0 - x[:, j])
-        return _with_angles(np.sqrt(u), wrad, n_theta)
+        return np.sqrt(u), wrad * angular
     m = dom.egg_exponent
     tv, wv = _gauss01(n_rad * max(1, m))  # v = |z2|^2
     tu, wu = _gauss01(n_rad)  # u = |z1|^2 / (1 - v^m)
@@ -260,7 +264,7 @@ def _product_polar(dom, n_rad, n_theta):
     scale = 1.0 - V ** m
     moduli = np.stack([np.sqrt((U * scale).ravel()), np.sqrt(V.ravel())],
                       axis=-1)
-    return _with_angles(moduli, (WU * WV * scale).ravel(), n_theta)
+    return moduli, (WU * WV * scale).ravel() * angular
 
 
 def build_grid(dom: DomainSpec, resolution: float, scheme="tensor-midpoint",
@@ -271,18 +275,30 @@ def build_grid(dom: DomainSpec, resolution: float, scheme="tensor-midpoint",
       tensor-midpoint  midpoint rule on a clipped tensor grid (default);
                        at most _MIDPOINT_CAP candidate nodes
       product-polar    polar/Reinhardt product rule, exact for monomial
-                       inner products up to ``degree`` (required argument)
+                       inner products up to ``degree`` (a required
+                       non-negative integer); the grid keeps its torus
+                       layout (moduli, orbit_weights, n_theta)
     """
     if resolution <= 0 and scheme != "product-polar":
         raise DomainError("resolution must be positive")
+    layout = {}
     if scheme == "tensor-midpoint":
+        if degree is not None:
+            raise DomainError("degree applies only to the product-polar "
+                              "scheme")
         z, w = _tensor_midpoint(dom, resolution)
     elif scheme == "product-polar":
         if degree is None:
             raise DomainError("product-polar scheme requires a degree")
-        n_rad = degree + 2
-        n_theta = 2 * degree + 3
-        z, w = _product_polar(dom, n_rad, n_theta)
+        if isinstance(degree, bool) or not isinstance(
+                degree, numbers.Integral) or degree < 0:
+            raise DomainError(f"product-polar degree must be a "
+                              f"non-negative integer, not {degree!r}")
+        n_theta = 2 * int(degree) + 3
+        moduli, orbit_w = _product_polar(dom, int(degree) + 2, n_theta)
+        z, w = _with_angles(moduli, orbit_w, n_theta)
+        layout = {"moduli": moduli, "orbit_weights": orbit_w,
+                  "n_theta": n_theta}
         resolution = 1.0 / (degree + 1)
     else:
         raise DomainError(f"unknown grid scheme {scheme!r}")
@@ -294,7 +310,7 @@ def build_grid(dom: DomainSpec, resolution: float, scheme="tensor-midpoint",
     return QuadratureGrid(nodes=np.ascontiguousarray(z[order]),
                           weights=np.ascontiguousarray(w[order]),
                           resolution=float(resolution), scheme=scheme,
-                          domain=dom)
+                          domain=dom, **layout)
 
 
 def monomial_norm2(dom: DomainSpec, alpha) -> float:

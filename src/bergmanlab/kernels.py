@@ -60,18 +60,28 @@ class OrthonormalBasis:
 
     domain: DomainSpec
     alphas: np.ndarray  # (n_mono, d)
-    coeffs: np.ndarray  # (n_mono, n_kept)
+    # (n_mono, n_kept), or (n_mono,) for a monomial basis c_k z^alpha_k
+    coeffs: np.ndarray
     grid: QuadratureGrid | None
     degree: int
     smallest_retained: float
     dropped: int
 
+    @property
+    def monomial(self):
+        """True when phi_k = coeffs[k] z^alphas[k] (a Reinhardt basis)."""
+        return self.coeffs.ndim == 1
+
     def __len__(self):
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
+
+    def _combine(self, M):
+        # the column scaling equals M @ diag(coeffs) bit for bit
+        return M * self.coeffs if self.monomial else M @ self.coeffs
 
     def evaluate(self, z):
         """phi_k(z) for all retained functions; (n_points, n_kept)."""
-        return monomial_matrix(z, self.alphas) @ self.coeffs
+        return self._combine(monomial_matrix(z, self.alphas))
 
     def evaluate_derivative(self, z, j):
         """(d phi_k / d z_j)(z), exact monomial differentiation."""
@@ -79,7 +89,7 @@ class OrthonormalBasis:
         shifted = self.alphas.copy()
         shifted[:, j] = np.maximum(shifted[:, j] - 1, 0)
         D = monomial_matrix(z, shifted) * self.alphas[None, :, j]
-        return D @ self.coeffs
+        return self._combine(D)
 
     def graded_columns(self, degree, per_variable=False):
         """Indices of the basis functions built only from monomials of
@@ -89,6 +99,8 @@ class OrthonormalBasis:
             keep = np.all(self.alphas <= degree, axis=1)
         else:
             keep = self.alphas.sum(axis=1) <= degree
+        if self.monomial:
+            return np.flatnonzero(keep)
         return np.flatnonzero(
             np.all(np.isclose(self.coeffs[~keep], 0.0), axis=0))
 
@@ -137,8 +149,8 @@ def reinhardt_basis(dom: DomainSpec, degree: int,
     using closed-form monomial norms (monomials are orthogonal there)."""
     alphas = multi_indices(dom.dim, degree, per_variable)
     norms = np.array([monomial_norm2(dom, a) for a in alphas])
-    C = np.diag(1.0 / np.sqrt(norms)).astype(complex)
-    return OrthonormalBasis(domain=dom, alphas=alphas, coeffs=C, grid=None,
+    return OrthonormalBasis(domain=dom, alphas=alphas,
+                            coeffs=1.0 / np.sqrt(norms), grid=None,
                             degree=degree,
                             smallest_retained=float(norms.min()), dropped=0)
 

@@ -3,9 +3,17 @@
 All inner products are grid inner products against the same quadrature
 grid used to orthonormalize the basis, which makes the truncated
 projection idempotent by construction.  Hankel and multiplication
-truncations and the weak-null probe share one residual-Gram routine,
-chunked over nodes so large grids never materialize full Vandermonde
-matrices.
+truncations and the weak-null probe each reduce to the Gram of a set of
+columns, with the projection subtracted explicitly.
+
+With a monomial (Reinhardt) basis on a grid that keeps its torus layout
+(product-polar), that Gram is summed one orbit at a time by discrete
+Parseval (_orbit_gram): one angular FFT of the symbol per orbit, column
+spectra as cyclic shifts of it, and the projection read off the basis
+modes, at O(nodes * columns^2) with no basis evaluation at the nodes.
+Any other grid or basis takes _residual_gram, chunked over nodes so
+large grids never materialize full Vandermonde matrices, at
+O(nodes * k * (k + columns)) for k basis functions.
 """
 
 from __future__ import annotations
@@ -105,6 +113,70 @@ def _residual_gram(basis, grid, columns, width, project):
     return 0.5 * (G + G.conj().T)
 
 
+def _on_orbits(basis, grid):
+    """A monomial basis on a grid with a torus layout: each basis
+    function is then one angular mode on every orbit."""
+    return grid.n_theta > 0 and basis.monomial
+
+
+def _angular_dft(grid, values):
+    """DFT over the torus angles of values at grid.orbit_nodes(...),
+    shape (n_orbits * T, ...) -> (n_orbits, T, ...), T = n_theta ** d;
+    mode m is the C-order flat index of m in Z_{n_theta}^d."""
+    d = grid.moduli.shape[1]
+    F = np.fft.fftn(values.reshape((-1,) + (grid.n_theta,) * d
+                                   + values.shape[1:]),
+                    axes=tuple(range(1, d + 1)))
+    return F.reshape((len(F), -1) + values.shape[1:])
+
+
+def _orbit_gram(basis, grid, spectra, width, project):
+    """_residual_gram by discrete Parseval over the torus orbits of a
+    product-polar grid, for a monomial basis.
+
+    On orbit rho, phi_k is the angular mode alphas[k] mod n_theta with
+    amplitude S[rho, k] = phi_k(moduli[rho]).  spectra(lo, hi, S, at)
+    gives the angular DFTs of the columns on orbits lo..hi at the modes
+    `at`, (c, T, width) for all T modes.  A = <v_j, phi_k> is read off
+    the basis modes in a first pass; the second subtracts the projection
+    on those modes (modes that alias add up) and sums the Gram
+    sum_rho (W_rho / T) R^H R of the explicit residual R.
+    """
+    n = grid.n_theta
+    shape = (n,) * grid.moduli.shape[1]
+    T = n ** len(shape)
+    modes = np.ravel_multi_index(tuple((basis.alphas % n).T), shape)
+    step = max(1, _CHUNK_BUDGET // (T * width))
+
+    def chunks(at):
+        for lo in range(0, len(grid.moduli), step):
+            S = basis.evaluate(grid.moduli[lo:lo + step])
+            yield (grid.orbit_weights[lo:lo + step], S,
+                   spectra(lo, lo + step, S, at))
+
+    if project:
+        A = sum(np.einsum("rk,rkj->kj", S.conj() * w[:, None], V)
+                for w, S, V in chunks(modes))
+    G = np.zeros((width, width), dtype=complex)
+    for w, S, V in chunks(slice(None)):
+        if project:
+            np.subtract.at(V, (slice(None), modes),
+                           T * S[:, :, None] * A[None])
+        V = V.reshape(-1, width)
+        G += (V.conj() * np.repeat(w / T, T)[:, None]).T @ V
+    return 0.5 * (G + G.conj().T)
+
+
+def _mode_shifts(alphas, n):
+    """(T, len(alphas)): the flat index of (t - alpha) mod n for each
+    flat mode t, so phi_hat[shift[:, j]] is the spectrum of
+    phi exp(i alpha_j . theta) on an orbit."""
+    shape = (n,) * alphas.shape[1]
+    t = np.indices(shape).reshape(len(shape), -1)
+    return np.ravel_multi_index(
+        tuple((t[:, :, None] - alphas.T[:, None, :]) % n), shape)
+
+
 def _singular_values(G):
     lam = np.linalg.eigvalsh(G)
     if lam[0] < -1e-8 * max(1.0, abs(lam[-1])):
@@ -117,9 +189,21 @@ def _singular_values(G):
 def _truncation(kind, symbol, basis, grid, guard, per_variable):
     cols = basis.graded_columns(basis.degree - guard, per_variable) \
         if guard > 0 else np.arange(len(basis))
-    G = _residual_gram(basis, grid,
-                       lambda nodes, E: symbol(nodes)[:, None] * E[:, cols],
-                       len(cols), project=kind == "Hankel")
+    if len(cols) == 0:
+        raise OperatorError(f"guard {guard} leaves no source column at "
+                            f"degree {basis.degree}")
+    project = kind == "Hankel"
+    if _on_orbits(basis, grid):
+        phi_hat = _angular_dft(grid, symbol(grid.orbit_nodes()))
+        shift = _mode_shifts(basis.alphas[cols], grid.n_theta)
+        G = _orbit_gram(basis, grid,
+                        lambda lo, hi, S, at: phi_hat[lo:hi].take(
+                            shift[at], axis=1) * S[:, None, cols],
+                        len(cols), project)
+    else:
+        G = _residual_gram(
+            basis, grid, lambda nodes, E: symbol(nodes)[:, None] * E[:, cols],
+            len(cols), project)
     return OperatorTruncation(kind=kind, symbol=symbol, basis=basis,
                               source_size=len(cols),
                               singular_values=_singular_values(G))
@@ -155,16 +239,26 @@ def weak_null_probe(symbol: SymbolFn, engine: KernelEngine,
     Values trending to zero along zeta -> boundary are the compactness
     signature (kernel sections tend weakly to zero there).
     """
-    centers = np.asarray(centers, dtype=complex).reshape(len(centers), -1)
+    centers = np.asarray(centers, dtype=complex)
+    if len(centers) == 0:
+        raise OperatorError("weak_null_probe needs at least one center")
+    centers = centers.reshape(len(centers), -1)
     roots = np.sqrt(engine.kernel_diag(centers))
 
-    def phi_sections(nodes, E):
+    def phi_sections(nodes, E=None):
         B = np.reshape(engine.kernel(nodes, centers),
                        (len(nodes), len(centers)))
         return symbol(nodes)[:, None] * (B / roots)
 
-    G = _residual_gram(basis, grid, phi_sections, len(centers),
-                       project=True)
+    if _on_orbits(basis, grid):
+        G = _orbit_gram(basis, grid,
+                        lambda lo, hi, S, at: _angular_dft(
+                            grid, phi_sections(grid.orbit_nodes(lo, hi)))[
+                                :, at],
+                        len(centers), project=True)
+    else:
+        G = _residual_gram(basis, grid, phi_sections, len(centers),
+                           project=True)
     return np.sqrt(np.diag(G).real)
 
 

@@ -1,8 +1,7 @@
-"""The demos that drive the closed-form disc and ball kernels and
-metrics, call the net, partition and decomposition API, or parse
-symbols (the boundary scan, and the diagnostics with their
-analytic-disc tests), run to completion; demo 03 is left out to keep
-the suite short."""
+"""Every demo runs to completion: the closed-form disc and ball kernels
+and metrics, the net, partition and decomposition API, the Hankel
+spectra on product-polar grids, and the demos that parse symbols (the
+boundary scan, and the diagnostics with their analytic-disc tests)."""
 
 import os
 import subprocess
@@ -16,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("name", ["01_kernels_and_metric.py",
                                   "02_distances_and_nets.py",
+                                  "03_hankel_spectra.py",
                                   "04_omega_boundary_scan.py",
                                   "05_decomposition.py",
                                   "06_diagnostics_and_varieties.py"])

@@ -155,6 +155,42 @@ class TestGrids:
         with pytest.raises(dom.DomainError):
             dom.build_grid(disc_domain, -0.1)
 
+    @pytest.mark.parametrize("degree", [-1, -2, 2.5, 3.0, "4", True])
+    def test_product_polar_degree_must_be_nonnegative_int(self, disc_domain,
+                                                          degree):
+        with pytest.raises(dom.DomainError, match="non-negative integer"):
+            dom.build_grid(disc_domain, 0.0, scheme="product-polar",
+                           degree=degree)
+
+    def test_midpoint_rejects_degree(self, disc_domain):
+        with pytest.raises(dom.DomainError, match="product-polar"):
+            dom.build_grid(disc_domain, 0.1, degree=4)
+
+    @pytest.mark.parametrize("domain", [dom.disc(), dom.polydisc(2),
+                                        dom.ball(2), dom.egg(3)],
+                             ids=lambda d: d.label)
+    def test_product_polar_torus_layout(self, domain):
+        """Each orbit is n_theta ** d nodes of one weight; the orbits
+        hold the grid's nodes and weights exactly."""
+        grid = dom.build_grid(domain, 0.0, scheme="product-polar", degree=4)
+        per_orbit = grid.n_theta ** domain.dim
+        assert grid.n_theta == 11
+        assert len(grid.moduli) * per_orbit == len(grid)
+        z = grid.orbit_nodes()
+        w = np.repeat(grid.orbit_weights, per_orbit)
+        keys = tuple(z[:, j].imag for j in range(domain.dim - 1, -1, -1)) \
+            + tuple(z[:, j].real for j in range(domain.dim - 1, -1, -1))
+        order = np.lexsort(keys)
+        assert np.array_equal(z[order], grid.nodes)
+        assert np.array_equal(w[order], grid.weights)
+        np.testing.assert_allclose(np.abs(grid.orbit_nodes(1, 2)),
+                                   np.broadcast_to(grid.moduli[1],
+                                                   (per_orbit, domain.dim)),
+                                   rtol=1e-15)
+
+    def test_midpoint_has_no_layout(self, disc_grid):
+        assert disc_grid.n_theta == 0 and disc_grid.moduli is None
+
 
 def test_import_leaves_scipy_stats_out():
     """scipy.stats took most of the package's import time and memory."""

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from bergmanlab import domains as dom
 from bergmanlab.kernels import (KernelEngine, KernelError, engine_for,
-                                multi_indices, orthonormalize,
-                                reinhardt_basis)
+                                monomial_matrix, multi_indices,
+                                orthonormalize, reinhardt_basis)
 
 
 class TestClosedForms:
@@ -81,6 +81,30 @@ class TestNumericalKernel:
         E = basis.evaluate(grid.nodes)
         G = (E.conj() * grid.weights[:, None]).T @ E
         assert np.max(np.abs(G - np.eye(len(basis)))) < 1e-10
+
+    @pytest.mark.parametrize("per_variable", [False, True])
+    def test_reinhardt_vector_coeffs_match_diagonal(self, per_variable):
+        """Column scaling by the coefficient vector is the former
+        product with the dense diagonal, bit for bit."""
+        domain = dom.polydisc(2)
+        basis = reinhardt_basis(domain, 7, per_variable=per_variable)
+        c = basis.coeffs
+        assert c.ndim == 1 and basis.monomial
+        z = np.random.default_rng(3).uniform(-0.7, 0.7, (50, 2)) \
+            * np.exp(2j * np.pi * np.random.default_rng(4).random((50, 2)))
+        assert np.array_equal(basis.evaluate(z),
+                              monomial_matrix(z, basis.alphas) @ np.diag(c))
+        for j in range(2):
+            shifted = basis.alphas.copy()
+            shifted[:, j] = np.maximum(shifted[:, j] - 1, 0)
+            D = monomial_matrix(z, shifted) * basis.alphas[None, :, j]
+            assert np.array_equal(basis.evaluate_derivative(z, j),
+                                  D @ np.diag(c))
+        assert np.array_equal(basis.graded_columns(3, per_variable),
+                              np.flatnonzero(
+                                  np.all(basis.alphas <= 3, axis=1)
+                                  if per_variable
+                                  else basis.alphas.sum(axis=1) <= 3))
 
     def test_graded_columns_span_low_degrees(self, disc_domain):
         grid = dom.build_grid(disc_domain, 0.0, scheme="product-polar",

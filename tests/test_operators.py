@@ -5,6 +5,7 @@ import pytest
 
 from bergmanlab import domains as dom
 from bergmanlab import operators
+from bergmanlab.harness import bump_symbol, symbol_parse
 from bergmanlab.kernels import OrthonormalBasis, engine_for, reinhardt_basis
 from bergmanlab.operators import (OperatorError, SymbolFn,
                                   compactness_indicator, hankel_matrix,
@@ -47,16 +48,19 @@ def _mixed(dim):
 
 def _reference_subbasis(basis, degree, per_variable=False):
     """Restriction to monomials of lower degree (the former
-    OrthonormalBasis.subbasis)."""
+    OrthonormalBasis.subbasis); a monomial basis keeps vector coeffs."""
     if per_variable:
         keep = np.all(basis.alphas <= degree, axis=1)
     else:
         keep = basis.alphas.sum(axis=1) <= degree
-    cols = [k for k in range(basis.coeffs.shape[1])
-            if np.allclose(basis.coeffs[~keep, k], 0.0)]
+    if basis.coeffs.ndim == 1:
+        coeffs = basis.coeffs[keep]
+    else:
+        cols = [k for k in range(basis.coeffs.shape[1])
+                if np.allclose(basis.coeffs[~keep, k], 0.0)]
+        coeffs = basis.coeffs[np.ix_(np.nonzero(keep)[0], cols)]
     return OrthonormalBasis(domain=basis.domain, alphas=basis.alphas[keep],
-                            coeffs=basis.coeffs[np.ix_(
-                                np.nonzero(keep)[0], cols)],
+                            coeffs=coeffs,
                             grid=basis.grid, degree=degree,
                             smallest_retained=basis.smallest_retained,
                             dropped=basis.dropped)
@@ -114,29 +118,28 @@ _BUILDERS = {"hankel": (hankel_matrix, True), "mult": (mult_matrix, False)}
 
 
 class TestResidualGram:
+    # product-polar grids take the orbit path (TestOrbitAssembly), so
+    # the node path is pinned on tensor-midpoint grids
     @pytest.mark.parametrize("kind", sorted(_BUILDERS))
     @pytest.mark.parametrize("guard", [0, 2, 5])
-    def test_disc_reinhardt_identical(self, disc_domain, disc_quad, kind,
-                                      guard):
+    def test_disc_reinhardt_identical(self, disc_domain, kind, guard):
         build, project = _BUILDERS[kind]
+        grid = dom.build_grid(disc_domain, 0.05)
         basis = reinhardt_basis(disc_domain, 20)
         for sym in (_zbar(0, 1), _mixed(1)):
-            sig = build(sym, basis, disc_quad, guard=guard).singular_values
-            ref = _reference_sigma(sym, basis, disc_quad, guard, False,
-                                   project)
+            sig = build(sym, basis, grid, guard=guard).singular_values
+            ref = _reference_sigma(sym, basis, grid, guard, False, project)
             assert np.array_equal(sig, ref)
 
     @pytest.mark.parametrize("kind", sorted(_BUILDERS))
     @pytest.mark.parametrize("guard", [0, 2])
-    def test_bidisc_reinhardt_identical(self, bidisc_domain, bidisc_quad,
-                                        kind, guard):
+    def test_bidisc_reinhardt_identical(self, bidisc_domain, kind, guard):
         build, project = _BUILDERS[kind]
+        grid = dom.build_grid(bidisc_domain, 0.2)
         basis = reinhardt_basis(bidisc_domain, 8, per_variable=True)
         sym = _mixed(2)
-        trunc = build(sym, basis, bidisc_quad, guard=guard,
-                      per_variable=True)
-        ref = _reference_sigma(sym, basis, bidisc_quad, guard, True,
-                               project)
+        trunc = build(sym, basis, grid, guard=guard, per_variable=True)
+        ref = _reference_sigma(sym, basis, grid, guard, True, project)
         assert trunc.source_size == (9 - guard) ** 2
         assert np.array_equal(trunc.singular_values, ref)
 
@@ -175,6 +178,80 @@ class TestResidualGram:
             vals = weak_null_probe(sym, engine, basis, grid, centers)
             ref = _reference_probe(sym, engine, basis, grid, centers)
             np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0)
+
+
+# (domain, product-polar degree, basis degree, per_variable); in the
+# aliased cases basis modes coincide mod n_theta = 2 * degree + 3
+_ORBIT_CASES = {"disc": (dom.disc(), 24, 8, False),
+                "polydisc2": (dom.polydisc(2), 6, 6, True),
+                "ball2": (dom.ball(2), 6, 6, False),
+                "egg2": (dom.egg(2), 6, 6, False),
+                "disc-aliased": (dom.disc(), 3, 12, False),
+                "polydisc2-aliased": (dom.polydisc(2), 2, 8, True)}
+# criterion 04's symbols, bump among them; on the disc, those that parse
+# in one variable and z1*z1 for z2*z2
+_ORBIT_SYMBOLS = ("conj(z1)", "conj(z2)", "conj(z1)+conj(z2)", "z2*z2",
+                  "bump", "abs2(z1)")
+
+
+def _assert_sigma_close(sig, ref, label):
+    """Singular values within 1e-12 sigma_0.  Exact zeros read about
+    1e-8 sigma_0 on either side (the square root of an eigvalsh error of
+    1e-16 sigma_0^2), so below 1e-6 sigma_0 the Gram eigenvalues sigma^2
+    are compared instead, within 1e-12 sigma_0^2."""
+    assert len(sig) == len(ref), label
+    floor = ref < 1e-6 * ref[0]
+    assert np.all(np.abs(sig - ref)[~floor] <= 1e-12 * ref[0]), label
+    assert np.all(np.abs(sig ** 2 - ref ** 2)[floor]
+                  <= 1e-12 * ref[0] ** 2), label
+
+
+class TestOrbitAssembly:
+    @pytest.mark.parametrize("name", sorted(_ORBIT_CASES))
+    def test_matches_node_path(self, name):
+        domain, grid_degree, degree, pv = _ORBIT_CASES[name]
+        grid = dom.build_grid(domain, 0.0, scheme="product-polar",
+                              degree=grid_degree)
+        basis = reinhardt_basis(domain, degree, per_variable=pv)
+        assert operators._on_orbits(basis, grid)
+        exprs = _ORBIT_SYMBOLS if domain.dim == 2 else (
+            "conj(z1)", "z1*z1", "bump", "abs2(z1)")
+        for expr in exprs:
+            sym = bump_symbol(domain.dim) if expr == "bump" \
+                else symbol_parse(expr, domain.dim)
+            for kind, (build, project) in sorted(_BUILDERS.items()):
+                for guard in (0, 2):
+                    sig = build(sym, basis, grid, guard=guard,
+                                per_variable=pv).singular_values
+                    ref = _reference_sigma(sym, basis, grid, guard, pv,
+                                           project)
+                    if kind == "hankel" and expr in ("z2*z2", "z1*z1") \
+                            and guard == 2 and not name.endswith("aliased"):
+                        # H_phi = 0 on these columns
+                        assert sig[0] < 1e-12 and ref[0] < 1e-12
+                        continue
+                    _assert_sigma_close(sig, ref, (expr, kind, guard))
+
+    def test_tensor_grid_and_dense_basis_keep_node_path(self, disc_domain,
+                                                        disc_quad,
+                                                        egg_case):
+        assert not operators._on_orbits(reinhardt_basis(disc_domain, 4),
+                                        dom.build_grid(disc_domain, 0.1))
+        assert not operators._on_orbits(egg_case[2].basis, disc_quad)
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("build", [hankel_matrix, mult_matrix])
+    def test_guard_leaving_no_column_rejected(self, disc_domain, disc_quad,
+                                              build):
+        basis = reinhardt_basis(disc_domain, 4)
+        with pytest.raises(OperatorError, match="guard 5.*degree 4"):
+            build(_zbar(0, 1), basis, disc_quad, guard=5)
+
+    def test_probe_without_centers_rejected(self, disc_domain, disc_quad):
+        with pytest.raises(OperatorError, match="center"):
+            weak_null_probe(_zbar(0, 1), engine_for(disc_domain),
+                            reinhardt_basis(disc_domain, 4), disc_quad, [])
 
 
 class TestHankelOracle:
