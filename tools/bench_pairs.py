@@ -1,18 +1,19 @@
 """Alternating parent/change perfbench pairs, written as one BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
-        [--pairs 10] [--seed0 1001] [--seconds 12] [--workloads W,W]
         [--claim WORKLOAD:METRIC] [--trace WORKLOAD --trace-metrics M,M]
         [--parent-rev REV] [--note TEXT]
 
-DIR is the root of a checkout.  Pair i runs ``perfbench/run.py`` once in
-each checkout with seed seed0 + i, the parent first on odd seeds and the
-change first on even ones, one run at a time.  Every end-to-end metric
-of the change's BENCHMARK.json is summarised per side by its median and
+DIR is the root of a checkout.  The run command, its length and the
+workloads come from the change's BENCHMARK.json (``command``,
+``run_seconds``, ``workloads``).  For every workload, pair i of ten
+runs the command once in each checkout with seed 1001 + i, the parent
+first on odd seeds and the change first on even ones, one run at a
+time.  Every end-to-end metric is summarised per side by its median and
 quartiles (numpy.percentile 25/75, linear interpolation), with the pairs
 the change wins or ties and the ratio of the medians.  A run that exits
 non-zero is recorded under "failed_runs" and left out of the statistics.
-With --trace, one traced run per side (seed seed0) adds the listed
+With --trace, one traced run per side (seed 1001) adds the listed
 per-layer metrics.  The file follows BENCH_3.json's layout.
 """
 
@@ -26,15 +27,17 @@ import sys
 
 import numpy as np
 
-RUN = os.path.join("perfbench", "run.py")
+PAIRS = 10
+SEED0 = 1001
 MACHINE = ("python", "numpy", "scipy", "nproc", "openblas_threads")
 
 
-def run_once(checkout, workload, seed, seconds, trace):
+def run_once(spec, checkout, workload, seed, trace):
     """One perfbench run: (env line, result) or (None, None) on failure."""
     proc = subprocess.run(
-        [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
-         "--seconds", repr(seconds), "--trace", str(trace)],
+        spec["command"] + ["--workload", workload, "--seed", str(seed),
+                           "--seconds", str(spec["run_seconds"]),
+                           "--trace", str(trace)],
         cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True)
     if proc.returncode != 0:
@@ -65,17 +68,16 @@ def compare(pairs, better):
     return out
 
 
-def bench_workload(args, workload, metrics, machine):
+def bench_workload(args, spec, workload, metrics, machine):
     pairs = {m: [] for m, _ in metrics}
     fails = {"parent": [0, 0], "change": [0, 0]}
     failed_runs = []
-    for i in range(args.pairs):
-        seed = args.seed0 + i
+    for i in range(PAIRS):
+        seed = SEED0 + i
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         res = {}
         for side in order:
-            env, out = run_once(getattr(args, side), workload, seed,
-                                args.seconds, 0)
+            env, out = run_once(spec, getattr(args, side), workload, seed, 0)
             print(f"{workload} seed {seed} {side}: "
                   + ("run failed" if out is None else
                      " ".join(f"{m}={out['metrics'][m]['value']:.4g}"
@@ -106,37 +108,29 @@ def main():
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed0", type=int, default=1001)
-    ap.add_argument("--seconds", type=float, default=12.0)
-    ap.add_argument("--workloads", default="")
     ap.add_argument("--claim", default="")
     ap.add_argument("--trace", default="")
     ap.add_argument("--trace-metrics", default="")
     ap.add_argument("--parent-rev", default="")
     ap.add_argument("--note", default="")
     args = ap.parse_args()
-    if args.pairs < 1 or args.seconds <= 0 or args.seed0 < 0:
-        ap.error("--pairs and --seconds must be positive, --seed0 "
-                 "non-negative")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
-    names = [w for w in args.workloads.split(",") if w] \
-        or [w["name"] for w in spec["workloads"]]
     machine = {}
     report = {
         "change": args.note, "parent": args.parent_rev,
-        "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "seeds": [args.seed0 + i for i in range(args.pairs)],
-        "pairs_per_workload": args.pairs,
+        "command": " ".join(spec["command"]) + " --workload W --seed S "
+                   f"--seconds {spec['run_seconds']} --trace 0",
+        "seeds": [SEED0 + i for i in range(PAIRS)],
+        "pairs_per_workload": PAIRS,
         "order": "alternating: parent first on odd seeds, change first "
                  "on even seeds",
         "quartiles": "numpy.percentile 25/75, linear interpolation",
         "machine": machine, "workloads": {}}
-    for w in names:
-        report["workloads"][w] = bench_workload(args, w, metrics, machine)
+    for w in spec["workloads"]:
+        report["workloads"][w["name"]] = bench_workload(
+            args, spec, w["name"], metrics, machine)
     if args.claim:
         w, m = args.claim.split(":")
         s = report["workloads"][w][m]
@@ -150,12 +144,11 @@ def main():
         keep = [m for m in args.trace_metrics.split(",") if m]
         traced = {}
         for side in ("parent", "change"):
-            _, out = run_once(getattr(args, side), args.trace, args.seed0,
-                              args.seconds, 1)
+            _, out = run_once(spec, getattr(args, side), args.trace, SEED0, 1)
             traced[side] = None if out is None else {
                 m: round(out["metrics"][m]["value"], 4)
                 for m in keep or out["metrics"] if m in out["metrics"]}
-        key = f"trace_{args.trace.replace('-', '_')}_seed_{args.seed0}"
+        key = f"trace_{args.trace.replace('-', '_')}_seed_{SEED0}"
         report[key] = traced
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
