@@ -156,10 +156,12 @@ def central_dbar(f, z, h):
 class QuadratureGrid:
     """Deterministic quadrature nodes/weights for Lebesgue integration.
 
-    A product-polar grid also keeps its torus layout: orbit rho is the
-    n_theta ** d nodes moduli[rho] * exp(2 pi i t / n_theta) over every
-    t in Z_{n_theta}^d, each of weight orbit_weights[rho].  A
-    tensor-midpoint grid has none (n_theta 0).
+    The nodes run orbit by orbit, T = n_theta ** d to an orbit, and
+    every node of an orbit has one weight.  A product-polar grid's orbit
+    rho is r_rho * exp(2 pi i t / n_theta) over every t in
+    Z_{n_theta}^d in C order, so its first node is the real moduli
+    r_rho, bit for bit, and its weight is weights[rho * T].  A
+    tensor-midpoint grid has n_theta 1: each node is its own orbit.
     """
 
     nodes: np.ndarray  # (n, d) complex
@@ -167,9 +169,7 @@ class QuadratureGrid:
     resolution: float
     scheme: str
     domain: DomainSpec
-    moduli: np.ndarray | None = None  # (m, d) radial part of each orbit
-    orbit_weights: np.ndarray | None = None  # (m,)
-    n_theta: int = 0
+    n_theta: int = 1
 
     def __post_init__(self):
         if len(self.nodes) == 0:
@@ -179,12 +179,6 @@ class QuadratureGrid:
 
     def __len__(self):
         return len(self.nodes)
-
-    def orbit_nodes(self, lo=0, hi=None):
-        """The nodes of orbits lo..hi, orbit by orbit and each in the
-        C order of t; shape ((hi - lo) * n_theta ** d, d)."""
-        return _with_angles(self.moduli[lo:hi], self.orbit_weights[lo:hi],
-                            self.n_theta)[0]
 
 
 # candidate nodes of a tensor-midpoint grid, before clipping to the
@@ -276,17 +270,21 @@ def build_grid(dom: DomainSpec, resolution: float, scheme="tensor-midpoint",
                        at most _MIDPOINT_CAP candidate nodes
       product-polar    polar/Reinhardt product rule, exact for monomial
                        inner products up to ``degree`` (a required
-                       non-negative integer); the grid keeps its torus
-                       layout (moduli, orbit_weights, n_theta)
+                       non-negative integer); nodes run orbit by orbit
     """
     if resolution <= 0 and scheme != "product-polar":
         raise DomainError("resolution must be positive")
-    layout = {}
+    n_theta = 1
     if scheme == "tensor-midpoint":
         if degree is not None:
             raise DomainError("degree applies only to the product-polar "
                               "scheme")
         z, w = _tensor_midpoint(dom, resolution)
+        # real parts first, then imaginary parts, coordinate by coordinate
+        order = np.lexsort(
+            tuple(z[:, j].imag for j in range(dom.dim - 1, -1, -1))
+            + tuple(z[:, j].real for j in range(dom.dim - 1, -1, -1)))
+        z, w = z[order], w[order]
     elif scheme == "product-polar":
         if degree is None:
             raise DomainError("product-polar scheme requires a degree")
@@ -295,22 +293,17 @@ def build_grid(dom: DomainSpec, resolution: float, scheme="tensor-midpoint",
             raise DomainError(f"product-polar degree must be a "
                               f"non-negative integer, not {degree!r}")
         n_theta = 2 * int(degree) + 3
-        moduli, orbit_w = _product_polar(dom, int(degree) + 2, n_theta)
-        z, w = _with_angles(moduli, orbit_w, n_theta)
-        layout = {"moduli": moduli, "orbit_weights": orbit_w,
-                  "n_theta": n_theta}
+        z, w = _with_angles(*_product_polar(dom, int(degree) + 2, n_theta),
+                            n_theta)
         resolution = 1.0 / (degree + 1)
     else:
         raise DomainError(f"unknown grid scheme {scheme!r}")
     if len(z) == 0:
         raise DomainError("resolution too coarse: no nodes inside domain")
-    order = np.lexsort(tuple(z[:, j].imag for j in range(dom.dim - 1, -1, -1))
-                       + tuple(z[:, j].real
-                               for j in range(dom.dim - 1, -1, -1)))
-    return QuadratureGrid(nodes=np.ascontiguousarray(z[order]),
-                          weights=np.ascontiguousarray(w[order]),
+    return QuadratureGrid(nodes=np.ascontiguousarray(z),
+                          weights=np.ascontiguousarray(w),
                           resolution=float(resolution), scheme=scheme,
-                          domain=dom, **layout)
+                          domain=dom, n_theta=n_theta)
 
 
 def monomial_norm2(dom: DomainSpec, alpha) -> float:

@@ -4,15 +4,16 @@ All inner products are grid inner products against the same quadrature
 grid used to orthonormalize the basis, which makes the truncated
 projection idempotent by construction.  Hankel and multiplication
 truncations and the weak-null probe each reduce to the Gram of a set of
-columns, with the projection subtracted explicitly.
+columns, with the projection subtracted explicitly (_residual_gram).
 
-With a monomial (Reinhardt) basis on a grid that keeps its torus layout
-(product-polar), that Gram is summed one orbit at a time by discrete
-Parseval (_orbit_gram): one angular FFT of the symbol per orbit, column
-spectra as cyclic shifts of it, and the projection read off the basis
-modes, at O(nodes * columns^2) with no basis evaluation at the nodes.
-Any other grid or basis takes _residual_gram, chunked over nodes so
-large grids never materialize full Vandermonde matrices, at
+That Gram is summed over the grid's torus orbits by discrete Parseval,
+chunked over orbits so large grids never materialize full Vandermonde
+matrices.  With a monomial (Reinhardt) basis on a product-polar grid an
+orbit is n_theta ** d nodes, each basis function is one angular mode on
+it, and a column phi phi_j has the symbol's spectrum shifted by phi_j's
+mode: O(nodes * columns^2), with the basis evaluated at one node per
+orbit.  Any other grid or basis has orbits of one node, where Parseval
+is the identity and the sum is the node sum, at
 O(nodes * k * (k + columns)) for k basis functions.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import QuadratureGrid, central_dbar
+from .domains import QuadratureGrid, central_dbar, contains
 from .kernels import KernelEngine, OrthonormalBasis
 
 _DBAR_STEP = 1e-5         # central-difference step of dbar_values
@@ -81,100 +82,91 @@ class OperatorTruncation:
     singular_values: np.ndarray  # descending, nonnegative
 
 
-_CHUNK_BUDGET = 4_000_000  # array entries per chunk of nodes
+_CHUNK_BUDGET = 4_000_000  # array entries per chunk of orbits
 
 
-def _residual_gram(basis, grid, columns, width, project):
-    """Gram of `width` columns v_j, or of their residuals v_j - P v_j
-    with project.
-
-    columns(nodes, E) gives the column values on a chunk of nodes from
-    E = basis.evaluate(nodes), which each pass computes once.  The
-    projection needs A = <v_j, phi_i> from a first grid pass; the Gram
-    is then assembled from the explicit residual M - E A in a second
-    pass, since the algebraic shortcut G - A^H A loses half the working
-    digits to cancellation when the residual is nearly zero.
-    """
-    step = max(1, _CHUNK_BUDGET // (len(basis) + width))
-
-    def chunks():
-        for lo in range(0, len(grid), step):
-            nodes = grid.nodes[lo:lo + step]
-            E = basis.evaluate(nodes)
-            yield grid.weights[lo:lo + step, None], E, columns(nodes, E)
-
-    if project:
-        A = sum((E.conj() * w).T @ M for w, E, M in chunks())
-    G = np.zeros((width, width), dtype=complex)
-    for w, E, M in chunks():
-        if project:
-            M = M - E @ A
-        G += (M.conj() * w).T @ M
-    return 0.5 * (G + G.conj().T)
+def _orbit_size(basis, grid):
+    """Angles per coordinate of an orbit: the grid's n_theta for a
+    monomial basis, each of whose functions is one angular mode on every
+    orbit; else 1, so that each node is an orbit and every function
+    sits at mode 0."""
+    return grid.n_theta if basis.monomial else 1
 
 
-def _on_orbits(basis, grid):
-    """A monomial basis on a grid with a torus layout: each basis
-    function is then one angular mode on every orbit."""
-    return grid.n_theta > 0 and basis.monomial
-
-
-def _angular_dft(grid, values):
-    """DFT over the torus angles of values at grid.orbit_nodes(...),
-    shape (n_orbits * T, ...) -> (n_orbits, T, ...), T = n_theta ** d;
-    mode m is the C-order flat index of m in Z_{n_theta}^d."""
-    d = grid.moduli.shape[1]
-    F = np.fft.fftn(values.reshape((-1,) + (grid.n_theta,) * d
-                                   + values.shape[1:]),
-                    axes=tuple(range(1, d + 1)))
-    return F.reshape((len(F), -1) + values.shape[1:])
-
-
-def _orbit_gram(basis, grid, spectra, width, project):
-    """_residual_gram by discrete Parseval over the torus orbits of a
-    product-polar grid, for a monomial basis.
-
-    On orbit rho, phi_k is the angular mode alphas[k] mod n_theta with
-    amplitude S[rho, k] = phi_k(moduli[rho]).  spectra(lo, hi, S, at)
-    gives the angular DFTs of the columns on orbits lo..hi at the modes
-    `at`, (c, T, width) for all T modes.  A = <v_j, phi_k> is read off
-    the basis modes in a first pass; the second subtracts the projection
-    on those modes (modes that alias add up) and sums the Gram
-    sum_rho (W_rho / T) R^H R of the explicit residual R.
-    """
-    n = grid.n_theta
-    shape = (n,) * grid.moduli.shape[1]
-    T = n ** len(shape)
-    modes = np.ravel_multi_index(tuple((basis.alphas % n).T), shape)
-    step = max(1, _CHUNK_BUDGET // (T * width))
-
-    def chunks(at):
-        for lo in range(0, len(grid.moduli), step):
-            S = basis.evaluate(grid.moduli[lo:lo + step])
-            yield (grid.orbit_weights[lo:lo + step], S,
-                   spectra(lo, lo + step, S, at))
-
-    if project:
-        A = sum(np.einsum("rk,rkj->kj", S.conj() * w[:, None], V)
-                for w, S, V in chunks(modes))
-    G = np.zeros((width, width), dtype=complex)
-    for w, S, V in chunks(slice(None)):
-        if project:
-            np.subtract.at(V, (slice(None), modes),
-                           T * S[:, :, None] * A[None])
-        V = V.reshape(-1, width)
-        G += (V.conj() * np.repeat(w / T, T)[:, None]).T @ V
-    return 0.5 * (G + G.conj().T)
+def _angular_dft(values, n, d):
+    """DFT over the torus angles of values on whole orbits,
+    (orbits * T, ...) -> (orbits, T, ...) with T = n ** d; mode m is
+    the C-order flat index of m in Z_n^d.  An orbit of one node is its
+    own spectrum."""
+    V = values.reshape((-1,) + (n,) * d + values.shape[1:])
+    if n > 1:
+        V = np.fft.fftn(V, axes=tuple(range(1, d + 1)))
+    return V.reshape((len(V), n ** d) + values.shape[1:])
 
 
 def _mode_shifts(alphas, n):
     """(T, len(alphas)): the flat index of (t - alpha) mod n for each
-    flat mode t, so phi_hat[shift[:, j]] is the spectrum of
-    phi exp(i alpha_j . theta) on an orbit."""
+    flat mode t, so phi_hat[:, shift[:, j]] is the spectrum of
+    phi exp(i alpha_j . theta) on an orbit.  At n = 1 it is one zero
+    shift, (1, 1), that broadcasts over the columns."""
+    if n == 1:
+        return np.zeros((1, 1), dtype=int)
     shape = (n,) * alphas.shape[1]
     t = np.indices(shape).reshape(len(shape), -1)
     return np.ravel_multi_index(
         tuple((t[:, :, None] - alphas.T[:, None, :]) % n), shape)
+
+
+def _residual_gram(basis, grid, n, columns, width, project):
+    """Gram of `width` columns v_j, or of their residuals v_j - P v_j
+    with project, summed over torus orbits of T = n ** d consecutive
+    grid nodes.
+
+    On orbit rho every node weighs w_rho, and phi_k is the angular mode
+    modes[k] with amplitude S[rho, k], its value at the orbit's first
+    node.  columns(orbits, nodes, S, at) gives the angular DFTs of the
+    columns on a chunk of orbits (a slice) with those nodes, at the
+    modes `at`: (c, len(at), width), or (c, T, width) for slice(None).
+    By discrete Parseval, T A = sum_rho T w_rho S^H V at each function's
+    mode is read off in a first pass.  The second pass subtracts the
+    projection S (T A) one run of functions on one mode at a time and
+    sums the Gram sum_rho (w_rho / T) R^H R of the explicit residual R,
+    since the algebraic shortcut G - A^H A loses half the working digits
+    to cancellation when the residual is nearly zero.  At n = 1 these
+    are A = E^H w M and R = M - E A on the nodes.
+    """
+    d = grid.domain.dim
+    T = n ** d
+    k = len(basis)
+    # a dense basis only meets n = 1, where every mode is 0
+    modes = np.ravel_multi_index(tuple((basis.alphas[:k] % n).T), (n,) * d)
+    starts = np.flatnonzero(np.diff(modes, prepend=-1))
+    runs = [slice(a, b) for a, b in zip(starts, np.append(starts[1:], k))]
+    step = max(1, _CHUNK_BUDGET // (k + T * width))
+
+    def chunk(lo, at):
+        nodes = slice(lo * T, (lo + step) * T)
+        S = basis.evaluate(grid.nodes[nodes][::T])
+        return (grid.weights[nodes][::T], S,
+                columns(slice(lo, lo + step), grid.nodes[nodes], S, at))
+
+    def read_off(w, S, V):
+        return np.concatenate([(S[:, r].conj() * (T * w)[:, None]).T
+                               @ V[:, g] for g, r in enumerate(runs)])
+
+    def gram(w, S, V):
+        if project:
+            for r in runs:
+                V[:, modes[r.start]] -= S[:, r] @ TA[r]
+        V = V.reshape(-1, width)
+        return (V.conj() * np.repeat(w / T, T)[:, None]).T @ V
+
+    # one chunk at a time: each is released before the next is built
+    orbits = range(0, len(grid) // T, step)
+    if project:
+        TA = sum(read_off(*chunk(lo, modes[starts])) for lo in orbits)
+    G = sum(gram(*chunk(lo, slice(None))) for lo in orbits)
+    return 0.5 * (G + G.conj().T)
 
 
 def _singular_values(G):
@@ -187,23 +179,22 @@ def _singular_values(G):
 
 
 def _truncation(kind, symbol, basis, grid, guard, per_variable):
+    if guard < 0:
+        raise OperatorError(f"guard must be non-negative, not {guard}")
     cols = basis.graded_columns(basis.degree - guard, per_variable) \
         if guard > 0 else np.arange(len(basis))
     if len(cols) == 0:
         raise OperatorError(f"guard {guard} leaves no source column at "
                             f"degree {basis.degree}")
-    project = kind == "Hankel"
-    if _on_orbits(basis, grid):
-        phi_hat = _angular_dft(grid, symbol(grid.orbit_nodes()))
-        shift = _mode_shifts(basis.alphas[cols], grid.n_theta)
-        G = _orbit_gram(basis, grid,
-                        lambda lo, hi, S, at: phi_hat[lo:hi].take(
-                            shift[at], axis=1) * S[:, None, cols],
-                        len(cols), project)
-    else:
-        G = _residual_gram(
-            basis, grid, lambda nodes, E: symbol(nodes)[:, None] * E[:, cols],
-            len(cols), project)
+    n = _orbit_size(basis, grid)
+    # the column phi phi_j has the spectrum of phi shifted by phi_j's mode
+    phi_hat = _angular_dft(symbol(grid.nodes), n, grid.domain.dim)
+    shift = _mode_shifts(basis.alphas[cols], n)
+    G = _residual_gram(
+        basis, grid, n,
+        lambda orbits, nodes, S, at: phi_hat[orbits].take(
+            shift[at], axis=1) * S[:, None, cols],
+        len(cols), kind == "Hankel")
     return OperatorTruncation(kind=kind, symbol=symbol, basis=basis,
                               source_size=len(cols),
                               singular_values=_singular_values(G))
@@ -243,22 +234,21 @@ def weak_null_probe(symbol: SymbolFn, engine: KernelEngine,
     if len(centers) == 0:
         raise OperatorError("weak_null_probe needs at least one center")
     centers = centers.reshape(len(centers), -1)
+    if not np.all(contains(grid.domain, centers)):
+        raise OperatorError("probe center outside the domain")
     roots = np.sqrt(engine.kernel_diag(centers))
 
-    def phi_sections(nodes, E=None):
+    def phi_sections(nodes):
         B = np.reshape(engine.kernel(nodes, centers),
                        (len(nodes), len(centers)))
         return symbol(nodes)[:, None] * (B / roots)
 
-    if _on_orbits(basis, grid):
-        G = _orbit_gram(basis, grid,
-                        lambda lo, hi, S, at: _angular_dft(
-                            grid, phi_sections(grid.orbit_nodes(lo, hi)))[
-                                :, at],
-                        len(centers), project=True)
-    else:
-        G = _residual_gram(basis, grid, phi_sections, len(centers),
-                           project=True)
+    n = _orbit_size(basis, grid)
+    G = _residual_gram(
+        basis, grid, n,
+        lambda orbits, nodes, S, at: _angular_dft(
+            phi_sections(nodes), n, grid.domain.dim)[:, at],
+        len(centers), project=True)
     return np.sqrt(np.diag(G).real)
 
 
@@ -281,6 +271,9 @@ def compactness_indicator(build_truncation, degrees, threshold_ratio=0.5,
 
     build_truncation maps a degree to an OperatorTruncation.
     """
+    if len(degrees) == 0:
+        raise OperatorError("compactness_indicator needs at least one "
+                            "degree")
     counts = []
     sigma0 = 0.0
     for N in degrees:

@@ -170,26 +170,30 @@ class TestGrids:
                                         dom.ball(2), dom.egg(3)],
                              ids=lambda d: d.label)
     def test_product_polar_torus_layout(self, domain):
-        """Each orbit is n_theta ** d nodes of one weight; the orbits
-        hold the grid's nodes and weights exactly."""
+        """Nodes run orbit by orbit, n_theta ** d to an orbit of one
+        weight: each orbit's first node is its real moduli, and node t
+        of the orbit (C order) is that times exp(2 pi i t / n_theta)."""
         grid = dom.build_grid(domain, 0.0, scheme="product-polar", degree=4)
         per_orbit = grid.n_theta ** domain.dim
         assert grid.n_theta == 11
-        assert len(grid.moduli) * per_orbit == len(grid)
-        z = grid.orbit_nodes()
-        w = np.repeat(grid.orbit_weights, per_orbit)
-        keys = tuple(z[:, j].imag for j in range(domain.dim - 1, -1, -1)) \
-            + tuple(z[:, j].real for j in range(domain.dim - 1, -1, -1))
-        order = np.lexsort(keys)
-        assert np.array_equal(z[order], grid.nodes)
-        assert np.array_equal(w[order], grid.weights)
-        np.testing.assert_allclose(np.abs(grid.orbit_nodes(1, 2)),
-                                   np.broadcast_to(grid.moduli[1],
-                                                   (per_orbit, domain.dim)),
-                                   rtol=1e-15)
+        assert len(grid) % per_orbit == 0
+        z = grid.nodes.reshape(-1, per_orbit, domain.dim)
+        w = grid.weights.reshape(-1, per_orbit)
+        assert np.array_equal(w, np.broadcast_to(w[:, :1], w.shape))
+        first = z[:, 0]
+        assert np.all(first.imag == 0.0) and np.all(first.real >= 0.0)
+        t = np.indices((grid.n_theta,) * domain.dim).reshape(domain.dim, -1)
+        phases = np.exp(2j * math.pi * t.T / grid.n_theta)
+        np.testing.assert_allclose(z, first[:, None, :] * phases[None],
+                                   rtol=0, atol=1e-15)
 
     def test_midpoint_has_no_layout(self, disc_grid):
-        assert disc_grid.n_theta == 0 and disc_grid.moduli is None
+        """A tensor-midpoint grid's orbits are single nodes, sorted by
+        real parts first, then imaginary parts."""
+        assert disc_grid.n_theta == 1
+        z = disc_grid.nodes[:, 0]
+        order = np.lexsort((z.imag, z.real))
+        assert np.array_equal(order, np.arange(len(z)))
 
 
 def test_import_leaves_scipy_stats_out():

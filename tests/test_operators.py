@@ -6,7 +6,8 @@ import pytest
 from bergmanlab import domains as dom
 from bergmanlab import operators
 from bergmanlab.harness import bump_symbol, symbol_parse
-from bergmanlab.kernels import OrthonormalBasis, engine_for, reinhardt_basis
+from bergmanlab.kernels import (OrthonormalBasis, engine_for,
+                               orthonormalize, reinhardt_basis)
 from bergmanlab.operators import (OperatorError, SymbolFn,
                                   compactness_indicator, hankel_matrix,
                                   mult_matrix, weak_null_probe)
@@ -118,8 +119,8 @@ _BUILDERS = {"hankel": (hankel_matrix, True), "mult": (mult_matrix, False)}
 
 
 class TestResidualGram:
-    # product-polar grids take the orbit path (TestOrbitAssembly), so
-    # the node path is pinned on tensor-midpoint grids
+    # on tensor-midpoint grids every orbit is one node, so the orbit sums
+    # are the reference's node sums bit for bit
     @pytest.mark.parametrize("kind", sorted(_BUILDERS))
     @pytest.mark.parametrize("guard", [0, 2, 5])
     def test_disc_reinhardt_identical(self, disc_domain, kind, guard):
@@ -215,7 +216,6 @@ class TestOrbitAssembly:
         grid = dom.build_grid(domain, 0.0, scheme="product-polar",
                               degree=grid_degree)
         basis = reinhardt_basis(domain, degree, per_variable=pv)
-        assert operators._on_orbits(basis, grid)
         exprs = _ORBIT_SYMBOLS if domain.dim == 2 else (
             "conj(z1)", "z1*z1", "bump", "abs2(z1)")
         for expr in exprs:
@@ -236,12 +236,21 @@ class TestOrbitAssembly:
                         continue
                     _assert_sigma_close(sig, ref, (expr, kind, guard))
 
-    def test_tensor_grid_and_dense_basis_keep_node_path(self, disc_domain,
-                                                        disc_quad,
-                                                        egg_case):
-        assert not operators._on_orbits(reinhardt_basis(disc_domain, 4),
-                                        dom.build_grid(disc_domain, 0.1))
-        assert not operators._on_orbits(egg_case[2].basis, disc_quad)
+    @pytest.mark.parametrize("kind", sorted(_BUILDERS))
+    def test_dense_basis_on_product_polar_grid_identical(self, kind):
+        """A dense basis puts each node in an orbit of its own, where
+        the orbit sums are the node sums bit for bit."""
+        build, project = _BUILDERS[kind]
+        for domain, pv in ((dom.egg(2), False), (dom.polydisc(2), True)):
+            grid = dom.build_grid(domain, 0.0, scheme="product-polar",
+                                  degree=6)
+            basis = orthonormalize(domain, grid, 4, per_variable=pv)
+            assert not basis.monomial
+            for sym in (_zbar(0, 2), _mixed(2)):
+                sig = build(sym, basis, grid, guard=0,
+                            per_variable=pv).singular_values
+                ref = _reference_sigma(sym, basis, grid, 0, pv, project)
+                assert np.array_equal(sig, ref)
 
 
 class TestEdgeCases:
@@ -256,6 +265,25 @@ class TestEdgeCases:
         with pytest.raises(OperatorError, match="center"):
             weak_null_probe(_zbar(0, 1), engine_for(disc_domain),
                             reinhardt_basis(disc_domain, 4), disc_quad, [])
+
+    def test_probe_center_outside_rejected(self, disc_domain, disc_quad):
+        with pytest.raises(OperatorError, match="outside the domain"):
+            weak_null_probe(_zbar(0, 1), engine_for(disc_domain),
+                            reinhardt_basis(disc_domain, 4), disc_quad,
+                            [[0.5], [1.5]])
+
+    @pytest.mark.parametrize("build", [hankel_matrix, mult_matrix])
+    def test_negative_guard_rejected(self, disc_domain, disc_quad, build):
+        with pytest.raises(OperatorError, match="guard must be "
+                                                "non-negative, not -3"):
+            build(_zbar(0, 1), reinhardt_basis(disc_domain, 4), disc_quad,
+                  guard=-3)
+
+    def test_indicator_without_degrees_rejected(self):
+        def build(n):
+            raise AssertionError("no degree to build")
+        with pytest.raises(OperatorError, match="at least one degree"):
+            compactness_indicator(build, [])
 
 
 class TestHankelOracle:

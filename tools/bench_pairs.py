@@ -12,7 +12,8 @@ first on odd seeds and the change first on even ones, one run at a
 time.  Every end-to-end metric is summarised per side by its median and
 quartiles (numpy.percentile 25/75, linear interpolation), with the pairs
 the change wins or ties and the ratio of the medians.  A run that exits
-non-zero is recorded under "failed_runs" and left out of the statistics.
+non-zero, prints nothing, or does not end on a JSON result is recorded
+under "failed_runs" with its reason and left out of the statistics.
 With --trace, one traced run per side (seed 1001) adds the listed
 per-layer metrics.  The file follows BENCH_3.json's layout.
 """
@@ -33,7 +34,8 @@ MACHINE = ("python", "numpy", "scipy", "nproc", "openblas_threads")
 
 
 def run_once(spec, checkout, workload, seed, trace):
-    """One perfbench run: (env line, result) or (None, None) on failure."""
+    """One perfbench run: (env line, result, None), or (None, None,
+    reason) when it exits non-zero or does not end on a JSON result."""
     proc = subprocess.run(
         spec["command"] + ["--workload", workload, "--seed", str(seed),
                            "--seconds", str(spec["run_seconds"]),
@@ -41,11 +43,19 @@ def run_once(spec, checkout, workload, seed, trace):
         cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True)
     if proc.returncode != 0:
-        return None, None
+        return None, None, f"exit code {proc.returncode}"
     lines = proc.stdout.strip().splitlines()
-    env = next((json.loads(ln[2:]) for ln in lines if ln.startswith("# ")),
-               {})
-    return env, json.loads(lines[-1])
+    if not lines:
+        return None, None, "no output"
+    try:
+        out = json.loads(lines[-1])
+        env = next((json.loads(ln[2:]) for ln in lines
+                    if ln.startswith("# ")), {})
+    except json.JSONDecodeError as exc:
+        return None, None, f"not JSON: {exc}"
+    if not isinstance(out, dict) or "metrics" not in out:
+        return None, None, "last line holds no metrics"
+    return env, out, None
 
 
 def summary(values):
@@ -77,14 +87,16 @@ def bench_workload(args, spec, workload, metrics, machine):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         res = {}
         for side in order:
-            env, out = run_once(spec, getattr(args, side), workload, seed, 0)
+            env, out, reason = run_once(spec, getattr(args, side), workload,
+                                        seed, 0)
             print(f"{workload} seed {seed} {side}: "
-                  + ("run failed" if out is None else
+                  + (f"run failed ({reason})" if out is None else
                      " ".join(f"{m}={out['metrics'][m]['value']:.4g}"
                               for m, _ in metrics)),
                   file=sys.stderr, flush=True)
             if out is None:
-                failed_runs.append({"seed": seed, "side": side})
+                failed_runs.append({"seed": seed, "side": side,
+                                    "reason": reason})
                 continue
             machine.update({k: env[k] for k in MACHINE if k in env})
             fails[side][0] += out["failed"]
@@ -144,7 +156,8 @@ def main():
         keep = [m for m in args.trace_metrics.split(",") if m]
         traced = {}
         for side in ("parent", "change"):
-            _, out = run_once(spec, getattr(args, side), args.trace, SEED0, 1)
+            _, out, _ = run_once(spec, getattr(args, side), args.trace,
+                                 SEED0, 1)
             traced[side] = None if out is None else {
                 m: round(out["metrics"][m]["value"], 4)
                 for m in keep or out["metrics"] if m in out["metrics"]}
