@@ -45,7 +45,7 @@ pts = np.array([[0.0j, 0.0j], [0.5, 0.0j], [0.5, 0.5j]])
 print("\nball(2) metric tensor g at a few points:")
 for p in pts:
     g = eng.metric(p)
-    print(f"  z = {p}   eigenvalues {np.linalg.eigvalsh(g.matrix)}")
+    print(f"  z = {p}   eigenvalues {np.linalg.eigvalsh(g)}")
 
 # -- volume density ----------------------------------------------------
 
@@ -66,4 +66,4 @@ print("\negg(2) (|z1|^2 + |z2|^4 < 1), degree-12 basis:")
 print("  B(0, 0)     =", eng.kernel_diag(np.zeros((1, 2),
                                                   dtype=complex))[0])
 print("  metric eigs =", np.linalg.eigvalsh(
-    eng.metric(np.zeros(2, dtype=complex)).matrix))
+    eng.metric(np.zeros(2, dtype=complex))))

@@ -59,7 +59,6 @@ def off_diagonal_check(engine: KernelEngine, field: GeodesicField,
     """Bracket for |B(z,zeta)|^2 / (B(z,z) B(zeta,zeta)) over pairs at
     Bergman distance <= r0."""
     grid = field.grid
-    diag = engine.kernel_diag(grid.nodes).real
     lo, hi = math.inf, 0.0
     n_pairs = 0
     for zeta in np.atleast_2d(np.asarray(centers, dtype=complex)):
@@ -68,9 +67,7 @@ def off_diagonal_check(engine: KernelEngine, field: GeodesicField,
         if not len(sel):
             continue
         n_pairs += len(sel)
-        bz = engine.kernel(grid.nodes[sel], zeta[None, :])
-        bzeta = engine.kernel_diag(zeta[None, :]).real[0]
-        ratio = np.abs(bz) ** 2 / (diag[sel] * bzeta)
+        ratio = off_diagonal_ratio(engine, grid.nodes[sel], zeta)
         lo = min(lo, float(np.min(ratio)))
         hi = max(hi, float(np.max(ratio)))
     if n_pairs == 0:
@@ -81,13 +78,16 @@ def off_diagonal_check(engine: KernelEngine, field: GeodesicField,
         detail={"ratio_min": lo, "ratio_max": hi, "r0": float(r0)})
 
 
-def off_diagonal_ratio(engine: KernelEngine, z, zeta) -> float:
-    """Single-pair comparability ratio (diagonal gives exactly 1)."""
-    z = np.asarray(z, dtype=complex).reshape(1, -1)
+def off_diagonal_ratio(engine: KernelEngine, z, zeta):
+    """|B(z,zeta)|^2 / (B(z,z) B(zeta,zeta)), a float for one point z and
+    an array over a batch (n, d); the diagonal gives exactly 1."""
+    z = np.asarray(z, dtype=complex)
+    pts = np.atleast_2d(z)
     zeta = np.asarray(zeta, dtype=complex).reshape(1, -1)
-    num = np.abs(engine.kernel(z, zeta)[0]) ** 2
-    den = engine.kernel_diag(z).real[0] * engine.kernel_diag(zeta).real[0]
-    return float(num / den)
+    num = np.abs(np.reshape(engine.kernel(pts, zeta), len(pts))) ** 2
+    ratio = num / (engine.kernel_diag(pts).real
+                   * engine.kernel_diag(zeta).real[0])
+    return ratio if z.ndim > 1 else float(ratio[0])
 
 
 # -- sub-mean-value property on metric balls --------------------------
@@ -214,10 +214,9 @@ def t91_equivalences(engine: KernelEngine, field: GeodesicField,
     q = sbg_check(engine, grid)
     report["cond1_sbg_sup"] = q.value
     report["cond1_growth_flag"] = q.detail["boundary_growth_flag"]
-    # (2), (3), (4) per ball
+    # (2), (3) per ball
     diag = engine.kernel_diag(grid.nodes).real
-    density = field.volume_density_nodes()
-    c2, c3lo, c3hi, c4 = 0.0, math.inf, 0.0, 0.0
+    c2, c3lo, c3hi = 0.0, math.inf, 0.0
     for zeta in centers:
         ball = metric_ball(field, zeta, r)
         bz = engine.kernel_diag(zeta[None, :]).real[0]
@@ -225,13 +224,13 @@ def t91_equivalences(engine: KernelEngine, field: GeodesicField,
         c2 = max(c2, float(np.max(ratio2)), float(1.0 / np.min(ratio2)))
         prod = bz * ball.lebesgue_mass
         c3lo, c3hi = min(c3lo, prod), max(c3hi, prod)
-        ratio4 = density[ball.members] * ball.lebesgue_mass
-        c4 = max(c4, float(np.max(ratio4)), float(1.0 / np.min(ratio4)))
     if c2 == 0.0:
         raise DiagnosticsError("all equivalence balls were empty")
     report["cond2_kernel_ratio_bracket"] = c2
     report["cond3_mass_product_range"] = [c3lo, c3hi]
     report["cond3_bracket"] = max(c3hi, 1.0 / c3lo)
+    # (4)
+    c4 = volume_equivalence_bracket(engine, field, centers, r).value
     report["cond4_volume_bracket"] = c4
     # (5)
     if field.domain.homogeneous:

@@ -50,25 +50,25 @@ class DomainSpec:
         return self.kind in ("ball", "polydisc")
 
 
-def disc(label="disc"):
+def disc():
     """The unit disc: the polydisc in C^1."""
-    return DomainSpec(kind="polydisc", dim=1, label=label)
+    return DomainSpec(kind="polydisc", dim=1, label="disc")
 
 
-def ball(d, label=None):
-    return DomainSpec(kind="ball", dim=d, label=label or f"ball({d})")
+def ball(d):
+    return DomainSpec(kind="ball", dim=d, label=f"ball({d})")
 
 
-def polydisc(d, label=None):
-    return DomainSpec(kind="polydisc", dim=d, label=label or f"polydisc({d})")
+def polydisc(d):
+    return DomainSpec(kind="polydisc", dim=d, label=f"polydisc({d})")
 
 
-def egg(m, label=None):
+def egg(m):
     """The egg domain {|z1|^2 + |z2|^(2m) < 1} in C^2."""
     if m < 1:
         raise DomainError("egg exponent must be >= 1")
     return DomainSpec(kind="egg", dim=2, egg_exponent=int(m),
-                      label=label or f"egg({m})")
+                      label=f"egg({m})")
 
 
 def contains(dom: DomainSpec, z) -> np.ndarray | bool:
@@ -315,7 +315,7 @@ def monomial_norm2(dom: DomainSpec, alpha) -> float:
     if dom.kind == "ball":
         n = int(np.sum(alpha))
         num = math.pi ** d * math.factorial(d) \
-            * float(np.prod([math.factorial(a) for a in alpha]))
+            * float(math.prod(math.factorial(a) for a in alpha))
         return num / (d * math.factorial(n + d))
     m = dom.egg_exponent
     a, b = int(alpha[0]), int(alpha[1])

@@ -25,7 +25,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, asdict, fields
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -373,33 +373,24 @@ class _Workspace:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.dom = config.domain_spec()
-        self._grid = None
-        self._engine = None
-        self._field = None
 
-    @property
+    @cached_property
     def grid(self):
-        if self._grid is None:
-            self._grid = build_grid(self.dom, self.config.resolution)
-        return self._grid
+        return build_grid(self.dom, self.config.resolution)
 
-    @property
+    @cached_property
     def engine(self):
         """Closed form on homogeneous domains, else orthonormalized on
         the grid."""
-        if self._engine is None:
-            self._engine = engine_for(self.dom) if self.dom.homogeneous \
-                else engine_for(self.dom, self.grid,
-                                degree=self.config.basis_degree)
-        return self._engine
+        if self.dom.homogeneous:
+            return engine_for(self.dom)
+        return engine_for(self.dom, self.grid,
+                          degree=self.config.basis_degree)
 
-    @property
+    @cached_property
     def field(self):
-        if self._field is None:
-            self._field = GeodesicField(
-                self.engine, self.grid,
-                neighbors_per_dim=self.config.graph_neighbors)
-        return self._field
+        return GeodesicField(self.engine, self.grid,
+                             neighbors_per_dim=self.config.graph_neighbors)
 
     def symbol(self):
         return resolve_symbol(self.config.symbol, self.dom.dim)

@@ -155,16 +155,6 @@ def reinhardt_basis(dom: DomainSpec, degree: int,
                             smallest_retained=float(norms.min()), dropped=0)
 
 
-@dataclass(frozen=True)
-class MetricTensor:
-    point: np.ndarray
-    matrix: np.ndarray  # (d, d) Hermitian positive definite
-
-    @property
-    def determinant(self):
-        return float(np.linalg.det(self.matrix).real)
-
-
 class KernelEngine:
     """Evaluator for B_Omega, the Bergman metric, and kernel sections.
 
@@ -234,7 +224,8 @@ class KernelEngine:
 
     # -- metric -------------------------------------------------------
 
-    def metric(self, zeta) -> MetricTensor:
+    def metric(self, zeta):
+        """The (d, d) Hermitian positive definite metric at one point."""
         zeta = np.asarray(zeta, dtype=complex).reshape(-1)
         if self.mode == "closed-form":
             g = self._closed_form_metric(zeta[None, :])[0]
@@ -253,7 +244,7 @@ class KernelEngine:
             raise KernelError(
                 f"metric not positive definite (smallest eigenvalue "
                 f"{lam[0]:.3e})")
-        return MetricTensor(point=zeta, matrix=g)
+        return g
 
     def metric_batch(self, z):
         """(n, d, d) Hermitian matrices; vectorized."""
@@ -298,9 +289,6 @@ class KernelEngine:
             g[:, j, j] = 2.0 / (1.0 - np.abs(z[:, j]) ** 2) ** 2
         return g
 
-    def volume_density(self, zeta) -> float:
-        return self.metric(zeta).determinant
-
     def volume_density_batch(self, z):
         g = self.metric_batch(z)
         return np.linalg.det(g).real
@@ -329,10 +317,13 @@ class KernelEngine:
     # -- normalized kernel sections -----------------------------------
 
     def s_section(self, zeta, z):
-        """s_zeta(z) = B(z, zeta) / sqrt(B(zeta, zeta)); unit L^2 norm."""
-        zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-        root = math.sqrt(self.kernel_diag(zeta[None, :])[0])
-        return self.kernel(z, zeta) / root
+        """s_zeta(z) = B(z, zeta) / sqrt(B(zeta, zeta)); unit L^2 norm.
+        A batch of centres (m, d) gives a (len(z), m) array."""
+        zeta = np.asarray(zeta, dtype=complex)
+        z, centres = np.atleast_2d(z), np.atleast_2d(zeta)
+        s = np.reshape(self.kernel(z, centres), (len(z), len(centres))) \
+            / np.sqrt(self.kernel_diag(centres))
+        return s if zeta.ndim > 1 else s[:, 0]
 
 
 def engine_for(dom: DomainSpec, grid: QuadratureGrid = None, degree=None,

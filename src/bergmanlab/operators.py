@@ -236,18 +236,12 @@ def weak_null_probe(symbol: SymbolFn, engine: KernelEngine,
     centers = centers.reshape(len(centers), -1)
     if not np.all(contains(grid.domain, centers)):
         raise OperatorError("probe center outside the domain")
-    roots = np.sqrt(engine.kernel_diag(centers))
-
-    def phi_sections(nodes):
-        B = np.reshape(engine.kernel(nodes, centers),
-                       (len(nodes), len(centers)))
-        return symbol(nodes)[:, None] * (B / roots)
-
     n = _orbit_size(basis, grid)
     G = _residual_gram(
         basis, grid, n,
         lambda orbits, nodes, S, at: _angular_dft(
-            phi_sections(nodes), n, grid.domain.dim)[:, at],
+            symbol(nodes)[:, None] * engine.s_section(centers, nodes), n,
+            grid.domain.dim)[:, at],
         len(centers), project=True)
     return np.sqrt(np.diag(G).real)
 

@@ -5,7 +5,10 @@ import pytest
 
 from bergmanlab import domains as dom
 from bergmanlab.geometry import GeodesicField, _ramp
-from bergmanlab.kernels import engine_for
+from bergmanlab.harness import symbol_parse
+from bergmanlab.kernels import engine_for, reinhardt_basis
+from bergmanlab.operators import (compactness_indicator, hankel_matrix,
+                                  weak_null_probe)
 
 RHO = math.tanh(1.0 / math.sqrt(2.0))  # Euclidean radius of B(0,1) on disc
 DISC_BALL_MASS = math.pi * RHO ** 2
@@ -86,6 +89,33 @@ def bidisc_field(bidisc_engine, bidisc_grid):
 @pytest.fixture(scope="session")
 def ball2_field(ball2_engine, ball2_grid):
     return GeodesicField(ball2_engine, ball2_grid)
+
+
+@pytest.fixture(scope="session")
+def bidisc_zbar2_signature(bidisc_domain, bidisc_engine, bidisc_grid):
+    """Criterion 03's computation, read by it and by the operator tests:
+    the conj(z2) count indicator over the res-0.08 bidisc grid at
+    per-variable degrees 4/8/12/16 with threshold 0.85, and its probe at
+    (t, 0), t = 0.5 ... 0.95, with the degree-16 basis on the degree-10
+    product-polar grid.  Returns (indicator, probe values)."""
+    sym = symbol_parse("conj(z2)", 2)
+
+    def build(n):
+        return hankel_matrix(sym,
+                             reinhardt_basis(bidisc_domain, n,
+                                             per_variable=True),
+                             bidisc_grid, guard=0, per_variable=True)
+
+    ind = compactness_indicator(build, (4, 8, 12, 16), threshold_ratio=0.85)
+    centers = np.array([[t, 0.0] for t in (0.5, 0.7, 0.9, 0.95)],
+                       dtype=complex)
+    quad = dom.build_grid(bidisc_domain, 0.0, scheme="product-polar",
+                          degree=10)
+    probe = weak_null_probe(sym, bidisc_engine,
+                            reinhardt_basis(bidisc_domain, 16,
+                                            per_variable=True),
+                            quad, centers)
+    return ind, probe
 
 
 def zbar1(dim):

@@ -22,8 +22,7 @@ from bergmanlab.geometry import (GeodesicField, build_net, covering_audit,
                                  separation_audit)
 from bergmanlab.harness import bump_symbol, symbol_parse
 from bergmanlab.kernels import engine_for, reinhardt_basis
-from bergmanlab.operators import (compactness_indicator, hankel_matrix,
-                                  weak_null_probe)
+from bergmanlab.operators import compactness_indicator, hankel_matrix
 
 from conftest import zbar1
 
@@ -68,30 +67,12 @@ def test_criterion_02_hankel_spectrum_oracle(disc_domain):
              f"max |sigma_j - oracle| = {worst:.2e} for j <= 10 (<= 1e-4)")
 
 
-def test_criterion_03_noncompactness_signature(bidisc_domain, bidisc_engine,
-                                               bidisc_grid):
-    sym = symbol_parse("conj(z2)", 2)
-
-    def build(n):
-        return hankel_matrix(sym,
-                             reinhardt_basis(bidisc_domain, n,
-                                             per_variable=True),
-                             bidisc_grid, guard=0, per_variable=True)
-
+def test_criterion_03_noncompactness_signature(bidisc_zbar2_signature):
     # 0.85 * sigma_0 = 0.85 / sqrt(2) = 0.60: the count of sigma > 0.6
-    ind = compactness_indicator(build, (4, 8, 12, 16),
-                                threshold_ratio=0.85)
+    ind, probe = bidisc_zbar2_signature
     counts_ok = all(abs(c - (n + 1)) <= 1
                     for n, c in zip(ind.degrees, ind.counts))
     growing = all(b > a for a, b in zip(ind.counts, ind.counts[1:]))
-    centers = np.array([[t, 0.0] for t in (0.5, 0.7, 0.9, 0.95)],
-                       dtype=complex)
-    quad = dom.build_grid(bidisc_domain, 0.0, scheme="product-polar",
-                          degree=10)
-    probe = weak_null_probe(sym, bidisc_engine,
-                            reinhardt_basis(bidisc_domain, 16,
-                                            per_variable=True),
-                            quad, centers)
     _verdict(3, "bidisc conj(z2) linear count growth + probe",
              counts_ok and growing and np.min(probe) >= 0.3,
              f"counts {ind.counts} vs N+1 (+/-1), "

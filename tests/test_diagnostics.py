@@ -27,6 +27,14 @@ class TestOffDiagonal:
         z = [0.3, 0.2j]
         assert off_diagonal_ratio(ball2_engine, z, z) == pytest.approx(1.0)
 
+    def test_batch_is_per_point(self, ball2_engine, ball2_grid):
+        z = ball2_grid.nodes[::41]
+        zeta = np.array([0.3, -0.2j])
+        ratio = off_diagonal_ratio(ball2_engine, z, zeta)
+        assert ratio.shape == (len(z),)
+        assert np.array_equal(
+            ratio, [off_diagonal_ratio(ball2_engine, p, zeta) for p in z])
+
     def test_disc_scan_bracket(self, disc_engine, disc_field):
         centers = np.array([[0.0j], [0.3], [0.5 + 0.2j], [0.7j], [-0.6]])
         est = off_diagonal_check(disc_engine, disc_field, centers, r0=1.0)
@@ -132,6 +140,15 @@ class TestEquivalences:
                                r=0.8)
         assert rep["cond5_skipped"]
         assert rep["coherent"]
+
+    def test_cond4_reads_the_lower_side_disc(self, disc_engine, disc_field):
+        # on B(0, 0.3) density * ball mass stays below 1: about 2 pi rho^2,
+        # rho = tanh(0.3 / sqrt 2), so the bracket is its reciprocal
+        rep = t91_equivalences(disc_engine, disc_field, np.array([[0.0j]]),
+                               r=0.3)
+        rho = math.tanh(0.3 / math.sqrt(2.0))
+        assert rep["cond4_volume_bracket"] == pytest.approx(
+            1.0 / (2.0 * math.pi * rho ** 2), rel=0.1)
 
     def test_volume_equivalence_bracket_ball(self, ball2_engine,
                                              ball2_field):

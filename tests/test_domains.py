@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergmanlab import domains as dom
+from bergmanlab.kernels import multi_indices
 
 
 class TestMembership:
@@ -223,6 +225,21 @@ class TestMonomialNorms:
         expected = math.pi ** 2 * 2 * 1 * 1 / (2 * math.factorial(4))
         assert dom.monomial_norm2(ball2_domain, (1, 1)) == pytest.approx(
             expected)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ball_norms_exact_past_int64(self, d):
+        # pi^d d! prod(a_j!) / (d (|a|+d)!) as an exact rational; from
+        # |a| = 23 on, the product of the factorials leaves int64
+        ball = dom.ball(d)
+        for n in (23, 24, 30):
+            for a in multi_indices(d, n):
+                if a.sum() != n:
+                    continue
+                exact = Fraction(math.factorial(d) * math.prod(
+                    math.factorial(int(k)) for k in a),
+                    d * math.factorial(n + d))
+                assert dom.monomial_norm2(ball, a) == pytest.approx(
+                    math.pi ** d * float(exact), rel=1e-14), a
 
     def test_egg_norms_against_quadrature(self):
         egg = dom.egg(2)

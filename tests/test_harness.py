@@ -398,6 +398,16 @@ class TestRun:
         assert len(degrees) == len(cfg.hankel_degrees)
         assert sorted(degrees) == sorted(cfg.hankel_degrees)
 
+    def test_ball_hankel_past_int64_norms(self, tmp_path):
+        # from total degree 23 on, the ball's monomial norms need a
+        # factorial product beyond int64
+        cfg = self._cfg(tmp_path, domain="ball2", resolution=0.2,
+                        hankel_degrees=(24,))
+        assert run(cfg, "hankel") == EXIT_OK
+        with open(tmp_path / "sigma.csv") as fh:
+            sigma = [float(row["sigma"]) for row in csv.DictReader(fh)]
+        assert sigma and all(math.isfinite(s) for s in sigma)
+
     def test_variety_on_bidisc(self, tmp_path):
         cfg = self._cfg(tmp_path, domain="polydisc2", symbol="conj(z2)",
                         resolution=0.2)

@@ -119,12 +119,12 @@ class TestNumericalKernel:
 class TestMetric:
     def test_disc_metric_closed_form(self, disc_engine):
         z = 0.4 + 0.2j
-        g = disc_engine.metric(np.array([z])).matrix[0, 0].real
+        g = disc_engine.metric(np.array([z]))[0, 0].real
         assert g == pytest.approx(2.0 / (1.0 - abs(z) ** 2) ** 2)
 
     def test_ball_metric_determinant(self, ball2_engine):
         z = np.array([0.3, 0.1j])
-        det = ball2_engine.volume_density(z)
+        det = ball2_engine.volume_density_batch(z)[0]
         s = 1.0 - np.sum(np.abs(z) ** 2)
         assert det == pytest.approx(9.0 / s ** 3)
 
@@ -132,8 +132,8 @@ class TestMetric:
         grid = dom.build_grid(disc_domain, 0.025)
         num = engine_for(disc_domain, grid, degree=30)
         z = np.array([0.3 + 0.2j])
-        a = num.metric(z).matrix[0, 0].real
-        b = disc_engine.metric(z).matrix[0, 0].real
+        a = num.metric(z)[0, 0].real
+        b = disc_engine.metric(z)[0, 0].real
         assert a == pytest.approx(b, rel=2e-3)
 
     def test_near_boundary_metric_refused(self, disc_domain):
@@ -160,3 +160,15 @@ class TestMetric:
         s = disc_engine.s_section(zeta, disc_grid.nodes)
         mass = np.sum(disc_grid.weights * np.abs(s) ** 2)
         assert mass == pytest.approx(1.0, rel=0.01)
+
+    @pytest.mark.parametrize("kind", ["disc", "ball2"])
+    def test_s_section_batch_is_per_centre(self, kind, disc_engine,
+                                           disc_grid, ball2_engine,
+                                           ball2_grid):
+        eng, grid = {"disc": (disc_engine, disc_grid),
+                     "ball2": (ball2_engine, ball2_grid)}[kind]
+        centres = grid.nodes[::97][:5] * 0.9
+        s = eng.s_section(centres, grid.nodes)
+        assert s.shape == (len(grid), len(centres))
+        for k, zeta in enumerate(centres):
+            assert np.array_equal(s[:, k], eng.s_section(zeta, grid.nodes))

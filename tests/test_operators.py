@@ -96,12 +96,15 @@ def _reference_sigma(symbol, basis, grid, guard, per_variable, project):
 
 
 def _reference_probe(symbol, engine, basis, grid, centers):
-    """Full-grid residual norm of phi s_zeta, one center at a time."""
+    """Full-grid residual norm of phi s_zeta, one center at a time, with
+    s_zeta = B(., zeta) / sqrt(B(zeta, zeta)) built here from the kernel."""
     out = np.empty(len(centers))
     phi_vals = symbol(grid.nodes)
     E = basis.evaluate(grid.nodes)
     for i, zeta in enumerate(centers):
-        s = engine.s_section(np.asarray(zeta, dtype=complex), grid.nodes)
+        zeta = np.asarray(zeta, dtype=complex).reshape(1, -1)
+        s = engine.kernel(grid.nodes, zeta) \
+            / math.sqrt(engine.kernel_diag(zeta)[0])
         v = phi_vals * s
         r = v - E @ ((E.conj() * grid.weights[:, None]).T @ v)
         out[i] = np.sqrt(np.sum(grid.weights * np.abs(r) ** 2))
@@ -344,36 +347,17 @@ class TestCompactnessIndicator:
         assert ind.compact
         assert max(ind.counts) - min(ind.counts) <= 1
 
-    @staticmethod
-    def _count_grid(bidisc_domain):
-        return dom.build_grid(bidisc_domain, 0.08)
-
-    def test_bidisc_zbar2_flagged_noncompact(self, bidisc_domain,
-                                             bidisc_quad):
-        sym = _zbar(1, 2)
-        def build(n):
-            return hankel_matrix(
-                sym, reinhardt_basis(bidisc_domain, n, per_variable=True),
-                self._count_grid(bidisc_domain), guard=0,
-                per_variable=True)
+    def test_bidisc_zbar2_flagged_noncompact(self, bidisc_zbar2_signature):
         # sigma > 0.6 = 0.85 * sigma_0: isolates the top cluster
-        ind = compactness_indicator(build, (4, 8, 12, 16),
-                                    threshold_ratio=0.85)
+        ind, _ = bidisc_zbar2_signature
         assert not ind.compact
         # counts grow linearly: N + 1 within 1
         for n, c in zip(ind.degrees, ind.counts):
             assert abs(c - (n + 1)) <= 1
 
-    def test_weak_null_probe_stays_up_noncompact(self, bidisc_domain,
-                                                 bidisc_engine,
-                                                 bidisc_quad):
-        sym = _zbar(1, 2)
-        centers = np.array([[t, 0.0] for t in (0.5, 0.7, 0.9, 0.95)],
-                           dtype=complex)
-        probe = weak_null_probe(sym, bidisc_engine,
-                                reinhardt_basis(bidisc_domain, 16,
-                                                per_variable=True),
-                                bidisc_quad, centers)
+    def test_weak_null_probe_stays_up_noncompact(self,
+                                                 bidisc_zbar2_signature):
+        _, probe = bidisc_zbar2_signature
         assert np.min(probe) >= 0.3
 
 
