@@ -34,7 +34,7 @@ print(f"disc det g / B ratio C5 = {c5.value:.10f}   "
 
 c3 = off_diagonal_check(eng, field, centers)
 print(f"off-diagonal kernel comparability C3 = {c3.value:.3f} "
-      f"at distance <= 1")
+      f"at distance < 1")
 
 c4 = mean_value_check(eng, field, lambda z: np.ones(len(z)), 1.0, centers)
 print(f"mean-value constant C4 = {c4.value:.3f} for f = 1")

@@ -69,7 +69,7 @@ def omega(field: GeodesicField, ball: MetricBall, symbol: SymbolFn,
     nodes = field.grid.nodes[ball.members]
     w = field.grid.weights[ball.members].copy()
     if mode == "bergman-volume":
-        w *= field.volume_density_nodes()[ball.members]
+        w *= field.volume_density_nodes[ball.members]
     else:
         w /= ball.lebesgue_mass
     if np.all(w <= 0):
@@ -236,7 +236,7 @@ class Decomposition:
 def _ball_integral(field, members, values):
     """integral of values dV over a ball, given values at its member node
     indices."""
-    w = field.grid.weights[members] * field.volume_density_nodes()[members]
+    w = field.grid.weights[members] * field.volume_density_nodes[members]
     return float(np.sum(w * values))
 
 

@@ -1,12 +1,11 @@
 """Console entry point.
 
-Usage: bergmanlab COMMAND [--config PATH] [--out DIR] [--threads K]
-       [--resolution H] [--domain NAME] [--symbol EXPR]
+Usage: bergmanlab COMMAND [--config PATH] [--out DIR] [--resolution H]
+       [--domain NAME] [--symbol EXPR]
 
-COMMAND is one of: kernel, metric, distance, net, hankel, omega-scan,
-decompose, sbg-check, t91, variety, report.  Exit codes: 0 success,
-2 config error, 3 symbol parse error, 4 unsupported domain/command
-pair, 5 computation failure.  A symbol that starts with "-" is passed
+COMMAND is one of harness.COMMANDS.  Exit codes: 0 success, 2 config
+error, 3 symbol parse error, 4 unsupported domain/command pair,
+5 computation failure.  A symbol that starts with "-" is passed
 as --symbol=EXPR.
 """
 
@@ -36,8 +35,6 @@ def build_parser():
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", help="JSON config file (flat key-value)")
     p.add_argument("--out", help="output directory (overrides config)")
-    p.add_argument("--threads", type=int,
-                   help="BLAS thread cap; affects speed only")
     p.add_argument("--resolution", type=float,
                    help="grid spacing override")
     p.add_argument("--domain", help="domain name override")
@@ -53,8 +50,6 @@ def main(argv=None):
         overrides = {}
         if args.out is not None:
             overrides["out_dir"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         if args.resolution is not None:
             overrides["resolution"] = args.resolution
         if args.domain is not None:

@@ -56,25 +56,21 @@ def admissible_nodes(engine: KernelEngine, grid):
 
 def off_diagonal_check(engine: KernelEngine, field: GeodesicField,
                        centers, r0=1.0) -> ConstantEstimate:
-    """Bracket for |B(z,zeta)|^2 / (B(z,z) B(zeta,zeta)) over pairs at
-    Bergman distance <= r0."""
-    grid = field.grid
+    """Bracket for |B(z,zeta)|^2 / (B(z,z) B(zeta,zeta)) over the pairs
+    of each centre and the members of its metric ball of radius r0."""
     lo, hi = math.inf, 0.0
     n_pairs = 0
     for zeta in np.atleast_2d(np.asarray(centers, dtype=complex)):
-        dist = field.distances_from_point(zeta, limit=r0)
-        sel = np.nonzero(dist <= r0)[0]
-        if not len(sel):
-            continue
-        n_pairs += len(sel)
-        ratio = off_diagonal_ratio(engine, grid.nodes[sel], zeta)
+        members = metric_ball(field, zeta, r0).members
+        n_pairs += len(members)
+        ratio = off_diagonal_ratio(engine, field.grid.nodes[members], zeta)
         lo = min(lo, float(np.min(ratio)))
         hi = max(hi, float(np.max(ratio)))
     if n_pairs == 0:
-        raise DiagnosticsError("no pairs within the requested distance")
+        raise DiagnosticsError("no centers for the off-diagonal check")
     return ConstantEstimate(
         name="C3", value=max(hi, 1.0 / lo),
-        sample=f"{n_pairs} pairs at distance <= {r0}",
+        sample=f"{n_pairs} pairs at distance < {r0}",
         detail={"ratio_min": lo, "ratio_max": hi, "r0": float(r0)})
 
 
@@ -262,7 +258,7 @@ def volume_equivalence_bracket(engine: KernelEngine, field: GeodesicField,
                                centers, r=1.0) -> ConstantEstimate:
     """Max over centers of the two-sided constant between the metric
     volume density and 1/mu(B(zeta,r)) on the ball."""
-    density = field.volume_density_nodes()
+    density = field.volume_density_nodes
     best = 0.0
     used = 0
     for zeta in np.atleast_2d(np.asarray(centers, dtype=complex)):

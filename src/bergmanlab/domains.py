@@ -188,7 +188,8 @@ _MIDPOINT_CAP = 8_000_000
 
 def _tensor_midpoint(dom, resolution):
     """Midpoint rule on a uniform split of the bounding box [-1, 1]^2d,
-    clipped to the domain."""
+    clipped to the domain; the nodes run in lexicographic order of
+    (Re z_1, ..., Re z_d, Im z_1, ..., Im z_d)."""
     # below resolution 2 / float_max, 2 / resolution passes float
     # range; float_max cells per axis are past the cap all the same
     n = math.ceil(min(2.0 / resolution, sys.float_info.max))
@@ -201,7 +202,7 @@ def _tensor_midpoint(dom, resolution):
     axis = -1.0 + h * (np.arange(n) + 0.5)
     grids = np.meshgrid(*([axis] * (2 * dom.dim)), indexing="ij")
     x = np.stack([g.ravel() for g in grids], axis=-1)
-    z = x[:, 0::2] + 1j * x[:, 1::2]
+    z = x[:, :dom.dim] + 1j * x[:, dom.dim:]
     keep = contains(dom, z)
     z = z[keep]
     w = np.full(len(z), h ** (2 * dom.dim))
@@ -280,11 +281,6 @@ def build_grid(dom: DomainSpec, resolution: float, scheme="tensor-midpoint",
             raise DomainError("degree applies only to the product-polar "
                               "scheme")
         z, w = _tensor_midpoint(dom, resolution)
-        # real parts first, then imaginary parts, coordinate by coordinate
-        order = np.lexsort(
-            tuple(z[:, j].imag for j in range(dom.dim - 1, -1, -1))
-            + tuple(z[:, j].real for j in range(dom.dim - 1, -1, -1)))
-        z, w = z[order], w[order]
     elif scheme == "product-polar":
         if degree is None:
             raise DomainError("product-polar scheme requires a degree")

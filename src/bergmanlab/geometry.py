@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -63,7 +64,6 @@ class GeodesicField:
         mat = csr_matrix((lengths, (rows, cols)), shape=(n, n))
         self.graph = mat.maximum(mat.T)  # symmetrize
         self._point_cache: dict = {}
-        self._density = None
 
     # -- local metric helpers -----------------------------------------
 
@@ -83,11 +83,10 @@ class GeodesicField:
             out[lo:hi] = np.sqrt(np.maximum(q, 0.0))
         return out
 
+    @cached_property
     def volume_density_nodes(self):
-        """Bergman volume density at every grid node (cached)."""
-        if self._density is None:
-            self._density = self.engine.volume_density_batch(self.grid.nodes)
-        return self._density
+        """Bergman volume density at every grid node."""
+        return self.engine.volume_density_batch(self.grid.nodes)
 
     # -- distances ----------------------------------------------------
 

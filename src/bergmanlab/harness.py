@@ -61,9 +61,6 @@ EXIT_SYMBOL = 3
 EXIT_UNSUPPORTED = 4
 EXIT_COMPUTE = 5
 
-COMMANDS = ("kernel", "metric", "distance", "net", "hankel", "omega-scan",
-            "decompose", "sbg-check", "t91", "variety", "report")
-
 
 # -- symbol expressions -----------------------------------------------
 
@@ -253,7 +250,6 @@ class ExperimentConfig:
     hankel_degrees: tuple = (4, 8, 12, 16)
     graph_neighbors: int = 8
     out_dir: str = "out"
-    threads: int = 0  # 0 = library default; speed only
 
     def __post_init__(self):
         for f in fields(self):
@@ -272,9 +268,8 @@ class ExperimentConfig:
                      "graph_neighbors"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"config field {name} must be positive")
-        for name in ("seed", "threads"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"config field {name} must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("config field seed must be >= 0")
         self.steps = tuple(float(t) for t in self.steps)
         self.hankel_degrees = tuple(int(n) for n in self.hankel_degrees)
         if not self.steps or not all(0.0 < t < 1.0 for t in self.steps):
@@ -305,10 +300,10 @@ class ExperimentConfig:
         return cls(**data)
 
     def config_hash(self):
-        """Hash of the fields that can change a result: not out_dir or
-        threads, so an experiment keeps its id in any directory."""
+        """Hash of the fields that can change a result: not out_dir, so
+        an experiment keeps its id in any directory."""
         payload = asdict(self)
-        del payload["out_dir"], payload["threads"]
+        del payload["out_dir"]
         text = json.dumps(payload, indent=2, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -412,10 +407,10 @@ class _Workspace:
         return np.stack(pts)
 
 
-def _report(ws, command, rows, summary):
+def _report(ws, command, summary):
     """The JSON report of one command, with the run's provenance."""
     return {"experiment_id": ws.config.config_hash(), "command": command,
-            "rows": rows, "summary": summary, "provenance": ws.provenance()}
+            "summary": summary, "provenance": ws.provenance()}
 
 
 def _cmd_kernel(ws, out):
@@ -431,7 +426,7 @@ def _cmd_kernel(ws, out):
                [_coordinate_cells(z) + _coordinate_cells(w)
                 + [repr(v.real), repr(v.imag)]
                 for (z, w), v in zip(pairs, vals)])
-    return [], {"n_pairs": len(pairs), "mode": ws.engine.mode}
+    return {"n_pairs": len(pairs), "mode": ws.engine.mode}
 
 
 def _cmd_metric(ws, out):
@@ -439,16 +434,13 @@ def _cmd_metric(ws, out):
     z = ws.grid.nodes[idx[::max(1, len(idx) // 500)]]
     g = ws.engine.metric_batch(z)
     lam = np.linalg.eigvalsh(g)
-    dets = [float(np.prod(li)) for li in lam]
     _write_csv(out, "metric.csv",
                _coordinate_columns(ws.dom.dim)
                + ["lambda_min", "lambda_max", "det_g"],
-               [_coordinate_cells(zi) + [repr(float(li[0])),
-                                         repr(float(li[-1])), repr(det)]
-                for zi, li, det in zip(z, lam, dets)])
-    rows = [{"lambda_min": float(li[0]), "det": det}
-            for li, det in zip(lam, dets)]
-    return rows, {"n_points": len(z), "min_eigenvalue": float(np.min(lam))}
+               [_coordinate_cells(zi) + [repr(float(x)) for x in
+                                         (li[0], li[-1], np.prod(li))]
+                for zi, li in zip(z, lam)])
+    return {"n_points": len(z), "min_eigenvalue": float(np.min(lam))}
 
 
 def _cmd_distance(ws, out):
@@ -457,8 +449,7 @@ def _cmd_distance(ws, out):
     dists = [ws.field.distance(anchor, t) for t in targets]
     _write_csv(out, "distance.csv", ["target", "bergman_distance"],
                [[i, repr(dist)] for i, dist in enumerate(dists)])
-    rows = [{"target": i, "distance": dist} for i, dist in enumerate(dists)]
-    return rows, {"n_targets": len(targets)}
+    return {"n_targets": len(targets)}
 
 
 def _cmd_net(ws, out):
@@ -472,9 +463,9 @@ def _cmd_net(ws, out):
         "separation": net.separation, "n_centers": len(net),
         "multiplicity": {str(float(R)): multiplicity(net, R)
                          for R in radii}})
-    return [], {"n_centers": len(net),
-                "separation_min": separation_audit(net),
-                "covering_max": covering_audit(net)}
+    return {"n_centers": len(net),
+            "separation_min": separation_audit(net),
+            "covering_max": covering_audit(net)}
 
 
 def _cmd_hankel(ws, out):
@@ -499,9 +490,9 @@ def _cmd_hankel(ws, out):
     sigma = truncs[top].singular_values
     _write_csv(out, "sigma.csv", ["degree", "k", "sigma"],
                [[top, k, repr(float(s))] for k, s in enumerate(sigma)])
-    return [], {"compact": ind.compact, "counts": list(ind.counts),
-                "sigma0": float(sigma[0]),
-                "probe": [float(p) for p in probe]}
+    return {"compact": ind.compact, "counts": list(ind.counts),
+            "sigma0": float(sigma[0]),
+            "probe": [float(p) for p in probe]}
 
 
 def _cmd_omega_scan(ws, out):
@@ -521,7 +512,7 @@ def _cmd_omega_scan(ws, out):
                "tail_trend": scan.tail_trend, "decaying": scan.decaying,
                "n_admissible": scan.n_admissible}
     _write_json(out, "omega_summary.json", payload)
-    return [], {k: payload[k] for k in ("sup", "tail_trend", "decaying")}
+    return {k: payload[k] for k in ("sup", "tail_trend", "decaying")}
 
 
 def _cmd_decompose(ws, out):
@@ -545,9 +536,8 @@ def _cmd_decompose(ws, out):
                ["center", "shell", "epsilon", "admissible"],
                [[m, int(dec.shell_index[m]), repr(float(dec.epsilon[m])),
                  int(dec.epsilon_admissible[m])] for m in range(len(net))])
-    return [], {k: audit[k] for k in ("identity_error", "eps_max",
-                                      "pair_audit_pass",
-                                      "shell_epsilon_decay")}
+    return {k: audit[k] for k in ("identity_error", "eps_max",
+                                  "pair_audit_pass", "shell_epsilon_decay")}
 
 
 def _cmd_sbg(ws, out):
@@ -557,8 +547,8 @@ def _cmd_sbg(ws, out):
     _write_json(out, "sbg.json", {"constants": [
         {**asdict(e), "detail": {k: v for k, v in e.detail.items()
                                  if np.isscalar(v)}} for e in (q, c5)]})
-    return [], {"Q": q.value, "C5": c5.value,
-                "near_boundary_max": q.detail["near_boundary_max"]}
+    return {"Q": q.value, "C5": c5.value,
+            "near_boundary_max": q.detail["near_boundary_max"]}
 
 
 def _cmd_t91(ws, out):
@@ -571,7 +561,7 @@ def _cmd_t91(ws, out):
     if rep["cond5_skipped"]:
         summary["warning"] = ("chart condition skipped: no homogeneous "
                               "chart family on this domain")
-    return [], summary
+    return summary
 
 
 def _cmd_variety(ws, out):
@@ -587,7 +577,7 @@ def _cmd_variety(ws, out):
                               seed=ws.config.seed)
     _write_json(out, "variety.json",
                 {"residual": res, "symbol": ws.config.symbol})
-    return [], {"residual": res}
+    return {"residual": res}
 
 
 def _cmd_report(ws, out):
@@ -596,25 +586,17 @@ def _cmd_report(ws, out):
     for name in names:  # each must parse
         with open(os.path.join(out, name)) as fh:
             json.load(fh)
-    return [], {"artifacts": names}
+    return {"artifacts": names}
 
 
+# each command writes its files into out and returns its report summary
 _DISPATCH = {
     "kernel": _cmd_kernel, "metric": _cmd_metric, "distance": _cmd_distance,
     "net": _cmd_net, "hankel": _cmd_hankel, "omega-scan": _cmd_omega_scan,
     "decompose": _cmd_decompose, "sbg-check": _cmd_sbg, "t91": _cmd_t91,
     "variety": _cmd_variety, "report": _cmd_report,
 }
-
-
-_warned = set()
-
-
-def _warn_once(message):
-    """Print a warning on stderr the first time it comes up in a process."""
-    if message not in _warned:
-        _warned.add(message)
-        print(f"warning: {message}", file=sys.stderr)
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(config: ExperimentConfig, command: str) -> int:
@@ -624,14 +606,6 @@ def run(config: ExperimentConfig, command: str) -> int:
         print(f"unknown command {command!r}; choose from {COMMANDS}",
               file=sys.stderr)
         return EXIT_CONFIG
-    if config.threads > 0:
-        try:
-            # speed only; never changes output bytes
-            from threadpoolctl import threadpool_limits
-            threadpool_limits(limits=config.threads)
-        except ImportError:
-            _warn_once("threads ignored: threadpoolctl is not installed, "
-                       "so the BLAS thread count cannot be capped")
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:
@@ -639,7 +613,7 @@ def run(config: ExperimentConfig, command: str) -> int:
         return EXIT_CONFIG
     ws = _Workspace(config)
     try:
-        rows, summary = _DISPATCH[command](ws, config.out_dir)
+        summary = _DISPATCH[command](ws, config.out_dir)
     except SymbolParseError as exc:
         print(f"symbol error: {exc}", file=sys.stderr)
         return EXIT_SYMBOL
@@ -655,5 +629,5 @@ def run(config: ExperimentConfig, command: str) -> int:
               file=sys.stderr)
         return EXIT_COMPUTE
     _write_json(config.out_dir, f"{command.replace('-', '_')}_report.json",
-                _report(ws, command, rows, summary))
+                _report(ws, command, summary))
     return EXIT_OK

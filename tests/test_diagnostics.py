@@ -11,6 +11,7 @@ from bergmanlab.diagnostics import (DiagnosticsError, admissible_nodes,
                                     sbg_values, t91_equivalences,
                                     volume_comparison_check,
                                     volume_equivalence_bracket)
+from bergmanlab.geometry import GeometryError, metric_ball
 from bergmanlab.kernels import engine_for
 
 from conftest import RHO
@@ -43,6 +44,20 @@ class TestOffDiagonal:
         assert est.detail["ratio_max"] <= 1.0 + 1e-9
         assert est.value < 3.0
 
+    def test_pairs_are_metric_ball_members(self, disc_engine, disc_field):
+        centers = np.array([[0.0j], [0.3], [0.5j]])
+        est = off_diagonal_check(disc_engine, disc_field, centers, r0=1.0)
+        n_members = sum(len(metric_ball(disc_field, c, 1.0).members)
+                        for c in centers)
+        assert est.sample == f"{n_members} pairs at distance < 1.0"
+
+    def test_empty_ball_raises(self, disc_engine, disc_field, disc_grid):
+        # a grid node is in its own ball; 0.3 is off the grid, and no node
+        # lies within 1e-4 of it
+        centers = np.array([disc_grid.nodes[100], [0.3]])
+        with pytest.raises(GeometryError, match="contains no grid nodes"):
+            off_diagonal_check(disc_engine, disc_field, centers, r0=1e-4)
+
 
 class TestMeanValue:
     def test_constant_function_oracle(self, disc_engine, disc_field):
@@ -62,7 +77,6 @@ class TestMeanValue:
         one = lambda z: np.ones(len(np.atleast_2d(z)))
         est = mean_value_check(bidisc_engine, bidisc_field, one, 1.0,
                                np.array([[0.0j, 0.0j]]))
-        from bergmanlab.geometry import metric_ball
         mb = metric_ball(bidisc_field, np.array([0.0j, 0.0j]), 1.0)
         oracle = 1.0 / ((1.0 / math.pi ** 2) * mb.lebesgue_mass)
         assert est.detail["ratios"][0] == pytest.approx(oracle, rel=1e-9)

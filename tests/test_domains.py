@@ -197,6 +197,15 @@ class TestGrids:
         order = np.lexsort((z.imag, z.real))
         assert np.array_equal(order, np.arange(len(z)))
 
+    @pytest.mark.parametrize("name", ["bidisc_grid", "ball2_grid"])
+    def test_midpoint_nodes_in_lexicographic_order(self, request, name):
+        """Nodes run in order of (Re z_1, ..., Re z_d, Im z_1, ..., Im z_d),
+        which the grid checksum depends on."""
+        z = request.getfixturevalue(name).nodes
+        keys = np.concatenate([z.real, z.imag], axis=1)
+        order = np.lexsort(keys.T[::-1])
+        assert np.array_equal(order, np.arange(len(z)))
+
 
 def test_import_leaves_scipy_stats_out():
     """scipy.stats took most of the package's import time and memory."""

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergmanlab import harness
-from bergmanlab.cli import main as cli_main
+from bergmanlab.cli import build_parser, main as cli_main
 from bergmanlab.harness import (COMMANDS, ConfigError, EXIT_COMPUTE,
                                 EXIT_CONFIG, EXIT_OK, EXIT_SYMBOL,
                                 EXIT_UNSUPPORTED, ExperimentConfig,
@@ -54,15 +53,22 @@ _JSON_VALUES = st.recursive(
     max_leaves=12)
 
 
+def _readme_text():
+    return (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+
+
+def _backticked(text):
+    return re.findall(r"`([^`]*)`", text)
+
+
 def _readme_csv_columns():
     """CSV file name: columns, from the Artifacts table of the README."""
-    readme = Path(__file__).parents[1] / "README.md"
-    text = readme.read_text(encoding="utf-8")
     columns = {}
-    for line in text.splitlines():
+    for line in _readme_text().splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if len(cells) == 3 and cells[1].endswith(".csv`"):
-            columns[cells[1].strip("`")] = re.findall(r"`([^`]*)`", cells[2])
+            columns[cells[1].strip("`")] = _backticked(cells[2])
     return columns
 
 
@@ -172,8 +178,9 @@ class TestConfig:
             ExperimentConfig(domain="torus")
 
     def test_unknown_key_rejected(self):
-        # scheme and kernel_mode were fields once; they are unknown now
-        for key in ("frobnicate", "scheme", "kernel_mode"):
+        # scheme, kernel_mode and threads were fields once; they are
+        # unknown now
+        for key in ("frobnicate", "scheme", "kernel_mode", "threads"):
             with pytest.raises(ConfigError, match="unknown config keys"):
                 ExperimentConfig.from_json(json.dumps({"domain": "disc",
                                                        key: 1}))
@@ -182,7 +189,7 @@ class TestConfig:
         for bad in ({"radius": -1.0}, {"steps": (0.5, 1.5)}, {"steps": ()},
                     {"steps": (0.0, 0.5)}, {"hankel_degrees": (-1,)},
                     {"hankel_degrees": (0, 4)}, {"hankel_degrees": ()},
-                    {"graph_neighbors": 0}, {"threads": -1},
+                    {"graph_neighbors": 0},
                     {"approx_degree": 2.5}, {"rays": "4"}, {"rays": True},
                     {"steps": 0.5}, {"net_radius": "0.5"},
                     {"graph_neighbors": 2.5}, {"seed": 1.5},
@@ -355,17 +362,6 @@ class TestRun:
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith("symbol error: ")
 
-    def test_threads_without_threadpoolctl_warn_once(self, tmp_path, capsys,
-                                                     monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        monkeypatch.setattr(harness, "_warned", set())
-        cfg = self._cfg(tmp_path, resolution=0.05, threads=2)
-        assert run(cfg, "kernel") == EXIT_OK
-        assert run(cfg, "kernel") == EXIT_OK
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.count("warning: threads ignored") == 1
-
     def test_csv_cells_are_plain_numbers(self, tmp_path):
         cfg = self._cfg(tmp_path, resolution=0.05, rays=2, steps=(0.3, 0.6),
                         hankel_degrees=(2, 4))
@@ -478,8 +474,9 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["kernel", "--resolution", "abc"], ["explode"],
-        ["hankel", "--symbol", "-conj(z1)"]],
-        ids=["bad-float", "unknown-command", "symbol-starting-with-minus"])
+        ["hankel", "--symbol", "-conj(z1)"], ["kernel", "--threads", "2"]],
+        ids=["bad-float", "unknown-command", "symbol-starting-with-minus",
+             "removed-threads-flag"])
     def test_bad_argument_is_one_config_error_line(self, tmp_path, capsys,
                                                    argv):
         assert cli_main(argv + ["--out", str(tmp_path / "o")]) \
@@ -490,8 +487,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--resolution", "-1", "config field resolution must be positive"),
-        ("--threads", "-3", "config field threads must be >= 0"),
-    ], ids=["resolution", "threads"])
+    ], ids=["resolution"])
     def test_bad_override_is_config_error(self, tmp_path, capsys, flag,
                                           value, message):
         out = tmp_path / "o"
@@ -517,3 +513,35 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(cfg.to_json())
         assert cli_main(["kernel", "--config", str(path)]) == EXIT_OK
+
+
+class TestReadme:
+    """The README's command line, config keys and report keys are the
+    ones the code has."""
+
+    def test_synopsis_is_the_parser(self):
+        text = _readme_text()
+        synopsis = re.search(r"## Command line\s+```sh\n(.*?)```", text,
+                             re.S).group(1)
+        options = [o for action in build_parser()._actions
+                   for o in action.option_strings if o not in ("-h", "--help")]
+        assert re.findall(r"\[(--[\w-]+)", synopsis) == options
+        commands = re.search(r"\nCommands: (.*?)\.\n", text, re.S).group(1)
+        assert tuple(_backticked(commands)) == COMMANDS
+
+    def test_config_keys_are_the_fields(self):
+        keys = re.search(r"every field of `ExperimentConfig` is a\s+key "
+                         r"\((.*?)\)\.", _readme_text(), re.S).group(1)
+        assert _backticked(keys) == [f.name for f in fields(ExperimentConfig)]
+
+    def test_report_keys_are_a_written_report(self, tmp_path):
+        found = re.search(r"with the keys (.*?);\s+`provenance` holds (.*?)\.",
+                          _readme_text(), re.S)
+        cfg = ExperimentConfig(domain="disc", resolution=0.05,
+                               out_dir=str(tmp_path))
+        assert run(cfg, "kernel") == EXIT_OK
+        report = json.loads((tmp_path / "kernel_report.json").read_text())
+        # the report is written with sorted keys
+        assert sorted(_backticked(found.group(1))) == list(report)
+        assert sorted(_backticked(found.group(2))) \
+            == list(report["provenance"])
