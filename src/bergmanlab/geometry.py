@@ -43,26 +43,41 @@ class GeodesicField:
         self.grid = grid
         self.domain = grid.domain
         d = self.domain.dim
+        if neighbors_per_dim < 1:
+            raise GeometryError(f"neighbors_per_dim must be at least 1, "
+                                f"not {neighbors_per_dim}")
         self.k = neighbors_per_dim * 2 * d
         nodes = grid.nodes
-        if len(nodes) < 2:
+        n = len(nodes)
+        if n < 2:
             raise GeometryError(f"a geodesic graph needs at least 2 grid "
-                                f"nodes, the grid has {len(nodes)}")
+                                f"nodes, the grid has {n}")
         self._tree = cKDTree(_realify(nodes))
-        k = min(self.k + 1, len(nodes))
-        _, idx = self._tree.query(_realify(nodes), k=k)
-        rows = np.repeat(np.arange(len(nodes), dtype=np.int32), k - 1)
-        cols = idx[:, 1:].ravel().astype(np.int32)
-        del idx
+        j = self._tree.query(_realify(nodes), k=min(self.k + 1, n),
+                             workers=-1)[1][:, 1:]
+        # segment_length is symmetric bit for bit, so each undirected
+        # kNN pair is measured once, keyed min * n + max (n**2 < 2**63
+        # under the grid cap).  The keys are built and sorted in place to
+        # bound the peak; np.unique would take its slow hash path.
+        i = np.arange(n)[:, None]
+        keys = np.minimum(i, j)
+        keys *= n
+        keys += np.maximum(i, j)
+        del j
+        keys = keys.ravel()
+        keys.sort()
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        rows, cols = (a.astype(np.int32) for a in np.divmod(keys, n))
+        del keys
         step = max(1_000_000 // (d * d), 1)
         lengths = np.empty(len(rows))
         for lo in range(0, len(rows), step):
             hi = min(lo + step, len(rows))
             lengths[lo:hi] = self.segment_length(nodes[rows[lo:hi]],
                                                  nodes[cols[lo:hi]])
-        n = len(nodes)
-        mat = csr_matrix((lengths, (rows, cols)), shape=(n, n))
-        self.graph = mat.maximum(mat.T)  # symmetrize
+        self.graph = csr_matrix((np.r_[lengths, lengths],
+                                 (np.r_[rows, cols], np.r_[cols, rows])),
+                                shape=(n, n))
         self._point_cache: dict = {}
 
     # -- local metric helpers -----------------------------------------

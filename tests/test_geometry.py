@@ -149,6 +149,56 @@ class TestOffGridSearch:
             dijkstra(small_field.graph, directed=False, indices=i))
 
 
+def _assert_matches_directed_graph(field):
+    """The former graph build: one segment length per directed kNN edge,
+    symmetrized by the larger of the two directions.  The graph must
+    equal it bit for bit, one-sided pairs included."""
+    assert field.graph.has_canonical_format
+    nodes = field.grid.nodes
+    n = len(nodes)
+    idx = field._tree.query(_realify(nodes), k=min(field.k + 1, n))[1]
+    rows = np.repeat(np.arange(n), idx.shape[1] - 1)
+    cols = idx[:, 1:].ravel()
+    directed = csr_matrix(
+        (field.segment_length(nodes[rows], nodes[cols]), (rows, cols)),
+        shape=(n, n))
+    ref = directed.maximum(directed.T)
+    assert ref.nnz > directed.nnz  # some pair is listed by one side only
+    got = field.graph.copy()
+    got.sort_indices()
+    ref.sort_indices()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+class TestGraph:
+    def test_matches_directed_construction(self, small_field):
+        _assert_matches_directed_graph(small_field)
+
+    def test_matches_directed_construction_ball2(self, ball2_field):
+        _assert_matches_directed_graph(ball2_field)
+
+    def test_segment_length_symmetric_bitwise(self, small_field):
+        # covers the closed-form (disc, polydisc2) and numerical (egg2)
+        # engines; the graph build measures each pair in one direction.
+        # Scaled nodes stay inside (every domain here is Reinhardt) and
+        # off the grid.
+        nodes = small_field.grid.nodes
+        rng = np.random.default_rng(7)
+        a, b = (nodes[rng.integers(len(nodes), size=300)]
+                * rng.uniform(0.3, 1.0, (300, 1)) for _ in range(2))
+        assert np.array_equal(small_field.segment_length(a, b),
+                              small_field.segment_length(b, a))
+
+    @pytest.mark.parametrize("per_dim", [0, -1])
+    def test_nonpositive_neighbor_count_rejected(self, disc_engine,
+                                                 disc_grid, per_dim):
+        with pytest.raises(GeometryError,
+                           match=f"^neighbors_per_dim must be at least 1, "
+                                 f"not {per_dim}$"):
+            GeodesicField(disc_engine, disc_grid, neighbors_per_dim=per_dim)
+
+
 class TestMetricBalls:
     def test_ball_euclidean_radius(self, disc_field):
         ball = metric_ball(disc_field, np.array([0.0j]), 1.0)
