@@ -28,6 +28,7 @@ from dataclasses import dataclass, asdict, fields
 from functools import cached_property, reduce
 
 import numpy as np
+import scipy
 
 from . import __version__ as _version
 from . import approximation as approx
@@ -37,8 +38,8 @@ from .domains import (DomainSpec, DomainError, ball, build_grid, disc, egg,
 from .geometry import (GeodesicField, GeometryError, build_net,
                        covering_audit, multiplicity, partition_of_unity,
                        separation_audit)
-from .kernels import (KernelError, engine_for, orthonormalize,
-                      reinhardt_basis)
+from .kernels import (KernelError, _blas_threads, engine_for,
+                      orthonormalize, reinhardt_basis)
 from .operators import (OperatorError, SymbolFn, compactness_indicator,
                         hankel_matrix, weak_null_probe)
 
@@ -395,7 +396,8 @@ class _Workspace:
                 "grid_checksum": _grid_checksum(self.grid),
                 "version": _version, "domain": self.config.domain,
                 "resolution": self.config.resolution,
-                "seed": self.config.seed}
+                "seed": self.config.seed, "numpy": np.__version__,
+                "scipy": scipy.__version__, "blas_threads": _blas_threads()}
 
     def scan_centers(self, n=5):
         """Deterministic interior sample: anchor plus ray points."""

@@ -11,6 +11,8 @@ is its determinant, so that the metric volume form is
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,60 @@ import numpy as np
 from .domains import DomainSpec, QuadratureGrid, boundary_gap, monomial_norm2
 
 _CUTOFF = 1e-10  # relative Gram eigenvalue below which a direction drops
+_CHUNK_VALUES = 125_000  # basis values per row chunk of a numerical batch
+
+
+def _cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _blas_threads():
+    """The thread count OpenBLAS reads from the environment:
+    OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, otherwise every core."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return _cores()
+
+
+# the pool takes the cores BLAS leaves idle
+_WORKERS = max(1, _cores() // _blas_threads())
+
+
+def _row_chunks(n, width):
+    """Near-equal row slices of about _CHUNK_VALUES values at width
+    values per row.  No slice has one row unless n == 1: numpy sends a
+    one-row product to gemv, which rounds differently from gemm, and
+    with two or more rows each row's value does not depend on the split."""
+    k = max(1, min(-(-n * width // _CHUNK_VALUES), n // 2))
+    bounds = [n * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi > lo]
+
+
+def _by_row_chunks(fn, z, out, width):
+    """out[s] = fn(z[s]) over the row chunks s of z, on a thread pool
+    when there are several chunks and workers (numpy and BLAS release
+    the GIL, and each chunk writes its own slice of out)."""
+    chunks = _row_chunks(len(z), width)
+
+    def work(s):
+        out[s] = fn(z[s])
+
+    if len(chunks) < 2 or _WORKERS < 2:
+        for s in chunks:
+            work(s)
+    else:
+        with ThreadPoolExecutor(_WORKERS) as pool:
+            list(pool.map(work, chunks))
+    return out
 
 
 class KernelError(RuntimeError):
@@ -214,13 +270,12 @@ class KernelEngine:
         """B(z, z) as a real array over a batch of points."""
         z = np.atleast_2d(np.asarray(z, dtype=complex))
         if self.mode == "numerical":
-            out = np.empty(len(z))
-            step = max(1, 2_000_000 // max(len(self.basis.alphas), 1))
-            for lo in range(0, len(z), step):
-                phi = self.basis.evaluate(z[lo:lo + step])
-                out[lo:lo + step] = np.sum(np.abs(phi) ** 2, axis=1)
-            return out
+            return _by_row_chunks(self._basis_diag, z, np.empty(len(z)),
+                                  len(self.basis.alphas))
         return self._closed_form(z, z).real
+
+    def _basis_diag(self, z):
+        return np.sum(np.abs(self.basis.evaluate(z)) ** 2, axis=1)
 
     # -- metric -------------------------------------------------------
 
@@ -257,23 +312,22 @@ class KernelEngine:
         """Levi form of log B from exact basis derivatives:
         g = T/B - v v^H / B^2 with B = sum |phi|^2, v_j = sum phi_j' conj
         (phi), T_jk = sum (d_j phi)(d_k phi)^bar."""
-        d = z.shape[1]
-        n = len(z)
-        g = np.empty((n, d, d), dtype=complex)
-        step = max(1, 1_000_000 // ((d + 1) * max(len(self.basis.alphas),
-                                                  1)))
-        for lo in range(0, n, step):
-            zc = z[lo:lo + step]
-            E = self.basis.evaluate(zc)
-            B = np.sum(np.abs(E) ** 2, axis=1)
-            F = np.stack([self.basis.evaluate_derivative(zc, j)
-                          for j in range(d)], axis=1)  # (m, d, nb)
-            v = np.einsum("mjb,mb->mj", F, E.conj())
-            T = np.einsum("mjb,mkb->mjk", F, F.conj())
-            g[lo:lo + step] = T / B[:, None, None] \
-                - v[:, :, None] * v.conj()[:, None, :] \
-                / (B ** 2)[:, None, None]
+        n, d = z.shape
+        g = _by_row_chunks(self._basis_metric_rows, z,
+                           np.empty((n, d, d), dtype=complex),
+                           (d + 1) * len(self.basis.alphas))
         return 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
+
+    def _basis_metric_rows(self, z):
+        d = z.shape[1]
+        E = self.basis.evaluate(z)
+        B = np.sum(np.abs(E) ** 2, axis=1)
+        F = np.stack([self.basis.evaluate_derivative(z, j)
+                      for j in range(d)], axis=1)  # (m, d, nb)
+        v = np.einsum("mjb,mb->mj", F, E.conj())
+        T = np.einsum("mjb,mkb->mjk", F, F.conj())
+        return T / B[:, None, None] \
+            - v[:, :, None] * v.conj()[:, None, :] / (B ** 2)[:, None, None]
 
     def _closed_form_metric(self, z):
         n, d = z.shape
@@ -305,11 +359,15 @@ class KernelEngine:
                 return (d + 1) * z.conj() / s[:, None]
             s = 1.0 - np.abs(z) ** 2
             return 2.0 * z.conj() / s
+        return _by_row_chunks(self._basis_dlog, z, np.empty_like(z),
+                              (d + 1) * len(self.basis.alphas))
+
+    def _basis_dlog(self, z):
         # exact basis derivatives: d_j log B = (sum phi_j' conj(phi)) / B
         E = self.basis.evaluate(z)
         B = np.sum(np.abs(E) ** 2, axis=1)
         out = np.empty_like(z)
-        for j in range(d):
+        for j in range(z.shape[1]):
             F = self.basis.evaluate_derivative(z, j)
             out[:, j] = np.einsum("mb,mb->m", F, E.conj()) / B
         return out

@@ -254,6 +254,12 @@ class TestRun:
         report = json.loads((tmp_path / "kernel_report.json").read_text())
         assert report["provenance"]["config_hash"] == cfg.config_hash()
 
+    def test_provenance_names_the_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert run(self._cfg(tmp_path, resolution=0.05), "kernel") == EXIT_OK
+        report = json.loads((tmp_path / "kernel_report.json").read_text())
+        assert report["provenance"]["blas_threads"] == 3
+
     def test_kernel_csv_matches_closed_form(self, tmp_path, disc_engine):
         cfg = self._cfg(tmp_path, resolution=0.05)
         run(cfg, "kernel")

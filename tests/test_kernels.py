@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergmanlab import domains as dom
+from bergmanlab import kernels
 from bergmanlab.kernels import (KernelEngine, KernelError, engine_for,
                                 monomial_matrix, multi_indices,
                                 orthonormalize, reinhardt_basis)
@@ -172,3 +174,111 @@ class TestMetric:
         assert s.shape == (len(grid), len(centres))
         for k, zeta in enumerate(centres):
             assert np.array_equal(s[:, k], eng.s_section(zeta, grid.nodes))
+
+
+@pytest.fixture(scope="module")
+def egg_engine():
+    egg = dom.egg(2)
+    return engine_for(egg, dom.build_grid(egg, 0.15), degree=10)
+
+
+def _egg_points(n):
+    """n seeded points with |z_j| <= 0.5, inside the egg."""
+    rng = np.random.default_rng(20)
+    return 0.5 * np.sqrt(rng.uniform(0, 1, (n, 2))) \
+        * np.exp(2j * np.pi * rng.uniform(0, 1, (n, 2)))
+
+
+def _one_block(eng, z):
+    """kernel_diag, metric_batch and dlog_kernel from one evaluate and
+    one evaluate_derivative per coordinate over all rows of z."""
+    E = eng.basis.evaluate(z)
+    B = np.sum(np.abs(E) ** 2, axis=1)
+    Fs = [eng.basis.evaluate_derivative(z, j) for j in range(z.shape[1])]
+    F = np.stack(Fs, axis=1)
+    v = np.einsum("mjb,mb->mj", F, E.conj())
+    T = np.einsum("mjb,mkb->mjk", F, F.conj())
+    g = T / B[:, None, None] \
+        - v[:, :, None] * v.conj()[:, None, :] / (B ** 2)[:, None, None]
+    g = 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
+    dlog = np.stack([np.einsum("mb,mb->m", Fj, E.conj()) / B
+                     for Fj in Fs], axis=1)
+    return {"kernel_diag": B, "metric_batch": g, "dlog_kernel": dlog}
+
+
+class TestRowChunks:
+    """The numerical batches run in row chunks, on a pool when there are
+    several chunks and workers; every row is the same bit for bit as in
+    one block."""
+
+    QUANTITIES = ("kernel_diag", "metric_batch", "dlog_kernel")
+
+    @staticmethod
+    def _width(eng, quantity):
+        nb = len(eng.basis.alphas)
+        return nb if quantity == "kernel_diag" else 3 * nb
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_equal_one_block(self, egg_engine, workers, monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        n = 3 * (kernels._CHUNK_VALUES // len(egg_engine.basis.alphas)) + 5
+        z = _egg_points(n)
+        for quantity in self.QUANTITIES:
+            assert len(kernels._row_chunks(
+                n, self._width(egg_engine, quantity))) >= 3
+        ref = _one_block(egg_engine, z)
+        for quantity in self.QUANTITIES:
+            assert np.array_equal(getattr(egg_engine, quantity)(z),
+                                  ref[quantity]), quantity
+
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_row_after_one_chunk(self, egg_engine, quantity, monkeypatch):
+        # a split by a fixed step would leave the last row alone in a
+        # chunk; gemv's rounding shows in B for only some points, so the
+        # last row runs over several points
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        n = kernels._CHUNK_VALUES // self._width(egg_engine, quantity) + 1
+        z = _egg_points(n + 7)
+        for last in range(n - 1, n + 7):
+            zk = np.vstack([z[:n - 1], z[last:last + 1]])
+            got = getattr(egg_engine, quantity)(zk)
+            assert np.array_equal(
+                got[-1], _one_block(egg_engine, zk)[quantity][-1]), last
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 1000])
+    def test_split_is_near_equal_with_no_single_row(self, n):
+        chunks = kernels._row_chunks(n, 300)
+        sizes = [s.stop - s.start for s in chunks]
+        assert sum(sizes) == n
+        assert [s.start for s in chunks] \
+            == [sum(sizes[:i]) for i in range(len(sizes))]
+        if n > 1:
+            assert min(sizes) >= 2 and max(sizes) - min(sizes) <= 1
+
+    def test_blas_threads_reads_the_environment(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setenv("OMP_NUM_THREADS", "5")
+        assert kernels._blas_threads() == 3
+        for ignored in ("", "0", "two"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", ignored)
+            assert kernels._blas_threads() == 5
+            monkeypatch.setenv("OMP_NUM_THREADS", ignored)
+            assert kernels._blas_threads() == kernels._cores()
+            monkeypatch.setenv("OMP_NUM_THREADS", "5")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        assert kernels._blas_threads() == kernels._cores()
+
+    def test_chunk_error_propagates_from_the_pool(self, egg_engine,
+                                                   monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        raised_in = []
+
+        def boom(z):
+            raised_in.append(threading.current_thread())
+            raise KernelError("chunk failed")
+
+        monkeypatch.setattr(egg_engine, "_basis_metric_rows", boom)
+        with pytest.raises(KernelError, match="chunk failed"):
+            egg_engine.metric_batch(_egg_points(2000))
+        assert raised_in and threading.main_thread() not in raised_in
