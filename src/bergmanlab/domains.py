@@ -310,8 +310,12 @@ def monomial_norm2(dom: DomainSpec, alpha) -> float:
         return float(np.prod([math.pi / (a + 1.0) for a in alpha]))
     if dom.kind == "ball":
         n = int(np.sum(alpha))
-        num = math.pi ** d * math.factorial(d) \
-            * float(math.prod(math.factorial(a) for a in alpha))
+        prod = math.prod(math.factorial(int(a)) for a in alpha)
+        if n + d > 170:
+            # (n + d)! exceeds a float; int / int rounds correctly
+            return math.pi ** d * (math.factorial(d) * prod
+                                   / (d * math.factorial(n + d)))
+        num = math.pi ** d * math.factorial(d) * float(prod)
         return num / (d * math.factorial(n + d))
     m = dom.egg_exponent
     a, b = int(alpha[0]), int(alpha[1])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,32 +48,61 @@ def _blas_threads():
 _WORKERS = max(1, _cores() // _blas_threads())
 
 
-def _row_chunks(n, width):
-    """Near-equal row slices of about _CHUNK_VALUES values at width
-    values per row.  No slice has one row unless n == 1: numpy sends a
-    one-row product to gemv, which rounds differently from gemm, and
-    with two or more rows each row's value does not depend on the split."""
-    k = max(1, min(-(-n * width // _CHUNK_VALUES), n // 2))
+def _blocks(n, parts):
+    """At most `parts` near-equal slices of range(n), none with one row
+    unless n == 1: numpy sends a one-row product to gemv, which rounds
+    differently from gemm, and with two or more rows each row's value
+    does not depend on the split."""
+    k = max(1, min(parts, n // 2))
     bounds = [n * i // k for i in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo]
 
 
-def _by_row_chunks(fn, z, out, width):
-    """out[s] = fn(z[s]) over the row chunks s of z, on a thread pool
-    when there are several chunks and workers (numpy and BLAS release
-    the GIL, and each chunk writes its own slice of out)."""
-    chunks = _row_chunks(len(z), width)
+def _row_chunks(n, width):
+    """Row slices of about _CHUNK_VALUES values at width values per row."""
+    return _blocks(n, -(-n * width // _CHUNK_VALUES))
 
+
+_POOL_NAME = "bergmanlab-pool"
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _on_pool(fn, parts):
+    """fn(p) for every p in parts, on one process-wide pool of _WORKERS
+    threads (numpy and BLAS release the GIL), created on first use.
+    Runs inline with fewer than two parts or workers, and inside a pool
+    task, where a nested wait on the busy pool would deadlock."""
+    global _pool
+    if len(parts) < 2 or _WORKERS < 2 \
+            or threading.current_thread().name.startswith(_POOL_NAME):
+        for p in parts:
+            fn(p)
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS,
+                                       thread_name_prefix=_POOL_NAME)
+    list(_pool.map(fn, parts))
+
+
+def _forget_pool():
+    # a forked child holds the pool object but none of its threads
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _by_row_chunks(fn, z, out, width):
+    """out[s] = fn(z[s]) over the row chunks s of z, on the pool; each
+    chunk writes its own slice of out."""
     def work(s):
         out[s] = fn(z[s])
 
-    if len(chunks) < 2 or _WORKERS < 2:
-        for s in chunks:
-            work(s)
-    else:
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            list(pool.map(work, chunks))
+    _on_pool(work, _row_chunks(len(z), width))
     return out
 
 

@@ -15,6 +15,16 @@ mode: O(nodes * columns^2), with the basis evaluated at one node per
 orbit.  Any other grid or basis has orbits of one node, where Parseval
 is the identity and the sum is the node sum, at
 O(nodes * k * (k + columns)) for k basis functions.
+
+Each chunk runs on kernels' shared pool of the cores BLAS leaves idle:
+its rows are built in slices of orbits, the projection read off by runs
+of functions and the Gram by blocks of its rows, each written in place
+into arrays allocated once per chunk.  No sum over orbits or nodes is
+split, no product is cut to one row, a one-column product is not cut at
+all, and chunks add in order.  So with one BLAS thread every value is
+the same bit for bit at any worker count.  A threaded BLAS can round a
+product cut in blocks of rows differently; with one worker, the default
+when BLAS takes every core, only the slices of orbits are cut.
 """
 
 from __future__ import annotations
@@ -24,7 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import QuadratureGrid, central_dbar, contains
-from .kernels import KernelEngine, OrthonormalBasis
+from . import kernels
+from .kernels import (KernelEngine, OrthonormalBasis, _blocks, _on_pool,
+                      _row_chunks)
 
 _DBAR_STEP = 1e-5         # central-difference step of dbar_values
 _CONSISTENCY_STEP = 1e-4  # and of the dbar_consistency reference
@@ -117,6 +129,19 @@ def _mode_shifts(alphas, n):
         tuple((t[:, :, None] - alphas.T[:, None, :]) % n), shape)
 
 
+def _read_off_pieces(runs, width, workers):
+    """(functions, mode index) pairs of the read-off's products: one per
+    run of functions, and with fewer runs than workers (T = 1 has one)
+    each run cut into blocks of at least two functions.  One column
+    goes to gemv, whose rows round differently in a shorter matrix, so
+    it is never cut."""
+    if len(runs) >= workers or width == 1:
+        return [(r, g) for g, r in enumerate(runs)]
+    return [(slice(r.start + b.start, r.start + b.stop), g)
+            for g, r in enumerate(runs)
+            for b in _blocks(r.stop - r.start, workers)]
+
+
 def _residual_gram(basis, grid, n, columns, width, project):
     """Gram of `width` columns v_j, or of their residuals v_j - P v_j
     with project, summed over torus orbits of T = n ** d consecutive
@@ -143,29 +168,79 @@ def _residual_gram(basis, grid, n, columns, width, project):
     starts = np.flatnonzero(np.diff(modes, prepend=-1))
     runs = [slice(a, b) for a, b in zip(starts, np.append(starts[1:], k))]
     step = max(1, _CHUNK_BUDGET // (k + T * width))
+    n_orbits = len(grid) // T
+    workers = kernels._WORKERS
 
-    def chunk(lo, at):
-        nodes = slice(lo * T, (lo + step) * T)
-        S = basis.evaluate(grid.nodes[nodes][::T])
-        return (grid.weights[nodes][::T], S,
-                columns(slice(lo, lo + step), grid.nodes[nodes], S, at))
+    # A chunk's arrays are allocated in the calling thread and filled in
+    # place on the pool: pool threads allocate nothing chunk-sized, which
+    # glibc's per-thread arenas would keep.
+    def on_rows(lo, at, finish):
+        """The weights w, S and the column spectra V on the orbits from
+        lo, built one row slice s of orbits at a time, each slice then
+        passed to finish(s, w, S, V)."""
+        hi = min(lo + step, n_orbits)
+        w = grid.weights[lo * T:hi * T:T]
+        S = np.empty((hi - lo, k), dtype=complex)
+        V = np.empty((hi - lo, T if isinstance(at, slice) else len(at),
+                      width), dtype=complex)
 
-    def read_off(w, S, V):
-        return np.concatenate([(S[:, r].conj() * (T * w)[:, None]).T
-                               @ V[:, g] for g, r in enumerate(runs)])
+        def rows(s):
+            orbits = slice(lo + s.start, lo + s.stop)
+            nodes = grid.nodes[orbits.start * T:orbits.stop * T]
+            S[s] = basis.evaluate(nodes[::T])
+            V[s] = columns(orbits, nodes, S[s], at)
+            finish(s, w, S, V)
 
-    def gram(w, S, V):
-        if project:
-            for r in runs:
-                V[:, modes[r.start]] -= S[:, r] @ TA[r]
-        V = V.reshape(-1, width)
-        return (V.conj() * np.repeat(w / T, T)[:, None]).T @ V
+        _on_pool(rows, _row_chunks(hi - lo, k + T * width))
+        return V
+
+    def read_off(lo):
+        # conj(S) T w run by run, each run's (c, len(run)) block
+        # contiguous, so a run of one function is a contiguous vector
+        # (a strided one goes through a gemv that rounds differently)
+        c = min(step, n_orbits - lo)
+        buf = np.empty(c * k, dtype=complex)
+        Y = [buf[c * r.start:c * r.stop].reshape(c, -1) for r in runs]
+
+        def weigh(s, w, S, V):
+            for g, r in enumerate(runs):
+                np.conj(S[s, r], out=Y[g][s])
+                Y[g][s] *= (T * w[s])[:, None]
+
+        V = on_rows(lo, modes[starts], weigh)
+        pieces = _read_off_pieces(runs, width, workers)
+        TA = np.empty((k, width), dtype=complex)
+
+        def products(i):
+            for r, g in pieces[i::workers]:
+                b = slice(r.start - runs[g].start, r.stop - runs[g].start)
+                np.matmul(Y[g][:, b].T, V[:, g], out=TA[r])
+
+        _on_pool(products, range(min(workers, len(pieces))))
+        return TA
+
+    def gram(lo):
+        Y = np.empty((min(step, n_orbits - lo) * T, width), dtype=complex)
+
+        def residual(s, w, S, V):
+            if project:
+                for r in runs:
+                    V[s, modes[r.start]] -= S[s, r] @ TA[r]
+            nodes = slice(s.start * T, s.stop * T)
+            np.conj(V[s].reshape(-1, width), out=Y[nodes])
+            Y[nodes] *= np.repeat(w[s] / T, T)[:, None]
+
+        V = on_rows(lo, slice(None), residual).reshape(-1, width)
+        G = np.empty((width, width), dtype=complex)
+        _on_pool(lambda b: np.matmul(Y[:, b].T, V, out=G[b]),
+                 _blocks(width, workers))
+        return G
 
     # one chunk at a time: each is released before the next is built
-    orbits = range(0, len(grid) // T, step)
+    orbits = range(0, n_orbits, step)
     if project:
-        TA = sum(read_off(*chunk(lo, modes[starts])) for lo in orbits)
-    G = sum(gram(*chunk(lo, slice(None))) for lo in orbits)
+        TA = sum(read_off(lo) for lo in orbits)
+    G = sum(gram(lo) for lo in orbits)
     return 0.5 * (G + G.conj().T)
 
 

@@ -250,6 +250,22 @@ class TestMonomialNorms:
                 assert dom.monomial_norm2(ball, a) == pytest.approx(
                     math.pi ** d * float(exact), rel=1e-14), a
 
+    @pytest.mark.parametrize("a", [(100, 69), (171, 0)])
+    def test_ball_norms_past_float_factorials(self, a):
+        # (|a| + d)! > 170! does not convert to a float; the exact
+        # rational rounds once, then takes pi^d
+        exact = Fraction(2 * math.prod(math.factorial(k) for k in a),
+                         2 * math.factorial(sum(a) + 2))
+        assert dom.monomial_norm2(dom.ball(2), a) \
+            == math.pi ** 2 * float(exact)
+
+    def test_ball_norms_below_the_float_limit_keep_their_bits(self):
+        # (100, 68) is the last total degree on the float expression
+        num = math.pi ** 2 * 2 * float(math.factorial(100)
+                                       * math.factorial(68))
+        assert dom.monomial_norm2(dom.ball(2), (100, 68)) \
+            == num / (2 * math.factorial(170))
+
     def test_egg_norms_against_quadrature(self):
         egg = dom.egg(2)
         grid = dom.build_grid(egg, 0.0, scheme="product-polar", degree=10)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -282,3 +285,114 @@ class TestRowChunks:
         with pytest.raises(KernelError, match="chunk failed"):
             egg_engine.metric_batch(_egg_points(2000))
         assert raised_in and threading.main_thread() not in raised_in
+
+
+class TestSharedPool:
+    """One lazily created pool serves every split of work."""
+
+    def test_nested_call_runs_inline_on_the_pool_thread(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        seen = {}
+
+        def inner(p):
+            seen.setdefault(p[0], set()).add(threading.current_thread())
+
+        def outer(i):
+            # two outer tasks on a 2-worker pool: a nested wait on the
+            # pool would deadlock
+            kernels._on_pool(inner, [(i, j) for j in range(4)])
+
+        caller = threading.Thread(target=kernels._on_pool,
+                                  args=(outer, [0, 1]), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert sorted(seen) == [0, 1]
+        for threads in seen.values():
+            (thread,) = threads
+            assert thread.name.startswith(kernels._POOL_NAME)
+
+    def test_first_use_from_many_threads_makes_one_pool(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        monkeypatch.setattr(kernels, "_pool", None)
+        pools = []
+
+        def use():
+            kernels._on_pool(lambda p: None, [0, 1])
+            pools.append(kernels._pool)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=use) for _ in range(8)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert len(pools) == 8 and len({id(p) for p in pools}) == 1
+        assert len(pools[0]._threads) <= 2
+
+    def test_task_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+
+        def task(p):
+            if p == 2:
+                raise KernelError("task 2 failed")
+
+        with pytest.raises(KernelError, match="task 2 failed"):
+            kernels._on_pool(task, list(range(4)))
+
+    def test_one_part_or_worker_runs_inline(self, monkeypatch):
+        ran_in = []
+        for workers, parts in ((2, [0]), (1, [0, 1, 2])):
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            kernels._on_pool(
+                lambda p: ran_in.append(threading.current_thread()), parts)
+        assert ran_in == [threading.main_thread()] * 4
+
+    def test_import_leaves_the_pool_uncreated(self):
+        code = ("import threading, bergmanlab, bergmanlab.kernels as k; "
+                "assert k._pool is None; "
+                "assert not [t for t in threading.enumerate() "
+                "if t.name.startswith(k._POOL_NAME)]")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_forked_child_makes_its_own_pool(self):
+        # the child inherits the pool object, here with two idle
+        # threads, but not the threads: its tasks would wait forever
+        code = ("import os, threading, bergmanlab.kernels as k; "
+                "k._WORKERS = 2; both = threading.Barrier(2, timeout=60); "
+                "k._on_pool(lambda p: both.wait(), [0, 1]); "
+                "pid = os.fork()\n"
+                "if pid == 0:\n"
+                "    import signal; signal.alarm(60)\n"
+                "    out = []; k._on_pool(out.append, [0, 1]); "
+                "os._exit(0 if sorted(out) == [0, 1] else 1)\n"
+                "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) "
+                "== 0")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("n,parts", [(0, 2), (1, 2), (3, 2), (4, 2),
+                                         (5, 3), (28, 2), (100, 7)])
+    def test_blocks_are_near_equal_with_no_single_row(self, n, parts):
+        blocks = kernels._blocks(n, parts)
+        sizes = [b.stop - b.start for b in blocks]
+        assert sum(sizes) == n and len(blocks) <= parts
+        assert [b.start for b in blocks] \
+            == [sum(sizes[:i]) for i in range(len(sizes))]
+        if n > 1:
+            assert min(sizes) >= 2 and max(sizes) - min(sizes) <= 1
+            assert len(blocks) == min(parts, n // 2)

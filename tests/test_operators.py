@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -255,6 +258,154 @@ class TestOrbitAssembly:
                 ref = _reference_sigma(sym, basis, grid, 0, pv, project)
                 assert np.array_equal(sig, ref)
 
+
+# -- the shared pool: each Gram is the same bit for bit at 1 and 2 workers --
+
+def _plain_residual_gram(basis, grid, n, columns, width, project):
+    """_residual_gram as one thread sums it: each chunk of orbits built
+    whole, the read-off's products one per run of functions, the Gram
+    one product per chunk."""
+    d = grid.domain.dim
+    T = n ** d
+    k = len(basis)
+    modes = np.ravel_multi_index(tuple((basis.alphas[:k] % n).T), (n,) * d)
+    starts = np.flatnonzero(np.diff(modes, prepend=-1))
+    runs = [slice(a, b) for a, b in zip(starts, np.append(starts[1:], k))]
+    step = max(1, operators._CHUNK_BUDGET // (k + T * width))
+
+    def chunk(lo, at):
+        nodes = slice(lo * T, (lo + step) * T)
+        S = basis.evaluate(grid.nodes[nodes][::T])
+        return (grid.weights[nodes][::T], S,
+                columns(slice(lo, lo + step), grid.nodes[nodes], S, at))
+
+    def read_off(w, S, V):
+        return np.concatenate([(S[:, r].conj() * (T * w)[:, None]).T
+                               @ V[:, g] for g, r in enumerate(runs)])
+
+    def gram(w, S, V):
+        if project:
+            for r in runs:
+                V[:, modes[r.start]] -= S[:, r] @ TA[r]
+        V = V.reshape(-1, width)
+        return (V.conj() * np.repeat(w / T, T)[:, None]).T @ V
+
+    orbits = range(0, len(grid) // T, step)
+    if project:
+        TA = sum(read_off(*chunk(lo, modes[starts])) for lo in orbits)
+    G = sum(gram(*chunk(lo, slice(None))) for lo in orbits)
+    return 0.5 * (G + G.conj().T)
+
+
+def _pool_case(name):
+    """(symbol, basis, grid, engine, centres, per_variable, budget):
+    a tensor bidisc and a dense orthonormalized egg2 basis (one run of
+    functions, and a numerical engine whose kernel_diag asks for the
+    pool from inside a pool task), each in four chunks at one column
+    and more at more; the degree-10 product-polar bidisc (a run per
+    mode), in four chunks at 49 columns; and a product-polar disc whose
+    runs of one function read off from contiguous vectors."""
+    centres = np.array([[0.5, 0.2j], [0.1, 0.6], [-0.3j, 0.4]])
+    if name == "disc":
+        disc = dom.disc()
+        grid = dom.build_grid(disc, 0.0, scheme="product-polar", degree=24)
+        return (symbol_parse("conj(z1)", 1), reinhardt_basis(disc, 8),
+                grid, engine_for(disc), centres[:, :1], False, 4_000_000)
+    bidisc = dom.polydisc(2)
+    if name == "egg2":
+        egg = dom.egg(2)
+        grid = dom.build_grid(egg, 0.2)
+        engine = engine_for(egg, grid, degree=6)
+        basis, pv = engine.basis, False
+    else:
+        engine = engine_for(bidisc)
+        basis, pv = reinhardt_basis(bidisc, 6, per_variable=True), True
+    if name == "product-polar":
+        grid = dom.build_grid(bidisc, 0.0, scheme="product-polar",
+                              degree=10)
+        return _mixed(2), basis, grid, engine, centres, pv, 1_000_000
+    if name == "tensor":
+        grid = dom.build_grid(bidisc, 0.2)
+    return (_mixed(2), basis, grid, engine, centres, pv,
+            len(grid) * (len(basis) + 1) // 4)
+
+
+def _check_worker_counts(name):
+    """Hankel and multiplication truncations and the probe (three
+    centres, and each centre alone, whose one column is never split) at
+    1 and 2 workers: np.array_equal to each other and to the plain
+    one-thread sum, and equal to the node-sum references, bitwise where
+    they sum the same nodes in the same order."""
+    from bergmanlab import kernels
+    sym, basis, grid, engine, centres, pv, budget = _pool_case(name)
+    operators._CHUNK_BUDGET = budget
+    probes = [centres] + [centres[i:i + 1] for i in range(len(centres))]
+
+    def outputs():
+        return [build(sym, basis, grid, guard=guard,
+                      per_variable=pv).singular_values
+                for build, _ in _BUILDERS.values() for guard in (0, 2)] \
+            + [weak_null_probe(sym, engine, basis, grid, c)
+               for c in probes]
+
+    results = []
+    for workers in (1, 2):
+        kernels._WORKERS = workers
+        results.append(outputs())
+    pooled = operators._residual_gram
+    operators._residual_gram = _plain_residual_gram
+    results.append(outputs())
+    operators._residual_gram = pooled
+    for one, two, plain in zip(*results):
+        assert np.array_equal(one, two), name
+        assert np.array_equal(one, plain), name
+    refs = [_reference_sigma(sym, basis, grid, guard, pv, project)
+            for _, project in _BUILDERS.values() for guard in (0, 2)]
+    for sig, ref, guard in zip(results[0], refs, (0, 2, 0, 2)):
+        if name == "tensor" or (name == "egg2" and guard == 0):
+            assert np.array_equal(sig, ref), (name, guard)
+        else:
+            _assert_sigma_close(sig, ref, (name, guard))
+    for vals, c in zip(results[0][4:], probes):
+        np.testing.assert_allclose(
+            vals, _reference_probe(sym, engine, basis, grid, c),
+            rtol=1e-14, atol=0)
+
+
+class TestSharedPool:
+    # The pool's workers are the cores BLAS leaves idle, so two workers
+    # meet one BLAS thread.  A threaded BLAS may round a product split
+    # in rows differently, so the check runs in an interpreter that
+    # pins BLAS to one thread, whatever this session's BLAS uses.
+    @pytest.mark.parametrize("name", ["tensor", "product-polar", "egg2",
+                                      "disc"])
+    def test_equal_at_one_and_two_workers(self, name):
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, here]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_operators as t; "
+             f"t._check_worker_counts({name!r})"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+
+    def test_read_off_cuts_runs_but_never_one_column(self):
+        one_run = [slice(0, 28)]
+        assert operators._read_off_pieces(one_run, 3, 2) \
+            == [(slice(0, 14), 0), (slice(14, 28), 0)]
+        # a one-centre probe has one column: gemv would round the rows
+        # of a shorter matrix differently
+        assert operators._read_off_pieces(one_run, 1, 2) \
+            == [(slice(0, 28), 0)]
+        assert operators._read_off_pieces(one_run, 3, 1) \
+            == [(slice(0, 28), 0)]
+        assert operators._read_off_pieces([slice(0, 3)], 3, 2) \
+            == [(slice(0, 3), 0)]
+        runs = [slice(0, 2), slice(2, 3), slice(3, 7)]
+        assert operators._read_off_pieces(runs, 3, 2) \
+            == [(r, g) for g, r in enumerate(runs)]
 
 class TestEdgeCases:
     @pytest.mark.parametrize("build", [hankel_matrix, mult_matrix])
