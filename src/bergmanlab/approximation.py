@@ -18,8 +18,8 @@ import numpy as np
 from scipy.sparse import csr_matrix, triu
 
 from .domains import DomainSpec, boundary_residual, central_dbar, contains
-from .geometry import (GeodesicField, GeometryError, MetricBall,
-                       Partition, metric_ball)
+from .geometry import (GeodesicField, MetricBall, Partition, _ball,
+                       metric_ball)
 from .kernels import multi_indices, monomial_matrix
 from .operators import SymbolFn
 
@@ -167,28 +167,30 @@ def boundary_scan(field: GeodesicField, symbol: SymbolFn, radius=1.0,
     """omega (bergman-volume mode) along rays from the anchor toward the
     boundary.
 
-    Near-boundary balls with fewer than MIN_NODE_FACTOR * unknowns grid
-    nodes are flagged inadmissible and excluded from the summary.
+    Every row's ball comes from one batched search.  Near-boundary balls
+    with fewer than MIN_NODE_FACTOR * unknowns grid nodes, empty ones
+    included, are flagged inadmissible and excluded from the summary.
     """
     dom = field.domain
     if directions is None:
         directions = ray_directions(dom, n_rays, seed=seed)
     n_unknowns = len(multi_indices(dom.dim, degree))
+    points = [(ray_id, float(t), ray_point(dom, u, t))
+              for ray_id, u in enumerate(directions) for t in steps]
+    zetas = np.array([zeta for _, _, zeta in points]).reshape(-1, dom.dim)
+    # an outside point, or a radius <= 0, leaves its row without a ball
+    search = contains(dom, zetas) & (radius > 0)
+    dists = iter(field.distances_from_point(zetas[search], limit=radius))
     rows = []
-    for ray_id, u in enumerate(directions):
-        for t in steps:
-            zeta = ray_point(dom, u, t)
-            try:
-                ball = metric_ball(field, zeta, radius)
-            except GeometryError:  # outside the domain, or an empty ball
-                value, n_nodes = math.nan, 0
-            else:
-                value = omega(field, ball, symbol, degree).value
-                n_nodes = len(ball)
-            rows.append(ScanRow(
-                ray=ray_id, t=float(t), zeta=zeta, value=value,
-                admissible=n_nodes >= MIN_NODE_FACTOR * n_unknowns,
-                n_nodes=n_nodes, n_unknowns=n_unknowns))
+    for (ray_id, t, zeta), ok in zip(points, search):
+        ball = _ball(field, zeta, radius, next(dists)) if ok else None
+        n_nodes = len(ball) if ok else 0
+        value = omega(field, ball, symbol, degree).value if n_nodes \
+            else math.nan
+        rows.append(ScanRow(
+            ray=ray_id, t=t, zeta=zeta, value=value,
+            admissible=n_nodes >= MIN_NODE_FACTOR * n_unknowns,
+            n_nodes=n_nodes, n_unknowns=n_unknowns))
     adm = [r for r in rows if r.admissible]
     if not adm:
         raise ApproximationError("no admissible scan points")
@@ -262,8 +264,7 @@ def decompose(partition: Partition, symbol: SymbolFn, degree=6,
     approximants = []
     anchor_dist = field.distances_from_point(field.domain.anchor_point)
     shell = np.floor(anchor_dist[net.centers] / net.separation).astype(int)
-    for m, c in enumerate(net.center_points()):
-        ball = metric_ball(field, c, r_eps)
+    for m, ball in enumerate(metric_ball(field, net.center_points(), r_eps)):
         ov = omega(field, ball, symbol, degree)
         eps[m] = math.sqrt(max(ov.value, 0.0))
         admissible[m] = len(ball) >= MIN_NODE_FACTOR * n_unknowns
@@ -290,10 +291,12 @@ def decompose(partition: Partition, symbol: SymbolFn, degree=6,
     if len(pairs) > AUDIT_PAIRS:
         pairs = [pairs[i] for i in
                  sorted(rng.choice(len(pairs), AUDIT_PAIRS, replace=False))]
-    for n, m in pairs:
-        witness = np.intersect1d(chi[n].indices, chi[m].indices)
-        node = int(witness[len(witness) // 2])
-        sel = metric_ball(field, grid.nodes[node], r2).members
+    witnesses = [int(w[len(w) // 2]) for w in
+                 (np.intersect1d(chi[n].indices, chi[m].indices)
+                  for n, m in pairs)]
+    balls = metric_ball(field, grid.nodes[witnesses], r2)
+    for (n, m), node, ball in zip(pairs, witnesses, balls):
+        sel = ball.members
         gap = approximants[n].approximant(grid.nodes[sel]) \
             - approximants[m].approximant(grid.nodes[sel])
         lhs = math.sqrt(_ball_integral(field, sel, np.abs(gap) ** 2))

@@ -60,8 +60,9 @@ def off_diagonal_check(engine: KernelEngine, field: GeodesicField,
     of each centre and the members of its metric ball of radius r0."""
     lo, hi = math.inf, 0.0
     n_pairs = 0
-    for zeta in np.atleast_2d(np.asarray(centers, dtype=complex)):
-        members = metric_ball(field, zeta, r0).members
+    centers = np.atleast_2d(np.asarray(centers, dtype=complex))
+    for zeta, ball in zip(centers, metric_ball(field, centers, r0)):
+        members = ball.members
         n_pairs += len(members)
         ratio = off_diagonal_ratio(engine, field.grid.nodes[members], zeta)
         lo = min(lo, float(np.min(ratio)))
@@ -97,8 +98,8 @@ def mean_value_check(engine: KernelEngine, field: GeodesicField,
     d = field.domain.dim
     ratios = []
     skipped = 0
-    for zeta in np.atleast_2d(np.asarray(centers, dtype=complex)):
-        ball = metric_ball(field, zeta, r)
+    centers = np.atleast_2d(np.asarray(centers, dtype=complex))
+    for zeta, ball in zip(centers, metric_ball(field, centers, r)):
         vals = np.abs(f(grid.nodes[ball.members])) ** 2
         integral = float(np.sum(grid.weights[ball.members] * vals))
         if integral <= 0:
@@ -122,8 +123,8 @@ def mass_positivity_check(engine: KernelEngine, field: GeodesicField,
     grid = field.grid
     d = field.domain.dim
     rows = []
-    for zeta in np.atleast_2d(np.asarray(centers, dtype=complex)):
-        ball = metric_ball(field, zeta, r)
+    centers = np.atleast_2d(np.asarray(centers, dtype=complex))
+    for zeta, ball in zip(centers, metric_ball(field, centers, r)):
         bz = engine.kernel(grid.nodes[ball.members], zeta[None, :])
         ball_mass = float(np.sum(grid.weights[ball.members]
                                  * np.abs(bz) ** 2))
@@ -213,8 +214,7 @@ def t91_equivalences(engine: KernelEngine, field: GeodesicField,
     # (2), (3) per ball
     diag = engine.kernel_diag(grid.nodes).real
     c2, c3lo, c3hi = 0.0, math.inf, 0.0
-    for zeta in centers:
-        ball = metric_ball(field, zeta, r)
+    for zeta, ball in zip(centers, metric_ball(field, centers, r)):
         bz = engine.kernel_diag(zeta[None, :]).real[0]
         ratio2 = diag[ball.members] / bz
         c2 = max(c2, float(np.max(ratio2)), float(1.0 / np.min(ratio2)))
@@ -259,16 +259,15 @@ def volume_equivalence_bracket(engine: KernelEngine, field: GeodesicField,
     """Max over centers of the two-sided constant between the metric
     volume density and 1/mu(B(zeta,r)) on the ball."""
     density = field.volume_density_nodes
+    balls = metric_ball(field, np.atleast_2d(np.asarray(centers,
+                                                        dtype=complex)), r)
     best = 0.0
-    used = 0
-    for zeta in np.atleast_2d(np.asarray(centers, dtype=complex)):
-        ball = metric_ball(field, zeta, r)
-        used += 1
+    for ball in balls:
         ratio = density[ball.members] * ball.lebesgue_mass
         best = max(best, float(np.max(ratio)), float(1.0 / np.min(ratio)))
-    if used == 0:
+    if not balls:
         raise DiagnosticsError(
             "no centers for the volume-equivalence bracket")
     return ConstantEstimate(name="L", value=best,
-                            sample=f"{used} centers, r={r}",
+                            sample=f"{len(balls)} centers, r={r}",
                             detail={"r": float(r)})

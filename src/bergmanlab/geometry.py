@@ -23,6 +23,9 @@ from .domains import DomainSpec, QuadratureGrid, central_dbar, contains
 from .kernels import KernelEngine
 
 
+_SEARCH_BUDGET = 1_000_000  # distances per batch of Dijkstra sources (8 MB)
+
+
 class GeometryError(RuntimeError):
     pass
 
@@ -126,40 +129,66 @@ class GeodesicField:
         return idx, lengths.reshape(idx.shape)
 
     def distances_from_point(self, p, limit=np.inf):
-        """Graph distance from an arbitrary interior point to all nodes.
+        """Graph distances from interior points to all nodes.
 
-        Every node within graph distance ``limit`` of p gets its exact
-        distance; nodes farther away read ``inf`` (scipy's Dijkstra
-        keeps ``dist <= limit``).  At a grid node this is
-        ``distances_from_node``.  An off-grid row is cached, and one from a
-        limit at least as large is returned whole.
+        A 1-D p is one point and gives its row; a 2-D (m, d) p is a
+        batch and gives a list of m rows.  Every node within graph
+        distance ``limit`` of a point gets its exact distance; nodes
+        farther away read ``inf`` (scipy's Dijkstra keeps
+        ``dist <= limit``).  A point on a grid node is searched from that
+        node and not cached.  An off-grid row is cached under
+        ``p.tobytes()``, and a cached row from a limit at least as large
+        is returned whole, as the cached array itself.
 
-        Off-grid, p becomes a virtual node n whose only edges are its
-        ``_attach`` edges, stored as one extra CSR row.  The search from
-        n never returns to n, and ``self.graph`` is symmetric, so a
-        directed search needs no column n and no transpose.
+        Each off-grid point that misses the cache becomes a virtual node
+        n + j whose only edges are its ``_attach`` edges, stored as one
+        extra CSR row; one augmented graph holds all of a call's virtual
+        rows.  No edge enters a virtual node, so no search reaches
+        another source, and ``self.graph`` is symmetric, so a directed
+        search needs no virtual column and no transpose.  The sources go
+        to Dijkstra in batches of at most ``_SEARCH_BUDGET`` distances.
         """
-        p = np.asarray(p, dtype=complex).reshape(-1)
-        if not contains(self.domain, p):
+        p = np.asarray(p, dtype=complex)
+        pts = np.atleast_2d(p)
+        if not np.all(contains(self.domain, pts)):
             raise GeometryError("point outside the domain")
-        key = p.tobytes()
-        cached = self._point_cache.get(key)
-        if cached is not None and cached[0] >= limit:
-            return cached[1]
-        idx, lengths = (v[0] for v in self._attach(p))
-        if np.allclose(lengths[0], 0.0, atol=1e-13):
-            return self.distances_from_node(int(idx[0]), limit)
-        g = self.graph
-        n = len(self.grid)
-        order = np.argsort(idx)
-        aug = csr_matrix(
-            (np.concatenate([g.data, lengths[order]]),
-             np.concatenate([g.indices, idx[order].astype(g.indices.dtype)]),
-             np.append(g.indptr, g.indptr.dtype.type(g.nnz + len(idx)))),
-            shape=(n + 1, n + 1))
-        dist = dijkstra(aug, directed=True, indices=n, limit=limit)[:n]
-        self._point_cache[key] = (limit, dist)
-        return dist
+        rows, todo = {}, {}  # by point key; todo: its first index
+        for i, q in enumerate(pts):
+            key = q.tobytes()
+            cached = self._point_cache.get(key)
+            if cached is not None and cached[0] >= limit:
+                rows[key] = cached[1]
+            else:
+                todo.setdefault(key, i)
+        if todo:
+            idx, lengths = self._attach(pts[list(todo.values())])
+            off = ~np.isclose(lengths[:, 0], 0.0, atol=1e-13)
+            g = self.graph
+            n = len(self.grid)
+            src = np.where(off, n + np.cumsum(off) - 1, idx[:, 0])
+            if off.any():
+                order = np.argsort(idx[off], axis=1)
+                cols = np.take_along_axis(idx[off], order, axis=1)
+                ends = g.nnz + cols.shape[1] * np.arange(1, len(cols) + 1)
+                g = csr_matrix(
+                    (np.concatenate([g.data, np.take_along_axis(
+                        lengths[off], order, axis=1).ravel()]),
+                     np.concatenate([g.indices,
+                                     cols.ravel().astype(g.indices.dtype)]),
+                     np.append(g.indptr, ends.astype(g.indptr.dtype))),
+                    shape=(n + len(cols), n + len(cols)))
+            keys = list(todo)
+            step = max(1, _SEARCH_BUDGET // g.shape[1])
+            for lo in range(0, len(src), step):
+                block = dijkstra(g, directed=True, indices=src[lo:lo + step],
+                                 limit=limit)
+                for j, key in enumerate(keys[lo:lo + step], lo):
+                    rows[key] = block[j - lo, :n].copy()
+                    if off[j]:
+                        self._point_cache[key] = (limit, rows[key])
+                del block
+        out = [rows[q.tobytes()] for q in pts]
+        return out if p.ndim > 1 else out[0]
 
     def distance(self, a, b):
         """Graph shortest-path Bergman distance between two points."""
@@ -192,18 +221,33 @@ class MetricBall:
         return len(self.members)
 
 
-def metric_ball(field: GeodesicField, zeta, r: float) -> MetricBall:
+def _ball(field: GeodesicField, zeta, r: float, dist) -> MetricBall:
+    """The nodes with ``dist < r``, where dist is zeta's row; may be empty."""
+    members = np.nonzero(dist < r)[0]
+    return MetricBall(center=zeta, radius=float(r), members=members,
+                      lebesgue_mass=float(np.sum(field.grid.weights[members])))
+
+
+def metric_ball(field: GeodesicField, zeta, r: float):
+    """The nodes at graph distance < r from zeta; an empty ball raises.
+
+    A 2-D (m, d) zeta is a batch and gives a list of m balls.  It is
+    searched in calls of at most ``_SEARCH_BUDGET`` distances, so the
+    uncached rows of grid-node centres never pile up."""
     if r <= 0:
         raise GeometryError("ball radius must be positive")
-    dist = field.distances_from_point(zeta, limit=r)
-    members = np.nonzero(dist < r)[0]
-    if len(members) == 0:
-        raise GeometryError(
-            f"metric ball of radius {r} contains no grid nodes")
-    w = field.grid.weights[members]
-    return MetricBall(center=np.asarray(zeta, dtype=complex).reshape(-1),
-                      radius=float(r), members=members,
-                      lebesgue_mass=float(np.sum(w)))
+    zeta = np.asarray(zeta, dtype=complex)
+    pts = np.atleast_2d(zeta)
+    step = max(1, _SEARCH_BUDGET // len(field.grid))
+    balls = []
+    for lo in range(0, len(pts), step):
+        chunk = pts[lo:lo + step]
+        for c, dist in zip(chunk, field.distances_from_point(chunk, limit=r)):
+            balls.append(_ball(field, c, r, dist))
+            if not len(balls[-1]):
+                raise GeometryError(
+                    f"metric ball of radius {r} contains no grid nodes")
+    return balls if zeta.ndim > 1 else balls[0]
 
 
 @dataclass

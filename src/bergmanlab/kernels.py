@@ -44,8 +44,9 @@ def _blas_threads():
     return _cores()
 
 
-# the pool takes the cores BLAS leaves idle
-_WORKERS = max(1, _cores() // _blas_threads())
+# the pool runs only beside a one-thread BLAS: a threaded BLAS may round
+# a row block of a product differently from the whole product
+_WORKERS = _cores() if _blas_threads() == 1 else 1
 
 
 def _blocks(n, parts):

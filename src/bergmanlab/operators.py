@@ -16,15 +16,15 @@ orbit.  Any other grid or basis has orbits of one node, where Parseval
 is the identity and the sum is the node sum, at
 O(nodes * k * (k + columns)) for k basis functions.
 
-Each chunk runs on kernels' shared pool of the cores BLAS leaves idle:
+Each chunk runs on kernels' shared pool, which works beside one BLAS thread:
 its rows are built in slices of orbits, the projection read off by runs
 of functions and the Gram by blocks of its rows, each written in place
 into arrays allocated once per chunk.  No sum over orbits or nodes is
 split, no product is cut to one row, a one-column product is not cut at
 all, and chunks add in order.  So with one BLAS thread every value is
 the same bit for bit at any worker count.  A threaded BLAS can round a
-product cut in blocks of rows differently; with one worker, the default
-when BLAS takes every core, only the slices of orbits are cut.
+product cut in blocks of rows differently; with one worker, as whenever
+BLAS runs more than one thread, only the slices of orbits are cut.
 """
 
 from __future__ import annotations

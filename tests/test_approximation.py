@@ -113,9 +113,10 @@ class TestBoundaryScan:
 
     def test_empty_ball_marks_row_inadmissible(self, disc_field,
                                                monkeypatch):
-        def empty(*args, **kwargs):
-            raise GeometryError("metric ball contains no grid nodes")
-        monkeypatch.setattr(approximation, "metric_ball", empty)
+        # the scan's balls come from one batched distance search
+        def empty(pts, limit=np.inf):
+            return [np.full(len(disc_field.grid), np.inf) for _ in pts]
+        monkeypatch.setattr(disc_field, "distances_from_point", empty)
         with pytest.raises(ApproximationError,
                            match="no admissible scan points"):
             boundary_scan(disc_field, zbar1(1), degree=2, n_rays=1,
@@ -124,10 +125,30 @@ class TestBoundaryScan:
     def test_other_errors_propagate(self, disc_field, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("broken distance path")
-        monkeypatch.setattr(approximation, "metric_ball", broken)
+        monkeypatch.setattr(disc_field, "distances_from_point", broken)
         with pytest.raises(ValueError, match="broken distance path"):
             boundary_scan(disc_field, zbar1(1), degree=2, n_rays=1,
                           steps=(0.3,))
+
+    def test_only_empty_rows_are_inadmissible(self, disc_field):
+        # at t = 0.999 the nearest node is farther than 0.5 in the metric
+        steps = (0.3, 0.999)
+        scan = boundary_scan(disc_field, zbar1(1), radius=0.5, degree=0,
+                             n_rays=2, steps=steps)
+        assert [r.t for r in scan.rows] == list(steps) * 2
+        for row in scan.rows:
+            if row.t == 0.999:
+                with pytest.raises(GeometryError,
+                                   match="contains no grid nodes"):
+                    metric_ball(disc_field, row.zeta, 0.5)
+                assert not row.admissible and row.n_nodes == 0
+                assert math.isnan(row.value)
+            else:
+                ball = metric_ball(disc_field, row.zeta, 0.5)
+                assert row.admissible and row.n_nodes == len(ball)
+                assert row.value == omega(disc_field, ball, zbar1(1),
+                                          0).value
+        assert scan.n_admissible == 2
 
     def test_ray_points_stay_inside(self, disc_domain):
         for t in (0.1, 0.5, 0.9, 0.99):

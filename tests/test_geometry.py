@@ -149,6 +149,97 @@ class TestOffGridSearch:
             dijkstra(small_field.graph, directed=False, indices=i))
 
 
+def _node_row(field, i, limit=np.inf):
+    return dijkstra(field.graph, directed=False, indices=i, limit=limit)
+
+
+def _bounded(full, limit):
+    return np.where(full <= limit, full, np.inf)
+
+
+class TestBatchedSearch:
+    """A 2-D input is one batched search on one augmented graph; each of
+    its rows must equal the one-point row bit for bit."""
+
+    def test_rows_equal_one_point_rows(self, small_field):
+        pts = np.stack(_points(small_field, (0.15, 0.4, 0.65)))
+        rows = small_field.distances_from_point(pts)
+        assert isinstance(rows, list) and len(rows) == len(pts)
+        for p, row in zip(pts, rows):
+            assert np.array_equal(row, _lil_reference(small_field, p))
+            del small_field._point_cache[p.tobytes()]
+            one = small_field.distances_from_point(p)
+            assert np.array_equal(one, row)
+            assert small_field._point_cache[p.tobytes()][1] is one
+
+    def test_mixed_batch_with_a_repeat(self, small_field):
+        a, b = _points(small_field, (0.1,))
+        n = len(small_field.grid)
+        i, j = n // 5, 2 * n // 3
+        nodes = small_field.grid.nodes
+        pts = np.stack([a, nodes[i], b, a, nodes[j]])
+        for limit in (0.8, np.inf):
+            rows = small_field.distances_from_point(pts, limit=limit)
+            for p, row in ((a, rows[0]), (b, rows[2])):
+                assert np.array_equal(
+                    row, _bounded(_lil_reference(small_field, p), limit))
+            assert rows[3] is rows[0]
+            assert np.array_equal(rows[1], _node_row(small_field, i, limit))
+            assert np.array_equal(rows[4], _node_row(small_field, j, limit))
+            assert small_field._point_cache[a.tobytes()] == (limit, rows[0])
+        for q in (nodes[i], nodes[j]):
+            assert q.tobytes() not in small_field._point_cache
+
+    def test_cache_hits_inside_a_batch(self, small_field):
+        a, b = _points(small_field, (0.85,))
+        full_a = small_field.distances_from_point(a)
+        near = small_field.distances_from_point(np.stack([b, a]), limit=1.0)
+        assert near[1] is full_a
+        assert np.array_equal(
+            near[0], _bounded(_lil_reference(small_field, b), 1.0))
+        # b's row came from a smaller limit, so it is searched again
+        rows = small_field.distances_from_point(np.stack([a, b]))
+        assert rows[0] is full_a and rows[1] is not near[0]
+        assert np.array_equal(rows[1], _lil_reference(small_field, b))
+        assert small_field._point_cache[b.tobytes()] == (np.inf, rows[1])
+        assert small_field.distances_from_point(b, limit=0.5) is rows[1]
+
+    def test_budget_splits_the_sources(self, small_field, monkeypatch):
+        from bergmanlab import geometry
+        pts = np.stack(_points(small_field, (0.12, 0.32, 0.52)))
+        n, m = len(small_field.grid), len(pts)
+        monkeypatch.setattr(geometry, "_SEARCH_BUDGET", 2 * (n + m))
+        calls = []
+        def counted(*args, **kwargs):
+            calls.append(len(kwargs["indices"]))
+            return dijkstra(*args, **kwargs)
+        monkeypatch.setattr(geometry, "dijkstra", counted)
+        rows = small_field.distances_from_point(pts, limit=1.0)
+        assert calls == [2, 2, 2]
+        for p, row in zip(pts, rows):
+            assert np.array_equal(
+                row, _bounded(_lil_reference(small_field, p), 1.0))
+        # node rows are not cached, and metric_ball holds at most
+        # budget / n of them at a time
+        nodes = small_field.grid.nodes[np.arange(0, n, n // m)[:m]]
+        balls = metric_ball(small_field, nodes, 1.0)
+        assert calls[3:] == [2, 2, 2]
+        for p, ball in zip(nodes, balls):
+            assert np.array_equal(ball.members,
+                                  metric_ball(small_field, p, 1.0).members)
+
+    def test_outside_point_raises(self, small_field):
+        a, _ = _points(small_field, (0.05,))
+        out = 2.0 * ray_point(small_field.domain,
+                              ray_directions(small_field.domain, 1)[0],
+                              0.999)
+        with pytest.raises(GeometryError, match="point outside the domain"):
+            small_field.distances_from_point(np.stack([a, out]))
+        assert a.tobytes() not in small_field._point_cache
+        with pytest.raises(GeometryError, match="point outside the domain"):
+            metric_ball(small_field, np.stack([a, out]), 1.0)
+
+
 def _assert_matches_directed_graph(field):
     """The former graph build: one segment length per directed kNN edge,
     symmetrized by the larger of the two directions.  The graph must
@@ -209,6 +300,21 @@ class TestMetricBalls:
         ball = metric_ball(disc_field, np.array([0.0j]), 1.0)
         assert ball.lebesgue_mass == pytest.approx(math.pi * RHO ** 2,
                                                    rel=0.05)
+
+    def test_batch_gives_the_one_point_balls(self, disc_field):
+        pts = np.array([[0.0j], [0.3 + 0.2j], disc_field.grid.nodes[7]])
+        balls = metric_ball(disc_field, pts, 0.6)
+        assert len(balls) == len(pts)
+        for p, ball in zip(pts, balls):
+            one = metric_ball(disc_field, p, 0.6)
+            assert np.array_equal(ball.members, one.members)
+            assert ball.lebesgue_mass == one.lebesgue_mass
+            assert np.array_equal(ball.center, p)
+
+    def test_empty_ball_in_a_batch_raises(self, disc_field):
+        pts = np.array([[0.0j], [0.3 + 0.01j]])
+        with pytest.raises(GeometryError, match="contains no grid nodes"):
+            metric_ball(disc_field, pts, 1e-4)
 
     def test_monotone_in_radius(self, disc_field):
         small = metric_ball(disc_field, np.array([0.2 + 0.1j]), 0.5)

@@ -365,6 +365,20 @@ class TestSharedPool:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("blas,workers", [("1", "cores"), ("2", "1")])
+    def test_pool_only_beside_one_blas_thread(self, blas, workers):
+        code = ("import bergmanlab.kernels as k; "
+                "print(k._WORKERS, k._cores())")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src,
+                                       OPENBLAS_NUM_THREADS=blas),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        got, cores = proc.stdout.split()
+        assert got == (cores if workers == "cores" else workers)
+
     def test_forked_child_makes_its_own_pool(self):
         # the child inherits the pool object, here with two idle
         # threads, but not the threads: its tasks would wait forever

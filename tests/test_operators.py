@@ -373,8 +373,7 @@ def _check_worker_counts(name):
 
 
 class TestSharedPool:
-    # The pool's workers are the cores BLAS leaves idle, so two workers
-    # meet one BLAS thread.  A threaded BLAS may round a product split
+    # The pool has more than one worker only beside one BLAS thread.  A threaded BLAS may round a product split
     # in rows differently, so the check runs in an interpreter that
     # pins BLAS to one thread, whatever this session's BLAS uses.
     @pytest.mark.parametrize("name", ["tensor", "product-polar", "egg2",
