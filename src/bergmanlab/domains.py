@@ -203,10 +203,29 @@ def _tensor_midpoint(dom, resolution):
     grids = np.meshgrid(*([axis] * (2 * dom.dim)), indexing="ij")
     x = np.stack([g.ravel() for g in grids], axis=-1)
     z = x[:, :dom.dim] + 1j * x[:, dom.dim:]
-    keep = contains(dom, z)
-    z = z[keep]
+    z = z[_midpoints_inside(dom, n)]
     w = np.full(len(z), h ** (2 * dom.dim))
     return z, w
+
+
+def _midpoints_inside(dom, n):
+    """Strict membership of the n ** 2d candidate midpoints, in order,
+    decided in integers (a real coordinate is a / n, a = 2 i + 1 - n),
+    so no node on the boundary is kept, as rounding did on ball2."""
+    d, m = dom.dim, dom.egg_exponent
+    a2 = (2 * np.arange(n) + 1 - n) ** 2
+    rad = a2[:, None] + a2  # n^2 |z_j|^2 by the indices of Re z_j, Im z_j
+    r = [rad.reshape([n if k in (j, d + j) else 1 for k in range(2 * d)])
+         for j in range(d)]
+    if dom.kind == "ball":
+        inside = sum(r) < n * n
+    elif dom.kind == "polydisc":
+        inside = np.all([rj < n * n for rj in np.broadcast_arrays(*r)], 0)
+    else:  # r1 n^(2m-2) + r2^m < n^2m: the largest r1 each r2 allows
+        top = [max(-1, (n ** (2 * m) - int(q) ** m - 1) // n ** (2 * m - 2))
+               for q in rad.ravel()]
+        inside = r[0] <= np.reshape(top, r[1].shape)
+    return np.broadcast_to(inside, (n,) * (2 * d)).ravel()
 
 
 def _gauss01(n):

@@ -70,22 +70,26 @@ _pool = None
 _pool_lock = threading.Lock()
 
 
-def _on_pool(fn, parts):
-    """fn(p) for every p in parts, on one process-wide pool of _WORKERS
-    threads (numpy and BLAS release the GIL), created on first use.
-    Runs inline with fewer than two parts or workers, and inside a pool
-    task, where a nested wait on the busy pool would deadlock."""
+def _pool_map(fn, parts):
+    """fn(p) for each p in parts, as an iterator in part order, run on
+    one process-wide pool of _WORKERS threads (numpy and BLAS release
+    the GIL) created on first use; a task's error is raised when reached.
+    Inline and lazy with fewer than two parts or workers, and inside a
+    pool task, where a nested wait on the busy pool would deadlock."""
     global _pool
     if len(parts) < 2 or _WORKERS < 2 \
             or threading.current_thread().name.startswith(_POOL_NAME):
-        for p in parts:
-            fn(p)
-        return
+        return map(fn, parts)
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_WORKERS,
                                        thread_name_prefix=_POOL_NAME)
-    list(_pool.map(fn, parts))
+    return _pool.map(fn, parts)
+
+
+def _on_pool(fn, parts):
+    """fn(p) for every p in parts, through _pool_map."""
+    list(_pool_map(fn, parts))
 
 
 def _forget_pool():

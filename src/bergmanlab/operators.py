@@ -16,15 +16,11 @@ orbit.  Any other grid or basis has orbits of one node, where Parseval
 is the identity and the sum is the node sum, at
 O(nodes * k * (k + columns)) for k basis functions.
 
-Each chunk runs on kernels' shared pool, which works beside one BLAS thread:
-its rows are built in slices of orbits, the projection read off by runs
-of functions and the Gram by blocks of its rows, each written in place
-into arrays allocated once per chunk.  No sum over orbits or nodes is
-split, no product is cut to one row, a one-column product is not cut at
-all, and chunks add in order.  So with one BLAS thread every value is
-the same bit for bit at any worker count.  A threaded BLAS can round a
-product cut in blocks of rows differently; with one worker, as whenever
-BLAS runs more than one thread, only the slices of orbits are cut.
+Each chunk of orbits is one task on kernels' shared pool, which works
+beside one BLAS thread: the task builds the chunk's rows and returns its
+share of the read-off or of the Gram, whole, and the caller adds the
+shares in chunk order as they arrive.  Chunk bounds depend on the budget
+alone, so every value is the same bit for bit at any worker count.
 """
 
 from __future__ import annotations
@@ -34,9 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import QuadratureGrid, central_dbar, contains
-from . import kernels
-from .kernels import (KernelEngine, OrthonormalBasis, _blocks, _on_pool,
-                      _row_chunks)
+from .kernels import KernelEngine, OrthonormalBasis, _pool_map
 
 _DBAR_STEP = 1e-5         # central-difference step of dbar_values
 _CONSISTENCY_STEP = 1e-4  # and of the dbar_consistency reference
@@ -94,7 +88,7 @@ class OperatorTruncation:
     singular_values: np.ndarray  # descending, nonnegative
 
 
-_CHUNK_BUDGET = 4_000_000  # array entries per chunk of orbits
+_CHUNK_BUDGET = 250_000  # array entries per chunk of orbits
 
 
 def _orbit_size(basis, grid):
@@ -129,19 +123,6 @@ def _mode_shifts(alphas, n):
         tuple((t[:, :, None] - alphas.T[:, None, :]) % n), shape)
 
 
-def _read_off_pieces(runs, width, workers):
-    """(functions, mode index) pairs of the read-off's products: one per
-    run of functions, and with fewer runs than workers (T = 1 has one)
-    each run cut into blocks of at least two functions.  One column
-    goes to gemv, whose rows round differently in a shorter matrix, so
-    it is never cut."""
-    if len(runs) >= workers or width == 1:
-        return [(r, g) for g, r in enumerate(runs)]
-    return [(slice(r.start + b.start, r.start + b.stop), g)
-            for g, r in enumerate(runs)
-            for b in _blocks(r.stop - r.start, workers)]
-
-
 def _residual_gram(basis, grid, n, columns, width, project):
     """Gram of `width` columns v_j, or of their residuals v_j - P v_j
     with project, summed over torus orbits of T = n ** d consecutive
@@ -153,8 +134,8 @@ def _residual_gram(basis, grid, n, columns, width, project):
     columns on a chunk of orbits (a slice) with those nodes, at the
     modes `at`: (c, len(at), width), or (c, T, width) for slice(None).
     By discrete Parseval, T A = sum_rho T w_rho S^H V at each function's
-    mode is read off in a first pass.  The second pass subtracts the
-    projection S (T A) one run of functions on one mode at a time and
+    mode is read off in a first pass, one product per run of functions
+    on one mode.  The second pass subtracts the projection S (T A) and
     sums the Gram sum_rho (w_rho / T) R^H R of the explicit residual R,
     since the algebraic shortcut G - A^H A loses half the working digits
     to cancellation when the residual is nearly zero.  At n = 1 these
@@ -168,79 +149,33 @@ def _residual_gram(basis, grid, n, columns, width, project):
     starts = np.flatnonzero(np.diff(modes, prepend=-1))
     runs = [slice(a, b) for a, b in zip(starts, np.append(starts[1:], k))]
     step = max(1, _CHUNK_BUDGET // (k + T * width))
-    n_orbits = len(grid) // T
-    workers = kernels._WORKERS
 
-    # A chunk's arrays are allocated in the calling thread and filled in
-    # place on the pool: pool threads allocate nothing chunk-sized, which
-    # glibc's per-thread arenas would keep.
-    def on_rows(lo, at, finish):
-        """The weights w, S and the column spectra V on the orbits from
-        lo, built one row slice s of orbits at a time, each slice then
-        passed to finish(s, w, S, V)."""
-        hi = min(lo + step, n_orbits)
-        w = grid.weights[lo * T:hi * T:T]
-        S = np.empty((hi - lo, k), dtype=complex)
-        V = np.empty((hi - lo, T if isinstance(at, slice) else len(at),
-                      width), dtype=complex)
-
-        def rows(s):
-            orbits = slice(lo + s.start, lo + s.stop)
-            nodes = grid.nodes[orbits.start * T:orbits.stop * T]
-            S[s] = basis.evaluate(nodes[::T])
-            V[s] = columns(orbits, nodes, S[s], at)
-            finish(s, w, S, V)
-
-        _on_pool(rows, _row_chunks(hi - lo, k + T * width))
-        return V
+    def chunk(lo, at):
+        """w, S and the column spectra V at `at` on the orbits from lo."""
+        nodes = slice(lo * T, (lo + step) * T)
+        S = basis.evaluate(grid.nodes[nodes][::T])
+        return (grid.weights[nodes][::T], S,
+                columns(slice(lo, lo + step), grid.nodes[nodes], S, at))
 
     def read_off(lo):
-        # conj(S) T w run by run, each run's (c, len(run)) block
-        # contiguous, so a run of one function is a contiguous vector
-        # (a strided one goes through a gemv that rounds differently)
-        c = min(step, n_orbits - lo)
-        buf = np.empty(c * k, dtype=complex)
-        Y = [buf[c * r.start:c * r.stop].reshape(c, -1) for r in runs]
-
-        def weigh(s, w, S, V):
-            for g, r in enumerate(runs):
-                np.conj(S[s, r], out=Y[g][s])
-                Y[g][s] *= (T * w[s])[:, None]
-
-        V = on_rows(lo, modes[starts], weigh)
-        pieces = _read_off_pieces(runs, width, workers)
-        TA = np.empty((k, width), dtype=complex)
-
-        def products(i):
-            for r, g in pieces[i::workers]:
-                b = slice(r.start - runs[g].start, r.stop - runs[g].start)
-                np.matmul(Y[g][:, b].T, V[:, g], out=TA[r])
-
-        _on_pool(products, range(min(workers, len(pieces))))
-        return TA
+        w, S, V = chunk(lo, modes[starts])
+        return np.concatenate([(S[:, r].conj() * (T * w)[:, None]).T
+                               @ V[:, g] for g, r in enumerate(runs)])
 
     def gram(lo):
-        Y = np.empty((min(step, n_orbits - lo) * T, width), dtype=complex)
+        w, S, V = chunk(lo, slice(None))
+        if project:
+            for r in runs:
+                V[:, modes[r.start]] -= S[:, r] @ TA[r]
+        V = V.reshape(-1, width)
+        return (V.conj() * np.repeat(w / T, T)[:, None]).T @ V
 
-        def residual(s, w, S, V):
-            if project:
-                for r in runs:
-                    V[s, modes[r.start]] -= S[s, r] @ TA[r]
-            nodes = slice(s.start * T, s.stop * T)
-            np.conj(V[s].reshape(-1, width), out=Y[nodes])
-            Y[nodes] *= np.repeat(w[s] / T, T)[:, None]
-
-        V = on_rows(lo, slice(None), residual).reshape(-1, width)
-        G = np.empty((width, width), dtype=complex)
-        _on_pool(lambda b: np.matmul(Y[:, b].T, V, out=G[b]),
-                 _blocks(width, workers))
-        return G
-
-    # one chunk at a time: each is released before the next is built
-    orbits = range(0, n_orbits, step)
+    # one pool task per chunk, its share added in chunk order as it
+    # arrives, so at most one chunk per worker is alive at once
+    orbits = range(0, len(grid) // T, step)
     if project:
-        TA = sum(read_off(lo) for lo in orbits)
-    G = sum(gram(lo) for lo in orbits)
+        TA = sum(_pool_map(read_off, orbits))
+    G = sum(_pool_map(gram, orbits))
     return 0.5 * (G + G.conj().T)
 
 

@@ -206,6 +206,18 @@ class TestGrids:
         order = np.lexsort(keys.T[::-1])
         assert np.array_equal(order, np.arange(len(z)))
 
+    @pytest.mark.parametrize("domain", [dom.ball(2), dom.egg(1)],
+                             ids=lambda d: d.label)
+    def test_midpoint_leaves_out_nodes_on_the_sphere(self, domain):
+        """ball2 at 0.15 splits each axis in 14 cells; 588 candidates
+        have |z|^2 = 1 exactly (odd numerators a with sum a^2 = 14^2),
+        which float rounding used to keep.  egg(1) is the same ball."""
+        grid = dom.build_grid(domain, 0.15)
+        assert len(grid) == 11_376
+        a = np.rint(np.concatenate([grid.nodes.real, grid.nodes.imag],
+                                   axis=1) * 14).astype(int)
+        assert np.all(np.sum(a ** 2, axis=1) < 14 ** 2)
+
 
 def test_import_leaves_scipy_stats_out():
     """scipy.stats took most of the package's import time and memory."""

@@ -471,6 +471,14 @@ class TestCli:
         assert code == EXIT_OK
         assert (out / "kernel.csv").exists()
 
+    def test_t91_on_the_ball_grid_with_sphere_candidates(self, tmp_path):
+        # the ball2 grid at 0.15 once kept nodes with |z|^2 = 1, where
+        # the closed-form kernel is singular
+        code = cli_main(["t91", "--out", str(tmp_path), "--domain", "ball2",
+                         "--resolution", "0.15"])
+        assert code == EXIT_OK
+        assert (tmp_path / "t91_report.json").exists()
+
     def test_symbol_override(self, tmp_path):
         # a symbol that starts with "-" reaches the parser as --symbol=EXPR
         for symbol in (["--symbol", "z1/z1"], ["--symbol=-z1/z1"]):

@@ -353,6 +353,61 @@ class TestSharedPool:
                 lambda p: ran_in.append(threading.current_thread()), parts)
         assert ran_in == [threading.main_thread()] * 4
 
+    def test_map_keeps_part_order_when_tasks_finish_out_of_order(
+            self, monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        one_done = threading.Event()
+        finished = []
+
+        def task(p):
+            # part 0 waits until part 1 has finished
+            if p == 0:
+                assert one_done.wait(timeout=60)
+            finished.append(p)
+            one_done.set()
+            return (p, threading.current_thread().name)
+
+        got = list(kernels._pool_map(task, [0, 1]))
+        assert finished == [1, 0]
+        assert [p for p, _ in got] == [0, 1]
+        assert all(name.startswith(kernels._POOL_NAME) for _, name in got)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_map_raises_a_later_error_when_reached(self, workers,
+                                                   monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+
+        def task(p):
+            if p == 2:
+                raise KernelError("task 2 failed")
+            return p
+
+        results = kernels._pool_map(task, range(4))
+        assert next(results) == 0 and next(results) == 1
+        with pytest.raises(KernelError, match="task 2 failed"):
+            next(results)
+
+    def test_map_runs_inline_with_one_part_or_worker_and_on_the_pool(
+            self, monkeypatch):
+        def where(p):
+            return threading.current_thread()
+
+        for workers, parts in ((2, [0]), (1, [0, 1, 2])):
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            assert list(kernels._pool_map(where, parts)) \
+                == [threading.main_thread()] * len(parts)
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+
+        def outer(i):
+            # a nested wait on the 2-worker pool, busy with both outer
+            # tasks, would deadlock
+            return threading.current_thread(), \
+                list(kernels._pool_map(where, range(4)))
+
+        for thread, inner in kernels._pool_map(outer, [0, 1]):
+            assert thread.name.startswith(kernels._POOL_NAME)
+            assert inner == [thread] * 4
+
     def test_import_leaves_the_pool_uncreated(self):
         code = ("import threading, bergmanlab, bergmanlab.kernels as k; "
                 "assert k._pool is None; "

@@ -373,9 +373,9 @@ def _check_worker_counts(name):
 
 
 class TestSharedPool:
-    # The pool has more than one worker only beside one BLAS thread.  A threaded BLAS may round a product split
-    # in rows differently, so the check runs in an interpreter that
-    # pins BLAS to one thread, whatever this session's BLAS uses.
+    # The pool has more than one worker only beside one BLAS thread, so
+    # the check runs in an interpreter that pins BLAS to one thread,
+    # whatever this session's BLAS uses.
     @pytest.mark.parametrize("name", ["tensor", "product-polar", "egg2",
                                       "disc"])
     def test_equal_at_one_and_two_workers(self, name):
@@ -390,21 +390,6 @@ class TestSharedPool:
             env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-3000:]
 
-    def test_read_off_cuts_runs_but_never_one_column(self):
-        one_run = [slice(0, 28)]
-        assert operators._read_off_pieces(one_run, 3, 2) \
-            == [(slice(0, 14), 0), (slice(14, 28), 0)]
-        # a one-centre probe has one column: gemv would round the rows
-        # of a shorter matrix differently
-        assert operators._read_off_pieces(one_run, 1, 2) \
-            == [(slice(0, 28), 0)]
-        assert operators._read_off_pieces(one_run, 3, 1) \
-            == [(slice(0, 28), 0)]
-        assert operators._read_off_pieces([slice(0, 3)], 3, 2) \
-            == [(slice(0, 3), 0)]
-        runs = [slice(0, 2), slice(2, 3), slice(3, 7)]
-        assert operators._read_off_pieces(runs, 3, 2) \
-            == [(r, g) for g, r in enumerate(runs)]
 
 class TestEdgeCases:
     @pytest.mark.parametrize("build", [hankel_matrix, mult_matrix])
