@@ -200,16 +200,14 @@ def _tensor_midpoint(dom, resolution):
                           f"above the cap of {_MIDPOINT_CAP}")
     h = 2.0 / n
     axis = -1.0 + h * (np.arange(n) + 0.5)
-    grids = np.meshgrid(*([axis] * (2 * dom.dim)), indexing="ij")
-    x = np.stack([g.ravel() for g in grids], axis=-1)
+    x = axis[np.argwhere(_midpoints_inside(dom, n))]  # C order
     z = x[:, :dom.dim] + 1j * x[:, dom.dim:]
-    z = z[_midpoints_inside(dom, n)]
     w = np.full(len(z), h ** (2 * dom.dim))
     return z, w
 
 
 def _midpoints_inside(dom, n):
-    """Strict membership of the n ** 2d candidate midpoints, in order,
+    """Strict membership of the candidate midpoints, an (n,) * 2d mask,
     decided in integers (a real coordinate is a / n, a = 2 i + 1 - n),
     so no node on the boundary is kept, as rounding did on ball2."""
     d, m = dom.dim, dom.egg_exponent
@@ -225,7 +223,7 @@ def _midpoints_inside(dom, n):
         top = [max(-1, (n ** (2 * m) - int(q) ** m - 1) // n ** (2 * m - 2))
                for q in rad.ravel()]
         inside = r[0] <= np.reshape(top, r[1].shape)
-    return np.broadcast_to(inside, (n,) * (2 * d)).ravel()
+    return np.broadcast_to(inside, (n,) * (2 * d))
 
 
 def _gauss01(n):

@@ -38,7 +38,8 @@ def _realify(z):
 
 
 class GeodesicField:
-    """Shortest-path oracle for the Bergman distance on a grid."""
+    """Shortest-path oracle for the Bergman distance on a grid; it
+    remembers only its last off-grid search (``distances_from_point``)."""
 
     def __init__(self, engine: KernelEngine, grid: QuadratureGrid,
                  neighbors_per_dim=8):
@@ -81,7 +82,7 @@ class GeodesicField:
         self.graph = csr_matrix((np.r_[lengths, lengths],
                                  (np.r_[rows, cols], np.r_[cols, rows])),
                                 shape=(n, n))
-        self._point_cache: dict = {}
+        self._memo = None  # (batch bytes, limit, rows) of the last search
 
     # -- local metric helpers -----------------------------------------
 
@@ -136,32 +137,28 @@ class GeodesicField:
         distance ``limit`` of a point gets its exact distance; nodes
         farther away read ``inf`` (scipy's Dijkstra keeps
         ``dist <= limit``).  A point on a grid node is searched from that
-        node and not cached.  An off-grid row is cached under
-        ``p.tobytes()``, and a cached row from a limit at least as large
-        is returned whole, as the cached array itself.
+        node.  Rows are read-only.
 
-        Each off-grid point that misses the cache becomes a virtual node
-        n + j whose only edges are its ``_attach`` edges, stored as one
-        extra CSR row; one augmented graph holds all of a call's virtual
-        rows.  No edge enters a virtual node, so no search reaches
-        another source, and ``self.graph`` is symmetric, so a directed
-        search needs no virtual column and no transpose.  The sources go
-        to Dijkstra in batches of at most ``_SEARCH_BUDGET`` distances.
+        The field keeps one memo, the last search: a call whose batch
+        has the same bytes and whose limit is no larger gets the memo's
+        rows back, as the same arrays.  Any other call drops the memo
+        and searches all its points in one multi-source Dijkstra.  Each
+        off-grid point becomes a virtual node n + j whose only edges are
+        its ``_attach`` edges, stored as one extra CSR row.  No edge
+        enters a virtual node, so no search reaches another source, and
+        ``self.graph`` is symmetric, so a directed search needs no
+        virtual column and no transpose.  The caller bounds the batch
+        (``metric_ball`` sends at most ``_SEARCH_BUDGET`` distances).
         """
         p = np.asarray(p, dtype=complex)
         pts = np.atleast_2d(p)
         if not np.all(contains(self.domain, pts)):
             raise GeometryError("point outside the domain")
-        rows, todo = {}, {}  # by point key; todo: its first index
-        for i, q in enumerate(pts):
-            key = q.tobytes()
-            cached = self._point_cache.get(key)
-            if cached is not None and cached[0] >= limit:
-                rows[key] = cached[1]
-            else:
-                todo.setdefault(key, i)
-        if todo:
-            idx, lengths = self._attach(pts[list(todo.values())])
+        key = pts.tobytes()
+        memo = self._memo
+        if memo is None or memo[0] != key or memo[1] < limit:
+            memo = self._memo = None  # free the last rows before searching
+            idx, lengths = self._attach(pts)
             off = ~np.isclose(lengths[:, 0], 0.0, atol=1e-13)
             g = self.graph
             n = len(self.grid)
@@ -177,18 +174,10 @@ class GeodesicField:
                                      cols.ravel().astype(g.indices.dtype)]),
                      np.append(g.indptr, ends.astype(g.indptr.dtype))),
                     shape=(n + len(cols), n + len(cols)))
-            keys = list(todo)
-            step = max(1, _SEARCH_BUDGET // g.shape[1])
-            for lo in range(0, len(src), step):
-                block = dijkstra(g, directed=True, indices=src[lo:lo + step],
-                                 limit=limit)
-                for j, key in enumerate(keys[lo:lo + step], lo):
-                    rows[key] = block[j - lo, :n].copy()
-                    if off[j]:
-                        self._point_cache[key] = (limit, rows[key])
-                del block
-        out = [rows[q.tobytes()] for q in pts]
-        return out if p.ndim > 1 else out[0]
+            block = dijkstra(g, directed=True, indices=src, limit=limit)
+            block.flags.writeable = False
+            memo = self._memo = (key, limit, [row[:n] for row in block])
+        return list(memo[2]) if p.ndim > 1 else memo[2][0]
 
     def distance(self, a, b):
         """Graph shortest-path Bergman distance between two points."""
@@ -232,8 +221,8 @@ def metric_ball(field: GeodesicField, zeta, r: float):
     """The nodes at graph distance < r from zeta; an empty ball raises.
 
     A 2-D (m, d) zeta is a batch and gives a list of m balls.  It is
-    searched in calls of at most ``_SEARCH_BUDGET`` distances, so the
-    uncached rows of grid-node centres never pile up."""
+    searched in calls of at most ``_SEARCH_BUDGET`` distances, so no
+    more distances than that are alive at once, the memo included."""
     if r <= 0:
         raise GeometryError("ball radius must be positive")
     zeta = np.asarray(zeta, dtype=complex)

@@ -87,11 +87,6 @@ def _pool_map(fn, parts):
     return _pool.map(fn, parts)
 
 
-def _on_pool(fn, parts):
-    """fn(p) for every p in parts, through _pool_map."""
-    list(_pool_map(fn, parts))
-
-
 def _forget_pool():
     # a forked child holds the pool object but none of its threads
     global _pool
@@ -107,7 +102,7 @@ def _by_row_chunks(fn, z, out, width):
     def work(s):
         out[s] = fn(z[s])
 
-    _on_pool(work, _row_chunks(len(z), width))
+    list(_pool_map(work, _row_chunks(len(z), width)))
     return out
 
 

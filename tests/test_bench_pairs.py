@@ -1,0 +1,53 @@
+"""tools/bench_pairs.py reads each end-to-end metric against its bound."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def compare():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.compare
+
+
+def _pairs(parent, change):
+    return list(zip(parent, change))
+
+
+@pytest.mark.parametrize("better,parent,change,verdict", [
+    # medians 1.0 and 1.2 against a bound of 0.1: worse by 20%
+    ("lower", [1.0] * 10, [1.2] * 10, "worse"),
+    ("higher", [14.0] * 10, [12.0] * 10, "worse"),
+    # 5% worse, a tight parent: within the bound
+    ("lower", [1.0] * 10, [1.05] * 10, "within"),
+    ("higher", [14.0] * 10, [14.5] * 10, "within"),
+    # the parent's IQR (0.5 .. 1.5) is wider than 10% of its median
+    ("lower", [0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5, 1.5],
+     [1.0] * 10, "unresolved"),
+    # ... unless every change run beats every parent run
+    ("lower", [0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5, 1.5],
+     [0.4] * 10, "better"),
+    ("higher", [0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5, 1.5],
+     [1.6] * 10, "better"),
+])
+def test_verdict_against_the_bound(compare, better, parent, change, verdict):
+    out = compare(_pairs(parent, change), better, 0.1)
+    assert out["verdict"] == verdict
+    assert out["bound"] == 0.1
+
+
+def test_statistics_are_kept(compare):
+    out = compare(_pairs([1.0, 2.0, 3.0], [1.0, 1.5, 3.5]), "lower", 0.25)
+    assert out["parent"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert out["change"] == {"median": 1.5, "q1": 1.25, "q3": 2.5}
+    assert (out["change_wins"], out["ties"]) == (1, 1)
+    assert out["median_ratio"] == 0.75
+    # a parent IQR of 1.0 is wider than 25% of its median, and the
+    # change's 3.5 does not beat the parent's 1.0
+    assert out["verdict"] == "unresolved"

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -85,13 +86,13 @@ def _small(name):
 
 @pytest.fixture(scope="module", params=sorted(_SMALL))
 def small_field(request):
-    """A coarse field of its own, so the point cache starts empty."""
+    """A coarse field of its own, so its search memo starts empty."""
     return _small(request.param)
 
 
 def _points(field, ts):
     """Off-grid ray points; each test takes its own t values, so no test
-    reads a row another one cached."""
+    reads a row another one left in the memo."""
     dirs = ray_directions(field.domain, 2, seed=3)
     return [ray_point(field.domain, u, t) for u in dirs for t in ts]
 
@@ -167,10 +168,8 @@ class TestBatchedSearch:
         assert isinstance(rows, list) and len(rows) == len(pts)
         for p, row in zip(pts, rows):
             assert np.array_equal(row, _lil_reference(small_field, p))
-            del small_field._point_cache[p.tobytes()]
             one = small_field.distances_from_point(p)
-            assert np.array_equal(one, row)
-            assert small_field._point_cache[p.tobytes()][1] is one
+            assert one is not row and np.array_equal(one, row)
 
     def test_mixed_batch_with_a_repeat(self, small_field):
         a, b = _points(small_field, (0.1,))
@@ -183,61 +182,116 @@ class TestBatchedSearch:
             for p, row in ((a, rows[0]), (b, rows[2])):
                 assert np.array_equal(
                     row, _bounded(_lil_reference(small_field, p), limit))
-            assert rows[3] is rows[0]
+            assert np.array_equal(rows[3], rows[0])
             assert np.array_equal(rows[1], _node_row(small_field, i, limit))
             assert np.array_equal(rows[4], _node_row(small_field, j, limit))
-            assert small_field._point_cache[a.tobytes()] == (limit, rows[0])
-        for q in (nodes[i], nodes[j]):
-            assert q.tobytes() not in small_field._point_cache
-
-    def test_cache_hits_inside_a_batch(self, small_field):
-        a, b = _points(small_field, (0.85,))
-        full_a = small_field.distances_from_point(a)
-        near = small_field.distances_from_point(np.stack([b, a]), limit=1.0)
-        assert near[1] is full_a
-        assert np.array_equal(
-            near[0], _bounded(_lil_reference(small_field, b), 1.0))
-        # b's row came from a smaller limit, so it is searched again
-        rows = small_field.distances_from_point(np.stack([a, b]))
-        assert rows[0] is full_a and rows[1] is not near[0]
-        assert np.array_equal(rows[1], _lil_reference(small_field, b))
-        assert small_field._point_cache[b.tobytes()] == (np.inf, rows[1])
-        assert small_field.distances_from_point(b, limit=0.5) is rows[1]
 
     def test_budget_splits_the_sources(self, small_field, monkeypatch):
         from bergmanlab import geometry
         pts = np.stack(_points(small_field, (0.12, 0.32, 0.52)))
         n, m = len(small_field.grid), len(pts)
         monkeypatch.setattr(geometry, "_SEARCH_BUDGET", 2 * (n + m))
-        calls = []
-        def counted(*args, **kwargs):
-            calls.append(len(kwargs["indices"]))
-            return dijkstra(*args, **kwargs)
-        monkeypatch.setattr(geometry, "dijkstra", counted)
+        calls = _count_searches(monkeypatch)
         rows = small_field.distances_from_point(pts, limit=1.0)
-        assert calls == [2, 2, 2]
+        assert calls == [m]  # a direct call is one search, whatever its size
         for p, row in zip(pts, rows):
             assert np.array_equal(
                 row, _bounded(_lil_reference(small_field, p), 1.0))
-        # node rows are not cached, and metric_ball holds at most
-        # budget / n of them at a time
+        # metric_ball sends at most budget / n centres per search
         nodes = small_field.grid.nodes[np.arange(0, n, n // m)[:m]]
         balls = metric_ball(small_field, nodes, 1.0)
-        assert calls[3:] == [2, 2, 2]
+        assert calls[1:] == [2, 2, 2]
         for p, ball in zip(nodes, balls):
             assert np.array_equal(ball.members,
                                   metric_ball(small_field, p, 1.0).members)
 
-    def test_outside_point_raises(self, small_field):
+    def test_outside_point_raises(self, small_field, monkeypatch):
         a, _ = _points(small_field, (0.05,))
         out = 2.0 * ray_point(small_field.domain,
                               ray_directions(small_field.domain, 1)[0],
                               0.999)
+        row = small_field.distances_from_point(a)
+        calls = _count_searches(monkeypatch)
         with pytest.raises(GeometryError, match="point outside the domain"):
             small_field.distances_from_point(np.stack([a, out]))
-        assert a.tobytes() not in small_field._point_cache
+        # the check comes before the memo is touched
+        assert small_field.distances_from_point(a) is row and calls == []
         with pytest.raises(GeometryError, match="point outside the domain"):
             metric_ball(small_field, np.stack([a, out]), 1.0)
+
+
+def _count_searches(monkeypatch):
+    """The number of sources of every Dijkstra call from here on."""
+    from bergmanlab import geometry
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(kwargs["indices"]))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "dijkstra", counted)
+    return calls
+
+
+class TestSearchMemo:
+    """A field remembers its last search, and only that."""
+
+    def test_same_batch_at_no_larger_limit_is_not_searched(
+            self, small_field, monkeypatch):
+        pts = np.stack(_points(small_field, (0.18, 0.48)))
+        rows = small_field.distances_from_point(pts, limit=1.0)
+        calls = _count_searches(monkeypatch)
+        for limit in (1.0, 0.5):
+            again = small_field.distances_from_point(pts.copy(), limit=limit)
+            assert len(again) == len(rows)
+            assert all(x is y for x, y in zip(again, rows))
+        assert calls == []
+
+    def test_larger_limit_or_other_batch_is_one_search(self, small_field,
+                                                       monkeypatch):
+        pts = np.stack(_points(small_field, (0.28, 0.58)))
+        near = small_field.distances_from_point(pts, limit=0.8)
+        calls = _count_searches(monkeypatch)
+        full = small_field.distances_from_point(pts)
+        assert calls == [len(pts)]
+        for p, row, short in zip(pts, full, near):
+            assert np.array_equal(row, _lil_reference(small_field, p))
+            assert np.array_equal(short, _bounded(row, 0.8))
+        back = small_field.distances_from_point(pts[::-1])
+        assert calls == [len(pts)] * 2
+        for x, y in zip(back, full[::-1]):
+            assert x is not y and np.array_equal(x, y)
+
+    def test_holds_only_the_last_call(self, small_field):
+        pts = _points(small_field, (0.22, 0.42, 0.62))
+        first = small_field.distances_from_point(pts[0])
+        row, base = weakref.ref(first), weakref.ref(first.base)
+        for p in pts[1:]:
+            small_field.distances_from_point(p)
+        assert row() is first  # the caller still holds it
+        del first
+        assert row() is None and base() is None
+
+    def test_distances_from_a_node_point_search_once(self, small_field,
+                                                     monkeypatch):
+        i = len(small_field.grid) // 4
+        a = small_field.grid.nodes[i]
+        b, c = _points(small_field, (0.3,))
+        calls = _count_searches(monkeypatch)
+        got = [small_field.distance(a, q) for q in (b, c)]
+        assert calls == [1]
+        full = _node_row(small_field, i)
+        for q, d in zip((b, c), got):
+            idx, lengths = (v[0] for v in small_field._attach(q))
+            assert d == float(np.min(full[idx] + lengths))
+
+    def test_rows_are_read_only(self, small_field):
+        a, b = _points(small_field, (0.38,))
+        with pytest.raises(ValueError):
+            small_field.distances_from_point(a)[0] = 0.0
+        rows = small_field.distances_from_point(np.stack([a, b]), limit=1.0)
+        with pytest.raises(ValueError):
+            rows[1][:] = 0.0
 
 
 def _assert_matches_directed_graph(field):

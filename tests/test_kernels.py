@@ -300,10 +300,11 @@ class TestSharedPool:
         def outer(i):
             # two outer tasks on a 2-worker pool: a nested wait on the
             # pool would deadlock
-            kernels._on_pool(inner, [(i, j) for j in range(4)])
+            list(kernels._pool_map(inner, [(i, j) for j in range(4)]))
 
-        caller = threading.Thread(target=kernels._on_pool,
-                                  args=(outer, [0, 1]), daemon=True)
+        caller = threading.Thread(
+            target=lambda: list(kernels._pool_map(outer, [0, 1])),
+            daemon=True)
         caller.start()
         caller.join(timeout=60)
         assert not caller.is_alive()
@@ -318,7 +319,7 @@ class TestSharedPool:
         pools = []
 
         def use():
-            kernels._on_pool(lambda p: None, [0, 1])
+            list(kernels._pool_map(lambda p: None, [0, 1]))
             pools.append(kernels._pool)
 
         interval = sys.getswitchinterval()
@@ -343,14 +344,14 @@ class TestSharedPool:
                 raise KernelError("task 2 failed")
 
         with pytest.raises(KernelError, match="task 2 failed"):
-            kernels._on_pool(task, list(range(4)))
+            list(kernels._pool_map(task, list(range(4))))
 
     def test_one_part_or_worker_runs_inline(self, monkeypatch):
         ran_in = []
         for workers, parts in ((2, [0]), (1, [0, 1, 2])):
             monkeypatch.setattr(kernels, "_WORKERS", workers)
-            kernels._on_pool(
-                lambda p: ran_in.append(threading.current_thread()), parts)
+            list(kernels._pool_map(
+                lambda p: ran_in.append(threading.current_thread()), parts))
         assert ran_in == [threading.main_thread()] * 4
 
     def test_map_keeps_part_order_when_tasks_finish_out_of_order(
@@ -439,11 +440,11 @@ class TestSharedPool:
         # threads, but not the threads: its tasks would wait forever
         code = ("import os, threading, bergmanlab.kernels as k; "
                 "k._WORKERS = 2; both = threading.Barrier(2, timeout=60); "
-                "k._on_pool(lambda p: both.wait(), [0, 1]); "
+                "list(k._pool_map(lambda p: both.wait(), [0, 1])); "
                 "pid = os.fork()\n"
                 "if pid == 0:\n"
                 "    import signal; signal.alarm(60)\n"
-                "    out = []; k._on_pool(out.append, [0, 1]); "
+                "    out = []; list(k._pool_map(out.append, [0, 1])); "
                 "os._exit(0 if sorted(out) == [0, 1] else 1)\n"
                 "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) "
                 "== 0")

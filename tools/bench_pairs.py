@@ -11,7 +11,9 @@ runs the command once in each checkout with seed 1001 + i, the parent
 first on odd seeds and the change first on even ones, one run at a
 time.  Every end-to-end metric is summarised per side by its median and
 quartiles (numpy.percentile 25/75, linear interpolation), with the pairs
-the change wins or ties and the ratio of the medians.  A run that exits
+the change wins or ties, the ratio of the medians and a verdict against
+the metric's ``bound`` (see ``compare``); "not_within" lists every
+workload and metric whose verdict is not "within".  A run that exits
 non-zero, prints nothing, or does not end on a JSON result is recorded
 under "failed_runs" with its reason and left out of the statistics.
 With --trace, one traced run per side (seed 1001) adds the listed
@@ -64,22 +66,36 @@ def summary(values):
             "q3": round(float(q3), 4)}
 
 
-def compare(pairs, better):
-    """Per-metric statistics over the pairs (parent, change) of values."""
+def compare(pairs, better, bound):
+    """Per-metric statistics over the pairs (parent, change) of values,
+    with a verdict against the metric's bound: "worse" when the change's
+    median is worse than the parent's by more than bound x the parent
+    median; else "unresolved" when the parent's IQR exceeds that margin,
+    unless every change run beats every parent run ("better"); else
+    "within"."""
     par = [p for p, _ in pairs]
     chg = [c for _, c in pairs]
     sign = 1.0 if better == "lower" else -1.0
-    out = {"better": better, "parent": summary(par), "change": summary(chg),
+    out = {"better": better, "bound": bound, "parent": summary(par),
+           "change": summary(chg),
            "change_wins": sum(sign * (c - p) < 0 for p, c in pairs),
            "ties": sum(c == p for p, c in pairs)}
     pm = out["parent"]["median"]
     out["median_ratio"] = round(out["change"]["median"] / pm, 4) \
         if pm else None
+    margin = bound * abs(pm)
+    beats_all = max(sign * c for c in chg) < min(sign * p for p in par)
+    if sign * (out["change"]["median"] - pm) > margin:
+        out["verdict"] = "worse"
+    elif out["parent"]["q3"] - out["parent"]["q1"] > margin:
+        out["verdict"] = "better" if beats_all else "unresolved"
+    else:
+        out["verdict"] = "within"
     return out
 
 
 def bench_workload(args, spec, workload, metrics, machine):
-    pairs = {m: [] for m, _ in metrics}
+    pairs = {m: [] for m, *_ in metrics}
     fails = {"parent": [0, 0], "change": [0, 0]}
     failed_runs = []
     for i in range(PAIRS):
@@ -92,7 +108,7 @@ def bench_workload(args, spec, workload, metrics, machine):
             print(f"{workload} seed {seed} {side}: "
                   + (f"run failed ({reason})" if out is None else
                      " ".join(f"{m}={out['metrics'][m]['value']:.4g}"
-                              for m, _ in metrics)),
+                              for m, *_ in metrics)),
                   file=sys.stderr, flush=True)
             if out is None:
                 failed_runs.append({"seed": seed, "side": side,
@@ -103,11 +119,11 @@ def bench_workload(args, spec, workload, metrics, machine):
             fails[side][1] += out["attempted"]
             res[side] = out["metrics"]
         if len(res) == 2:
-            for m, _ in metrics:
+            for m, *_ in metrics:
                 pairs[m].append((res["parent"][m]["value"],
                                  res["change"][m]["value"]))
-    entry = {m: compare(pairs[m], better) for m, better in metrics
-             if pairs[m]}
+    entry = {m: compare(pairs[m], better, bound)
+             for m, better, bound in metrics if pairs[m]}
     entry["failed_of_attempted"] = fails
     if failed_runs:
         entry["failed_runs"] = failed_runs
@@ -128,7 +144,8 @@ def main():
     args = ap.parse_args()
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"])
+               for m in spec["end_to_end"]]
     machine = {}
     report = {
         "change": args.note, "parent": args.parent_rev,
@@ -143,6 +160,10 @@ def main():
     for w in spec["workloads"]:
         report["workloads"][w["name"]] = bench_workload(
             args, spec, w["name"], metrics, machine)
+    report["not_within"] = [
+        {"workload": w, "metric": m, "verdict": entry[m]["verdict"]}
+        for w, entry in report["workloads"].items() for m, *_ in metrics
+        if m in entry and entry[m]["verdict"] != "within"]
     if args.claim:
         w, m = args.claim.split(":")
         s = report["workloads"][w][m]
