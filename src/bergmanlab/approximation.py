@@ -235,6 +235,13 @@ class Decomposition:
         return shell_max(shells[0]) / max(shell_max(shells[-1]), 1e-300)
 
 
+def _csr_rows(mat):
+    """(indices, data) views of each row of a CSR matrix, in row order;
+    scipy's own row objects cost a matrix each."""
+    for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:]):
+        yield mat.indices[lo:hi], mat.data[lo:hi]
+
+
 def _ball_integral(field, members, values):
     """integral of values dV over a ball, given values at its member node
     indices."""
@@ -272,8 +279,8 @@ def decompose(partition: Partition, symbol: SymbolFn, degree=6,
     # glue: phi1 = sum_m chi_hat_m h_m on the nodes
     chi = partition.values
     phi1 = np.zeros(len(grid), dtype=complex)
-    for ov, c in zip(approximants, chi):
-        phi1[c.indices] += c.data * ov.approximant(grid.nodes[c.indices])
+    for ov, (cols, vals) in zip(approximants, _csr_rows(chi)):
+        phi1[cols] += vals * ov.approximant(grid.nodes[cols])
     phi2 = symbol(grid.nodes) - phi1
     dec = Decomposition(partition=partition, symbol=symbol, degree=degree,
                         epsilon=eps, epsilon_admissible=admissible,
@@ -316,13 +323,12 @@ def _local_audits(dec: Decomposition, values_sq) -> list:
     Centers touching an inadmissible ball (too few nodes for the
     least-squares rank) give vacuous epsilons and are flagged out."""
     net = dec.partition.net
-    by_node = dec.partition.values.T.tocsr()
+    alive = _csr_rows(dec.partition.values.T.tocsr()[net.centers])
     audits = []
-    for m in range(len(net)):
-        row = slice(net.near.indptr[m], net.near.indptr[m + 1])
-        members = net.near.indices[row][net.near.data[row] < dec.r_small]
+    for m, (cols, dist) in enumerate(_csr_rows(net.near)):
+        members = cols[dist < dec.r_small]
         mass = _ball_integral(net.field, members, values_sq[members])
-        local = by_node[net.centers[m]].indices
+        local = next(alive)[0]  # the cutoffs alive at center m
         bound = float(np.max(dec.epsilon[local]) ** 2)
         ok = bool(np.all(dec.epsilon_admissible[local]))
         audits.append(
@@ -360,9 +366,9 @@ def _audit_dbar(dec: Decomposition):
     dbar_chi = csr_matrix((data, (rows, cols)),
                           shape=(len(dec.epsilon), len(nodes) * d))
     dphi1 = np.zeros((len(nodes), d), dtype=complex)
-    for ov, c in zip(dec.approximants, dbar_chi):
-        act, at = np.unique(c.indices // d, return_inverse=True)
-        dphi1.flat[c.indices] += ov.approximant(nodes[act])[at] * c.data
+    for ov, (cols, vals) in zip(dec.approximants, _csr_rows(dbar_chi)):
+        act, at = np.unique(cols // d, return_inverse=True)
+        dphi1.flat[cols] += ov.approximant(nodes[act])[at] * vals
     ginv = np.linalg.inv(field.engine.metric_batch(nodes))
     norm_sq = np.einsum("nj,njk,nk->n", dphi1.conj(), ginv, dphi1).real
     dec.dbar_audit = _local_audits(dec, np.maximum(norm_sq, 0.0))

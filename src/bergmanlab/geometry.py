@@ -1,7 +1,7 @@
 """Discretized Bergman-metric geometry.
 
-A GeodesicField is a k-nearest-neighbor graph over quadrature nodes with
-edges weighted by midpoint-rule Bergman length; graph shortest paths
+A GeodesicField is a lattice-stencil graph over tensor-midpoint nodes
+with edges weighted by midpoint-rule Bergman length; graph shortest paths
 approximate the Bergman distance; off-grid points join it through their
 k nearest nodes.  On top of it: metric balls, maximal r-separated nets,
 multiplicities, cubic-ramp partitions of unity falling from 1 at r to 0
@@ -19,7 +19,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .domains import DomainSpec, QuadratureGrid, central_dbar, contains
+from .domains import (DomainSpec, QuadratureGrid, _midpoints_inside,
+                      central_dbar, contains)
 from .kernels import KernelEngine
 
 
@@ -37,6 +38,21 @@ def _realify(z):
     return out
 
 
+def _stencil(dims, count):
+    """Primitive offsets in Z^dims with a positive lead (first nonzero
+    coordinate), one of each +-v pair, in whole shells of |v|^2 up to the
+    first shell that brings the count to at least ``count``."""
+    for r in range(1, count + 1):
+        # the box |v|_inf <= r holds every shell below (r + 1)^2 whole,
+        # and its points after the centre in C order have a positive lead
+        v = np.indices((2 * r + 1,) * dims).reshape(dims, -1).T - r
+        v = v[len(v) // 2 + 1:]
+        shell = np.sum(v * v, axis=1)
+        keep = (np.gcd.reduce(v, axis=1) == 1) & (shell < (r + 1) ** 2)
+        if np.count_nonzero(keep) >= count:
+            return v[keep & (shell <= np.sort(shell[keep])[count - 1])]
+
+
 class GeodesicField:
     """Shortest-path oracle for the Bergman distance on a grid; it
     remembers only its last off-grid search (``distances_from_point``)."""
@@ -50,38 +66,35 @@ class GeodesicField:
         if neighbors_per_dim < 1:
             raise GeometryError(f"neighbors_per_dim must be at least 1, "
                                 f"not {neighbors_per_dim}")
+        if grid.scheme != "tensor-midpoint":
+            raise GeometryError("geodesic graphs need a tensor-midpoint grid")
         self.k = neighbors_per_dim * 2 * d
         nodes = grid.nodes
         n = len(nodes)
         if n < 2:
             raise GeometryError(f"a geodesic graph needs at least 2 grid "
                                 f"nodes, the grid has {n}")
-        self._tree = cKDTree(_realify(nodes))
-        j = self._tree.query(_realify(nodes), k=min(self.k + 1, n),
-                             workers=-1)[1][:, 1:]
-        # segment_length is symmetric bit for bit, so each undirected
-        # kNN pair is measured once, keyed min * n + max (n**2 < 2**63
-        # under the grid cap).  The keys are built and sorted in place to
-        # bound the peak; np.unique would take its slow hash path.
-        i = np.arange(n)[:, None]
-        keys = np.minimum(i, j)
-        keys *= n
-        keys += np.maximum(i, j)
-        del j
-        keys = keys.ravel()
-        keys.sort()
-        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-        rows, cols = (a.astype(np.int32) for a in np.divmod(keys, n))
-        del keys
-        step = max(1_000_000 // (d * d), 1)
-        lengths = np.empty(len(rows))
-        for lo in range(0, len(rows), step):
-            hi = min(lo + step, len(rows))
-            lengths[lo:hi] = self.segment_length(nodes[rows[lo:hi]],
-                                                 nodes[cols[lo:hi]])
-        self.graph = csr_matrix((np.r_[lengths, lengths],
-                                 (np.r_[rows, cols], np.r_[cols, rows])),
-                                shape=(n, n))
+        self._tree = cKDTree(_realify(nodes))  # for off-grid points only
+        # node indices on the lattice (-1 outside); v joins i at x to j at
+        # x + v, and its lead is positive, so i < j: each pair comes once
+        inside = _midpoints_inside(self.domain,
+                                   math.ceil(2.0 / grid.resolution))
+        index = np.full(inside.shape, -1, dtype=np.int32)
+        index[inside] = np.arange(n, dtype=np.int32)  # nodes in C order
+        m, pairs, lengths = len(index), [], []
+        for v in _stencil(2 * d, neighbors_per_dim * d):
+            # the lattice points x with x and x + v inside [0, m)^2d
+            lo, hi = np.clip(-v, 0, m), np.clip(m - v, 0, m)
+            i, j = (index[tuple(map(slice, lo + s, hi + s))] for s in (0, v))
+            pairs.append(np.stack([i, j])[:, (i >= 0) & (j >= 0)])
+            lengths.append(self.segment_length(*nodes[pairs[-1]]))
+        # each pair in both directions, with no copy of the pairs alive
+        rows, cols = (np.concatenate([p[k] for p in pairs]
+                                     + [p[1 - k] for p in pairs])
+                      for k in (0, 1))
+        del pairs
+        lengths = np.concatenate(lengths * 2)
+        self.graph = csr_matrix((lengths, (rows, cols)), shape=(n, n))
         self._memo = None  # (batch bytes, limit, rows) of the last search
 
     # -- local metric helpers -----------------------------------------

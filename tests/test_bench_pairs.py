@@ -9,11 +9,16 @@ BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
 @pytest.fixture(scope="module")
-def compare():
+def bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.compare
+    return module
+
+
+@pytest.fixture(scope="module")
+def compare(bench_pairs):
+    return bench_pairs.compare
 
 
 def _pairs(parent, change):
@@ -51,3 +56,28 @@ def test_statistics_are_kept(compare):
     # a parent IQR of 1.0 is wider than 25% of its median, and the
     # change's 3.5 does not beat the parent's 1.0
     assert out["verdict"] == "unresolved"
+
+
+_PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # IQR 0.45
+
+
+@pytest.mark.parametrize("better,change,met", [
+    # wins all 10 pairs, the median 0.5 below the parent's: met
+    ("lower", [p - 0.5 for p in _PARENT], True),
+    # wins all 10, but the median shift 0.4 is inside the IQR
+    ("lower", [p - 0.4 for p in _PARENT], False),
+    # 9 wins and one tie: met; 8 wins and two ties: not met
+    ("lower", [1.0] + [p - 0.6 for p in _PARENT[1:]], True),
+    ("lower", [1.0, 1.1] + [p - 0.6 for p in _PARENT[2:]], False),
+    # 8 wins and two losses by far: the median still shifts, not met
+    ("lower", [9.0, 9.0] + [p - 0.9 for p in _PARENT[2:]], False),
+    # the same rules when higher is better
+    ("higher", [p + 0.5 for p in _PARENT], True),
+    ("higher", [p - 0.5 for p in _PARENT], False),
+])
+def test_claim_met(bench_pairs, better, change, met):
+    stats = bench_pairs.compare(_pairs(_PARENT, change), better, 0.1)
+    out = bench_pairs.claim(stats)
+    assert out["met"] is met
+    assert out["parent_iqr"] == 0.45
+    assert out["change_wins"] == stats["change_wins"]

@@ -3,13 +3,14 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse import csr_matrix, triu
+from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial import cKDTree
 
-from bergmanlab import domains as dom
+from bergmanlab import domains as dom, harness
 from bergmanlab.approximation import ray_point, ray_directions
 from bergmanlab.geometry import (GeodesicField, GeometryError, _ramp,
-                                 _realify, beta, build_net, chart,
+                                 _realify, _stencil, beta, build_net, chart,
                                  covering_audit, metric_ball, multiplicity,
                                  Net, Partition, partition_of_unity,
                                  separation_audit)
@@ -55,6 +56,61 @@ class TestDistances:
     def test_outside_point_rejected(self, disc_field):
         with pytest.raises(GeometryError):
             disc_field.distance(np.array([0.0j]), np.array([1.2 + 0.0j]))
+
+
+def bergman_distance(domain, a, b):
+    """The closed-form Bergman distance between batches of points: on
+    the ball in C^d sqrt(d + 1) artanh |phi_a(b)|, on the polydisc the
+    l2 sum of the factor distances sqrt(2) artanh |phi_b(a)| (the disc's
+    for d = 1)."""
+    if domain.kind == "ball":
+        s = (1.0 - np.sum(np.abs(a) ** 2, axis=1)) \
+            * (1.0 - np.sum(np.abs(b) ** 2, axis=1)) \
+            / np.abs(1.0 - np.sum(b * a.conj(), axis=1)) ** 2
+        return math.sqrt(domain.dim + 1.0) * np.arctanh(np.sqrt(1.0 - s))
+    factor = math.sqrt(2.0) * np.arctanh(np.abs((a - b)
+                                                / (1.0 - b.conj() * a)))
+    return np.sqrt(np.sum(factor ** 2, axis=1))
+
+
+def _off_axis(domain, m, rng):
+    """m seeded points with every coordinate off the real and imaginary
+    axes: moduli uniform in (0.3, 0.8) per coordinate on the polydisc,
+    norm uniform in (0.3, 0.8) on the ball."""
+    d = domain.dim
+    if domain.kind == "ball":
+        u = rng.normal(size=(m, 2 * d))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        return (u[:, :d] + 1j * u[:, d:]) * rng.uniform(0.3, 0.8, (m, 1))
+    return rng.uniform(0.3, 0.8, (m, d)) \
+        * np.exp(2j * math.pi * rng.uniform(size=(m, d)))
+
+
+# mean and max relative error of field.distance over the 64 pairs of
+# TestDistanceOracle, as the kNN graph measured them; they must not rise
+_ORACLE_CEILINGS = {"disc_field": (0.011748, 0.030188),
+                    "ball2_field": (0.135519, 0.243749),
+                    "bidisc_field": (0.167718, 0.320133)}
+
+
+class TestDistanceOracle:
+    """The graph distance against the closed form over 64 seeded pairs
+    (8 sources x 8 targets) on each default-resolution field."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CEILINGS))
+    def test_error_within_the_ceilings(self, request, name):
+        field = request.getfixturevalue(name)
+        rng = np.random.default_rng(8)
+        a, b = (_off_axis(field.domain, 8, rng) for _ in range(2))
+        idx, lengths = field._attach(b)
+        graph = np.array([np.min(row[idx] + lengths, axis=1)
+                          for row in field.distances_from_point(a)])
+        exact = bergman_distance(field.domain, np.repeat(a, 8, axis=0),
+                                 np.tile(b, (8, 1))).reshape(8, 8)
+        err = np.abs(graph - exact) / exact
+        print(f"{name}: mean {err.mean():.6f}, max {err.max():.6f}")
+        mean, top = _ORACLE_CEILINGS[name]
+        assert err.mean() <= mean and err.max() <= top
 
 
 def _lil_reference(field, p):
@@ -294,34 +350,104 @@ class TestSearchMemo:
             rows[1][:] = 0.0
 
 
-def _assert_matches_directed_graph(field):
-    """The former graph build: one segment length per directed kNN edge,
-    symmetrized by the larger of the two directions.  The graph must
-    equal it bit for bit, one-sided pairs included."""
-    assert field.graph.has_canonical_format
+def _knn_rows(field, nodes_at):
+    """The former graph build's rows at the given nodes, kept as the
+    reference: each node's field.k nearest nodes by a kd-tree query,
+    ascending, with one segment length per pair."""
     nodes = field.grid.nodes
-    n = len(nodes)
-    idx = field._tree.query(_realify(nodes), k=min(field.k + 1, n))[1]
-    rows = np.repeat(np.arange(n), idx.shape[1] - 1)
-    cols = idx[:, 1:].ravel()
-    directed = csr_matrix(
-        (field.segment_length(nodes[rows], nodes[cols]), (rows, cols)),
-        shape=(n, n))
-    ref = directed.maximum(directed.T)
-    assert ref.nnz > directed.nnz  # some pair is listed by one side only
-    got = field.graph.copy()
-    got.sort_indices()
-    ref.sort_indices()
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    tree = cKDTree(_realify(nodes))
+    idx = np.sort(tree.query(_realify(nodes[nodes_at]), k=field.k + 1)[1]
+                  [:, 1:], axis=1)
+    lengths = field.segment_length(np.repeat(nodes[nodes_at], field.k, 0),
+                                   nodes[idx.ravel()])
+    return idx, lengths.reshape(idx.shape)
+
+
+def _stencil_pairs(field, per_dim=8):
+    """Every node pair (i, j), i < j, whose lattice points differ by an
+    offset of the stencil, found through a dict of the lattice points,
+    each read off its node's coordinates (a midpoint is -1 + h (x + 1/2)
+    with h = 2 / n)."""
+    n = math.ceil(2.0 / field.grid.resolution)
+    nodes = field.grid.nodes
+    x = np.rint((np.hstack([nodes.real, nodes.imag]) + 1.0) * (n / 2.0)
+                - 0.5).astype(int)
+    at = {tuple(p): i for i, p in enumerate(x.tolist())}
+    return sorted((i, at[y]) for x0, i in at.items()
+                  for v in _stencil(2 * field.domain.dim,
+                                    per_dim * field.domain.dim)
+                  if (y := tuple(np.add(x0, v))) in at)
+
+
+def _assert_interior_rows_match(field):
+    """In four real dimensions the k = 32 nearest nodes of a node whose
+    32 stencil neighbours (e_i and e_i +- e_j) are all inside are
+    exactly those, so its graph row is the kNN reference's row."""
+    g = field.graph
+    counts = np.diff(g.indptr)
+    assert counts.max() == field.k == 32
+    inner = np.flatnonzero(counts == field.k)
+    assert len(inner) >= 300
+    pos = g.indptr[inner][:, None] + np.arange(field.k)
+    idx, lengths = _knn_rows(field, inner)
+    assert np.array_equal(g.indices[pos], idx)
+    np.testing.assert_allclose(g.data[pos], lengths, rtol=1e-12, atol=0.0)
 
 
 class TestGraph:
-    def test_matches_directed_construction(self, small_field):
-        _assert_matches_directed_graph(small_field)
+    @pytest.mark.parametrize("dims,count,size,shells", [
+        (2, 8, 8, [1, 2, 5]), (4, 16, 16, [1, 2]), (6, 24, 36, [1, 2]),
+        (2, 32, 32, [1, 2, 5, 10, 13, 17, 25, 26, 29]),
+        (2, 1, 2, [1])])
+    def test_stencil_takes_whole_shells(self, dims, count, size, shells):
+        v = _stencil(dims, count)
+        assert len(v) == size
+        assert sorted(set(np.sum(v * v, axis=1).tolist())) == shells
+        assert np.all(np.gcd.reduce(v, axis=1) == 1)
+        lead = v[np.arange(len(v)), np.argmax(v != 0, axis=1)]
+        assert np.all(lead > 0)  # one of each +-v pair
+        assert len({tuple(x) for x in v}) == size
 
-    def test_matches_directed_construction_ball2(self, ball2_field):
-        _assert_matches_directed_graph(ball2_field)
+    def test_canonical_symmetric_each_pair_once(self, small_field):
+        g = small_field.graph
+        assert g.has_canonical_format  # sorted rows, no duplicate entries
+        assert (g != g.T).nnz == 0 and g.diagonal().max() == 0.0
+        upper = csr_matrix(triu(g, k=1))
+        assert 2 * upper.nnz == g.nnz
+        rows = np.repeat(np.arange(g.shape[0]), np.diff(upper.indptr))
+        assert list(zip(rows.tolist(), upper.indices.tolist())) \
+            == _stencil_pairs(small_field)
+
+    def test_offsets_longer_than_the_lattice(self, disc_engine,
+                                             disc_domain):
+        # 4 cells per axis, and the 32-offset stencil reaches |v_k| = 5
+        field = GeodesicField(disc_engine, dom.build_grid(disc_domain, 0.5),
+                              neighbors_per_dim=32)
+        upper = csr_matrix(triu(field.graph, k=1)).tocoo()
+        assert list(zip(upper.row.tolist(), upper.col.tolist())) \
+            == _stencil_pairs(field, per_dim=32)
+
+    @pytest.mark.parametrize("small_field", ["polydisc2", "egg2"],
+                             indirect=True)
+    def test_interior_rows_match_knn_reference(self, small_field):
+        _assert_interior_rows_match(small_field)
+
+    def test_interior_rows_match_knn_reference_ball2(self, ball2_field):
+        _assert_interior_rows_match(ball2_field)
+
+    def test_every_cli_domain_is_connected(self):
+        for name, (domain, _) in sorted(harness._DOMAINS.items()):
+            grid = dom.build_grid(domain, 0.5 if domain.dim == 3 else 0.25)
+            engine = engine_for(domain) if domain.homogeneous \
+                else engine_for(domain, grid, degree=4)
+            field = GeodesicField(engine, grid)
+            assert connected_components(field.graph)[0] == 1, name
+
+    def test_product_polar_grid_rejected(self, disc_engine, disc_domain):
+        grid = dom.build_grid(disc_domain, 0.0, scheme="product-polar",
+                              degree=4)
+        with pytest.raises(GeometryError, match="tensor-midpoint grid"):
+            GeodesicField(disc_engine, grid)
 
     def test_segment_length_symmetric_bitwise(self, small_field):
         # covers the closed-form (disc, polydisc2) and numerical (egg2)

@@ -13,7 +13,9 @@ time.  Every end-to-end metric is summarised per side by its median and
 quartiles (numpy.percentile 25/75, linear interpolation), with the pairs
 the change wins or ties, the ratio of the medians and a verdict against
 the metric's ``bound`` (see ``compare``); "not_within" lists every
-workload and metric whose verdict is not "within".  A run that exits
+workload and metric whose verdict is not "within".  --claim adds the
+claimed metric's "claim", whose "met" says whether the gain holds
+(see ``claim``).  A run that exits
 non-zero, prints nothing, or does not end on a JSON result is recorded
 under "failed_runs" with its reason and left out of the statistics.
 With --trace, one traced run per side (seed 1001) adds the listed
@@ -94,6 +96,22 @@ def compare(pairs, better, bound):
     return out
 
 
+def claim(stats):
+    """A claimed gain from one metric's ``compare`` statistics: "met"
+    when the change wins at least 9 of the 10 pairs (a tie counts for
+    neither side) and its median beats the parent's by more than the
+    parent's IQR."""
+    iqr = round(stats["parent"]["q3"] - stats["parent"]["q1"], 4)
+    gain = stats["parent"]["median"] - stats["change"]["median"]
+    if stats["better"] == "higher":
+        gain = -gain
+    return {"parent_median": stats["parent"]["median"],
+            "change_median": stats["change"]["median"],
+            "change_wins": stats["change_wins"], "parent_iqr": iqr,
+            "met": bool(10 * stats["change_wins"] >= 9 * PAIRS
+                        and gain > iqr)}
+
+
 def bench_workload(args, spec, workload, metrics, machine):
     pairs = {m: [] for m, *_ in metrics}
     fails = {"parent": [0, 0], "change": [0, 0]}
@@ -166,13 +184,8 @@ def main():
         if m in entry and entry[m]["verdict"] != "within"]
     if args.claim:
         w, m = args.claim.split(":")
-        s = report["workloads"][w][m]
-        report["claim"] = {
-            "workload": w, "metric": m,
-            "parent_median": s["parent"]["median"],
-            "change_median": s["change"]["median"],
-            "change_wins": s["change_wins"],
-            "parent_iqr": round(s["parent"]["q3"] - s["parent"]["q1"], 4)}
+        report["claim"] = {"workload": w, "metric": m,
+                           **claim(report["workloads"][w][m])}
     if args.trace:
         keep = [m for m in args.trace_metrics.split(",") if m]
         traced = {}
