@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix, triu
 
 from .domains import DomainSpec, boundary_residual, central_dbar, contains
 from .geometry import (GeodesicField, MetricBall, Partition, _ball,
-                       metric_ball)
+                       _search_rows, metric_ball)
 from .kernels import multi_indices, monomial_matrix
 from .operators import SymbolFn
 
@@ -34,7 +34,6 @@ MIN_NODE_FACTOR = 10
 AUDIT_PAIRS = 40  # overlapping-support pairs audited per decomposition
 _VARIETY_SAMPLES = 64         # variety_test's sample points w,
 _VARIETY_SAMPLE_RADIUS = 0.7  # drawn with |w| below this radius;
-_VARIETY_STEP = 1e-5          # its central-difference step in w;
 _VARIETY_BOUNDARY_TOL = 1e-8  # its largest boundary residual of F
 
 
@@ -50,6 +49,11 @@ class OmegaValue:
     n_nodes: int
     coefficients: np.ndarray  # minimizer in shifted monomials
     alphas: np.ndarray
+
+    @property
+    def admissible(self):
+        """At least MIN_NODE_FACTOR grid nodes per unknown."""
+        return self.n_nodes >= MIN_NODE_FACTOR * self.n_unknowns
 
     def approximant(self, z):
         """The minimizing holomorphic polynomial, evaluated at points."""
@@ -106,18 +110,20 @@ def ray_directions(dom: DomainSpec, n_rays: int, seed=0):
     return v[:, 0::2] + 1j * v[:, 1::2]
 
 
-def ray_point(dom: DomainSpec, direction, t: float):
-    """anchor + t * (distance to the boundary along the ray), t in [0,1)."""
+def ray_point(dom: DomainSpec, direction, t):
+    """anchor + t * (distance to the boundary along the ray), t in [0,1);
+    an (m, d) batch of rays, with one t or one per row, gives (m, d)."""
     a = dom.anchor_point
-    u = np.asarray(direction, dtype=complex).reshape(-1)
-    lo, hi = 0.0, 2.0
+    u = np.asarray(direction, dtype=complex)
+    rays = np.atleast_2d(u)
+    lo, hi = np.zeros(len(rays)), np.full(len(rays), 2.0)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if contains(dom, a + mid * u):
-            lo = mid
-        else:
-            hi = mid
-    return a + t * lo * u
+        inside = contains(dom, a + mid[:, None] * rays)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    pts = a + (np.asarray(t, dtype=float) * lo)[:, None] * rays
+    return pts if u.ndim > 1 else pts[0]
 
 
 @dataclass
@@ -128,7 +134,6 @@ class ScanRow:
     value: float
     admissible: bool
     n_nodes: int
-    n_unknowns: int
 
 
 @dataclass
@@ -143,7 +148,7 @@ class ScanSummary:
 
     @property
     def decaying(self):
-        return self.sup < 1e-10 or self.tail_trend < 0.5
+        return self.tail_trend < 0.5
 
 
 def _tail_trend(ts, vals):
@@ -167,35 +172,36 @@ def boundary_scan(field: GeodesicField, symbol: SymbolFn, radius=1.0,
     """omega (bergman-volume mode) along rays from the anchor toward the
     boundary.
 
-    Every row's ball comes from one batched search.  Near-boundary balls
-    with fewer than MIN_NODE_FACTOR * unknowns grid nodes, empty ones
-    included, are flagged inadmissible and excluded from the summary.
+    Every row's ball comes from one budgeted search; empty balls and
+    those OmegaValue.admissible rejects are left out of the summary, and
+    an omega zero up to rounding (sup < 1e-10) has a tail trend of 0.
     """
     dom = field.domain
     if directions is None:
         directions = ray_directions(dom, n_rays, seed=seed)
-    n_unknowns = len(multi_indices(dom.dim, degree))
-    points = [(ray_id, float(t), ray_point(dom, u, t))
-              for ray_id, u in enumerate(directions) for t in steps]
-    zetas = np.array([zeta for _, _, zeta in points]).reshape(-1, dom.dim)
+    dirs = np.asarray(directions, dtype=complex)
+    dirs = dirs.reshape(len(dirs), -1)  # d = 1 rays may come as scalars
+    ts = np.tile(np.asarray(steps, dtype=float), len(dirs))
+    zetas = ray_point(dom, np.repeat(dirs, len(steps), axis=0), ts)
     # an outside point, or a radius <= 0, leaves its row without a ball
     search = contains(dom, zetas) & (radius > 0)
-    dists = iter(field.distances_from_point(zetas[search], limit=radius))
+    dists = _search_rows(field, zetas[search], radius)
     rows = []
-    for (ray_id, t, zeta), ok in zip(points, search):
+    for i, (zeta, ok) in enumerate(zip(zetas, search)):
         ball = _ball(field, zeta, radius, next(dists)) if ok else None
-        n_nodes = len(ball) if ok else 0
-        value = omega(field, ball, symbol, degree).value if n_nodes \
-            else math.nan
+        ov = omega(field, ball, symbol, degree) if ok and len(ball) \
+            else None
         rows.append(ScanRow(
-            ray=ray_id, t=t, zeta=zeta, value=value,
-            admissible=n_nodes >= MIN_NODE_FACTOR * n_unknowns,
-            n_nodes=n_nodes, n_unknowns=n_unknowns))
+            ray=i // len(steps), t=float(ts[i]), zeta=zeta,
+            value=math.nan if ov is None else ov.value,
+            admissible=ov is not None and ov.admissible,
+            n_nodes=len(ball) if ok else 0))
     adm = [r for r in rows if r.admissible]
     if not adm:
         raise ApproximationError("no admissible scan points")
     sup = max(r.value for r in adm)
-    trend = _tail_trend([r.t for r in adm], [r.value for r in adm])
+    trend = 0.0 if sup < 1e-10 else \
+        _tail_trend([r.t for r in adm], [r.value for r in adm])
     return ScanSummary(rows=rows, radius=float(radius), degree=degree,
                        mode="bergman-volume", sup=sup, tail_trend=trend,
                        n_admissible=len(adm))
@@ -265,7 +271,6 @@ def decompose(partition: Partition, symbol: SymbolFn, degree=6,
     grid = field.grid
     r2 = 0.5 * net.separation
     r_eps = partition.r_outer + r2
-    n_unknowns = len(multi_indices(field.domain.dim, degree))
     eps = np.empty(len(net))
     admissible = np.zeros(len(net), dtype=bool)
     approximants = []
@@ -274,7 +279,7 @@ def decompose(partition: Partition, symbol: SymbolFn, degree=6,
     for m, ball in enumerate(metric_ball(field, net.center_points(), r_eps)):
         ov = omega(field, ball, symbol, degree)
         eps[m] = math.sqrt(max(ov.value, 0.0))
-        admissible[m] = len(ball) >= MIN_NODE_FACTOR * n_unknowns
+        admissible[m] = ov.admissible
         approximants.append(ov)
     # glue: phi1 = sum_m chi_hat_m h_m on the nodes
     chi = partition.values
@@ -416,6 +421,5 @@ def variety_test(symbol: SymbolFn, dom: DomainSpec, disc_map,
     if np.max(res) > _VARIETY_BOUNDARY_TOL:
         raise ApproximationError(
             f"disc map leaves the boundary (residual {np.max(res):.3e})")
-    dbar = central_dbar(lambda ws: symbol(along(ws[:, 0])), w[:, None],
-                        _VARIETY_STEP)
+    dbar = central_dbar(lambda ws: symbol(along(ws[:, 0])), w[:, None])
     return float(np.mean(np.abs(dbar)))

@@ -16,6 +16,8 @@ from decimal import Decimal
 import numpy as np
 from scipy.special import beta as beta_fn
 
+DBAR_STEP = 1e-5  # the step of every central-difference dbar (central_dbar)
+
 
 class DomainError(ValueError):
     """Invalid domain input (dimension mismatch, exterior point, ...)."""
@@ -137,17 +139,17 @@ def lebesgue_volume(dom: DomainSpec) -> float:
     return math.pi ** 2 * m / (m + 1.0)
 
 
-def central_dbar(f, z, h):
+def central_dbar(f, z):
     """Central-difference Wirtinger derivatives d f / d zbar_j at an
-    (n, d) batch z with step h, for every j: 0.5 (d/dx_j + i d/dy_j).
+    (n, d) batch z with step DBAR_STEP, for every j: 0.5 (d/dx_j + i d/dy_j).
 
     f maps (n, d) points to (n, ...) values; the result is (n, d, ...).
     """
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     out = []
-    for step in h * np.eye(z.shape[1], dtype=complex):
-        dx = (f(z + step) - f(z - step)) / (2 * h)
-        dy = (f(z + 1j * step) - f(z - 1j * step)) / (2 * h)
+    for step in DBAR_STEP * np.eye(z.shape[1], dtype=complex):
+        dx = (f(z + step) - f(z - step)) / (2 * DBAR_STEP)
+        dy = (f(z + 1j * step) - f(z - 1j * step)) / (2 * DBAR_STEP)
         out.append(0.5 * (dx + 1j * dy))
     return np.stack(out, axis=1)
 

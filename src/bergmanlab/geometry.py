@@ -161,7 +161,7 @@ class GeodesicField:
         enters a virtual node, so no search reaches another source, and
         ``self.graph`` is symmetric, so a directed search needs no
         virtual column and no transpose.  The caller bounds the batch
-        (``metric_ball`` sends at most ``_SEARCH_BUDGET`` distances).
+        (``metric_ball`` and ``boundary_scan`` search via ``_search_rows``).
         """
         p = np.asarray(p, dtype=complex)
         pts = np.atleast_2d(p)
@@ -230,25 +230,29 @@ def _ball(field: GeodesicField, zeta, r: float, dist) -> MetricBall:
                       lebesgue_mass=float(np.sum(field.grid.weights[members])))
 
 
+def _search_rows(field: GeodesicField, pts, limit):
+    """Each point's distance row, from calls of at most _SEARCH_BUDGET
+    distances, so that no more are alive at once, the memo included."""
+    step = max(1, _SEARCH_BUDGET // len(field.grid))
+    for lo in range(0, len(pts), step):
+        yield from field.distances_from_point(pts[lo:lo + step], limit=limit)
+
+
 def metric_ball(field: GeodesicField, zeta, r: float):
     """The nodes at graph distance < r from zeta; an empty ball raises.
 
-    A 2-D (m, d) zeta is a batch and gives a list of m balls.  It is
-    searched in calls of at most ``_SEARCH_BUDGET`` distances, so no
-    more distances than that are alive at once, the memo included."""
+    A 2-D (m, d) zeta is a batch and gives a list of m balls, searched
+    through _search_rows."""
     if r <= 0:
         raise GeometryError("ball radius must be positive")
     zeta = np.asarray(zeta, dtype=complex)
     pts = np.atleast_2d(zeta)
-    step = max(1, _SEARCH_BUDGET // len(field.grid))
     balls = []
-    for lo in range(0, len(pts), step):
-        chunk = pts[lo:lo + step]
-        for c, dist in zip(chunk, field.distances_from_point(chunk, limit=r)):
-            balls.append(_ball(field, c, r, dist))
-            if not len(balls[-1]):
-                raise GeometryError(
-                    f"metric ball of radius {r} contains no grid nodes")
+    for c, dist in zip(pts, _search_rows(field, pts, r)):
+        balls.append(_ball(field, c, r, dist))
+        if not len(balls[-1]):
+            raise GeometryError(
+                f"metric ball of radius {r} contains no grid nodes")
     return balls if zeta.ndim > 1 else balls[0]
 
 
@@ -380,7 +384,6 @@ def partition_of_unity(net: Net) -> Partition:
 # -- charts on homogeneous models ------------------------------------
 
 _CR_SAMPLES = 64  # sample points of the Cauchy-Riemann residual
-_CR_STEP = 1e-5   # its central-difference step
 
 
 @dataclass(frozen=True)
@@ -460,7 +463,7 @@ class ChartMap:
         w = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
         w *= (0.5 * rng.uniform(0, 1, n)
               / np.maximum(np.linalg.norm(w, axis=1), 1e-12))[:, None]
-        return float(np.max(np.abs(central_dbar(self.forward, w, _CR_STEP))))
+        return float(np.max(np.abs(central_dbar(self.forward, w))))
 
 
 def chart(dom: DomainSpec, zeta, rho=0.5) -> ChartMap:

@@ -402,11 +402,10 @@ class _Workspace:
     def scan_centers(self, n=5):
         """Deterministic interior sample: anchor plus ray points."""
         dirs = approx.ray_directions(self.dom, max(n - 1, 1),
-                                     seed=self.config.seed)
-        pts = [self.dom.anchor_point]
-        for i, u in enumerate(dirs[:n - 1]):
-            pts.append(approx.ray_point(self.dom, u, 0.3 + 0.1 * (i % 4)))
-        return np.stack(pts)
+                                     seed=self.config.seed)[:n - 1]
+        ts = 0.3 + 0.1 * (np.arange(len(dirs)) % 4)
+        return np.vstack([self.dom.anchor_point,
+                          approx.ray_point(self.dom, dirs, ts)])
 
 
 def _report(ws, command, summary):

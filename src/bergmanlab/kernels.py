@@ -49,20 +49,15 @@ def _blas_threads():
 _WORKERS = _cores() if _blas_threads() == 1 else 1
 
 
-def _blocks(n, parts):
-    """At most `parts` near-equal slices of range(n), none with one row
-    unless n == 1: numpy sends a one-row product to gemv, which rounds
-    differently from gemm, and with two or more rows each row's value
-    does not depend on the split."""
-    k = max(1, min(parts, n // 2))
+def _row_chunks(n, width):
+    """Near-equal row slices of about _CHUNK_VALUES values at width values
+    per row, none with one row unless n == 1: numpy sends a one-row product
+    to gemv, which rounds differently from gemm, and with two or more rows
+    each row's value does not depend on the split."""
+    k = max(1, min(-(-n * width // _CHUNK_VALUES), n // 2))
     bounds = [n * i // k for i in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo]
-
-
-def _row_chunks(n, width):
-    """Row slices of about _CHUNK_VALUES values at width values per row."""
-    return _blocks(n, -(-n * width // _CHUNK_VALUES))
 
 
 _POOL_NAME = "bergmanlab-pool"
@@ -312,9 +307,7 @@ class KernelEngine:
     def metric(self, zeta):
         """The (d, d) Hermitian positive definite metric at one point."""
         zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-        if self.mode == "closed-form":
-            g = self._closed_form_metric(zeta[None, :])[0]
-        else:
+        if self.mode == "numerical":
             res = self.basis.grid.resolution if self.basis.grid else 1e-3
             guard = max(1e-4, res / 10.0)
             gap = boundary_gap(self.domain, zeta)
@@ -323,7 +316,7 @@ class KernelEngine:
                     f"point too close to the boundary (gap {gap:.3g}, "
                     f"scale {guard:.3g}); the truncated basis is not "
                     f"trustworthy there")
-            g = self._basis_metric(zeta[None, :])[0]
+        g = self.metric_batch(zeta[None, :])[0]
         lam = np.linalg.eigvalsh(g)
         if lam[0] <= 0:
             raise KernelError(

@@ -25,15 +25,12 @@ alone, so every value is the same bit for bit at any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import QuadratureGrid, central_dbar, contains
 from .kernels import KernelEngine, OrthonormalBasis, _pool_map
-
-_DBAR_STEP = 1e-5         # central-difference step of dbar_values
-_CONSISTENCY_STEP = 1e-4  # and of the dbar_consistency reference
 
 
 class OperatorError(RuntimeError):
@@ -69,21 +66,18 @@ class SymbolFn:
         if self.smoothness != "C1":
             raise OperatorError(
                 "dbar requested for a symbol not tagged C1")
-        return central_dbar(self, z, _DBAR_STEP)
+        return central_dbar(self, z)
 
     def dbar_consistency(self, z):
         """Max abs gap between analytic dbar and central differences."""
         if self.dbar is None:
             return 0.0
-        gap = central_dbar(self, z, _CONSISTENCY_STEP) - self.dbar_values(z)
+        gap = central_dbar(self, z) - self.dbar_values(z)
         return float(np.max(np.abs(gap)))
 
 
 @dataclass(frozen=True)
 class OperatorTruncation:
-    kind: str  # Hankel | Multiplication
-    symbol: SymbolFn
-    basis: OrthonormalBasis
     source_size: int
     singular_values: np.ndarray  # descending, nonnegative
 
@@ -188,7 +182,7 @@ def _singular_values(G):
     return np.sqrt(np.clip(lam, 0.0, None))[::-1]
 
 
-def _truncation(kind, symbol, basis, grid, guard, per_variable):
+def _truncation(symbol, basis, grid, guard, per_variable, project):
     if guard < 0:
         raise OperatorError(f"guard must be non-negative, not {guard}")
     cols = basis.graded_columns(basis.degree - guard, per_variable) \
@@ -204,9 +198,8 @@ def _truncation(kind, symbol, basis, grid, guard, per_variable):
         basis, grid, n,
         lambda orbits, nodes, S, at: phi_hat[orbits].take(
             shift[at], axis=1) * S[:, None, cols],
-        len(cols), kind == "Hankel")
-    return OperatorTruncation(kind=kind, symbol=symbol, basis=basis,
-                              source_size=len(cols),
+        len(cols), project)
+    return OperatorTruncation(source_size=len(cols),
                               singular_values=_singular_values(G))
 
 
@@ -221,15 +214,16 @@ def hankel_matrix(symbol: SymbolFn, basis: OrthonormalBasis,
     multiplication lowers holomorphic degree (e.g. conj-monomials),
     where no truncation bias exists.
     """
-    return _truncation("Hankel", symbol, basis, grid, guard, per_variable)
+    return _truncation(symbol, basis, grid, guard, per_variable,
+                       project=True)
 
 
 def mult_matrix(symbol: SymbolFn, basis: OrthonormalBasis,
                 grid: QuadratureGrid, guard=0,
                 per_variable=False) -> OperatorTruncation:
     """Truncation of M_phi f = phi f, in the grid norm."""
-    return _truncation("Multiplication", symbol, basis, grid, guard,
-                       per_variable)
+    return _truncation(symbol, basis, grid, guard, per_variable,
+                       project=False)
 
 
 def weak_null_probe(symbol: SymbolFn, engine: KernelEngine,
@@ -260,10 +254,8 @@ def weak_null_probe(symbol: SymbolFn, engine: KernelEngine,
 class CompactnessIndicator:
     degrees: tuple
     counts: tuple
-    threshold_ratio: float
     sigma0: float
     compact: bool
-    probe_values: tuple = field(default=())
 
 
 def compactness_indicator(build_truncation, degrees, threshold_ratio=0.5,
@@ -295,7 +287,5 @@ def compactness_indicator(build_truncation, degrees, threshold_ratio=0.5,
         vals = np.asarray(probe_values, dtype=float)
         probe_ok = vals[-1] < 0.5 * max(vals[0], zero_tol)
     compact = bounded and (probe_ok or sigma0 < zero_tol)
-    return CompactnessIndicator(
-        degrees=tuple(degrees), counts=tuple(counts),
-        threshold_ratio=threshold_ratio, sigma0=sigma0, compact=compact,
-        probe_values=tuple(probe_values) if probe_values is not None else ())
+    return CompactnessIndicator(degrees=tuple(degrees), counts=tuple(counts),
+                                sigma0=sigma0, compact=compact)

@@ -6,6 +6,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from bergmanlab import approximation
 from bergmanlab import domains as dom
+from bergmanlab import geometry, harness
 from bergmanlab.approximation import (ApproximationError, boundary_scan,
                                       dbar_functional, decompose, omega,
                                       ray_point, variety_test)
@@ -145,10 +146,83 @@ class TestBoundaryScan:
                 assert math.isnan(row.value)
             else:
                 ball = metric_ball(disc_field, row.zeta, 0.5)
-                assert row.admissible and row.n_nodes == len(ball)
-                assert row.value == omega(disc_field, ball, zbar1(1),
-                                          0).value
+                ov = omega(disc_field, ball, zbar1(1), 0)
+                assert row.admissible and ov.admissible
+                assert row.n_nodes == len(ball) == ov.n_nodes
+                assert row.value == ov.value
         assert scan.n_admissible == 2
+
+    def test_thin_rows_are_inadmissible(self, disc_field):
+        # a degree with just enough unknowns for the ball at t = 0.3
+        steps = (0.3, 0.9)
+        u = np.array([1.0 + 0.0j])
+        sizes = [len(metric_ball(disc_field, ray_point(disc_field.domain,
+                                                       u, t), 1.0))
+                 for t in steps]
+        degree = sizes[0] // MIN_NODE_FACTOR - 1
+        assert sizes[1] < MIN_NODE_FACTOR * (degree + 1) <= sizes[0]
+        scan = boundary_scan(disc_field, zbar1(1), radius=1.0,
+                             degree=degree, directions=u[None],
+                             steps=steps)
+        thin = scan.rows[1]
+        ov = omega(disc_field, metric_ball(disc_field, thin.zeta, 1.0),
+                   zbar1(1), degree)
+        assert not thin.admissible and not ov.admissible
+        assert thin.n_nodes == ov.n_nodes == sizes[1] > 0
+        assert thin.value == ov.value
+        assert scan.rows[0].admissible and scan.n_admissible == 1
+
+    def test_zero_omega_reads_no_trend(self, disc_field):
+        # a holomorphic symbol: omega is zero up to rounding on every row
+        sym = SymbolFn(fn=lambda z: np.atleast_2d(z)[:, 0] ** 2,
+                       smoothness="C1", label="z1*z1")
+        scan = boundary_scan(disc_field, sym, radius=1.0, degree=4,
+                             n_rays=2, steps=(0.3, 0.5, 0.7, 0.85))
+        assert scan.sup < 1e-10
+        assert scan.tail_trend == 0.0 and scan.decaying
+
+    def test_searches_within_the_budget(self, disc_field, monkeypatch):
+        kwargs = dict(radius=1.0, degree=2, n_rays=3, steps=(0.3, 0.5, 0.7))
+        whole = boundary_scan(disc_field, zbar1(1), **kwargs)
+        n = len(disc_field.grid)
+        budget = 2 * n  # two sources a call
+        sources = []
+        def counted(graph, *args, indices, **kw):
+            sources.append(np.size(indices))
+            return dijkstra(graph, *args, indices=indices, **kw)
+        monkeypatch.setattr(geometry, "_SEARCH_BUDGET", budget)
+        monkeypatch.setattr(geometry, "dijkstra", counted)
+        split = boundary_scan(disc_field, zbar1(1), **kwargs)
+        assert sources == [2, 2, 2, 2, 1]
+        assert max(sources) * n <= budget
+        for a, b in zip(whole.rows, split.rows):
+            assert (a.ray, a.t, a.admissible, a.n_nodes) \
+                == (b.ray, b.t, b.admissible, b.n_nodes)
+            assert np.array_equal(a.zeta, b.zeta)
+            assert np.array_equal(a.value, b.value, equal_nan=True)
+        assert len(whole.rows) == len(split.rows) == 9
+
+    def test_batched_ray_points_equal_the_scalar_bisection(self):
+        def loop(domain, u, t):  # one ray, scalar bisection
+            a = domain.anchor_point
+            lo, hi = 0.0, 2.0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if dom.contains(domain, a + mid * u):
+                    lo = mid
+                else:
+                    hi = mid
+            return a + t * lo * u
+        ts = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
+        for name, (domain, _) in sorted(harness._DOMAINS.items()):
+            dirs = approximation.ray_directions(domain, len(ts), seed=3)
+            ref = np.array([loop(domain, u, t) for u, t in zip(dirs, ts)])
+            assert np.array_equal(ray_point(domain, dirs, ts), ref), name
+            assert np.array_equal(
+                ray_point(domain, dirs, 0.5),
+                np.array([loop(domain, u, 0.5) for u in dirs])), name
+            assert np.array_equal(ray_point(domain, dirs[2], ts[2]),
+                                  ref[2]), name
 
     def test_ray_points_stay_inside(self, disc_domain):
         for t in (0.1, 0.5, 0.9, 0.99):

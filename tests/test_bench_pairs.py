@@ -81,3 +81,14 @@ def test_claim_met(bench_pairs, better, change, met):
     assert out["met"] is met
     assert out["parent_iqr"] == 0.45
     assert out["change_wins"] == stats["change_wins"]
+
+
+def test_src_lines_is_the_wc_total(bench_pairs, tmp_path):
+    pkg = tmp_path / "src" / "bergmanlab"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("\n\nz = 3")  # no final newline
+    (pkg / "notes.txt").write_text("not counted\n")
+    (pkg / "sub" / "c.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(str(tmp_path)) == 4
+    assert bench_pairs.src_lines(str(tmp_path / "absent")) == 0

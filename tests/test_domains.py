@@ -75,7 +75,7 @@ class TestCentralDbar:
         zero = np.zeros(len(batch))
         for k, exact in enumerate([(zero, 2.0 * np.conj(z2)),
                                    (zero, z1 * z2)]):
-            got = dom.central_dbar(lambda w: self._f(w)[:, k], batch, 1e-5)
+            got = dom.central_dbar(lambda w: self._f(w)[:, k], batch)
             assert got.shape == batch.shape
             np.testing.assert_allclose(got, np.stack(exact, axis=1),
                                        rtol=0, atol=1e-8)
@@ -87,7 +87,7 @@ class TestCentralDbar:
         exact = np.stack([np.stack([zero, zero], axis=1),
                           np.stack([2.0 * np.conj(z2), z1 * z2], axis=1)],
                          axis=1)
-        got = dom.central_dbar(self._f, batch, 1e-5)
+        got = dom.central_dbar(self._f, batch)
         assert got.shape == (len(batch), 2, 2)
         np.testing.assert_allclose(got, exact, rtol=0, atol=1e-8)
 

@@ -147,6 +147,16 @@ class TestMetric:
         with pytest.raises(KernelError):
             num.metric(np.array([0.999 + 0j]))
 
+    @pytest.mark.parametrize("kind", ["closed-form", "numerical"])
+    def test_one_point_is_the_one_row_batch(self, kind, request):
+        eng = request.getfixturevalue(
+            "ball2_engine" if kind == "closed-form" else "egg_engine")
+        assert eng.mode == kind
+        # |z_j| <= 0.25: inside the ball and clear of the egg's guard
+        for zeta in 0.5 * _egg_points(5):
+            assert np.array_equal(eng.metric(zeta),
+                                  eng.metric_batch(zeta[None])[0])
+
     @given(x=st.floats(-0.7, 0.7), y=st.floats(-0.7, 0.7))
     @settings(max_examples=25, deadline=None)
     def test_metric_positive_definite_ball(self, x, y):
@@ -458,7 +468,9 @@ class TestSharedPool:
     @pytest.mark.parametrize("n,parts", [(0, 2), (1, 2), (3, 2), (4, 2),
                                          (5, 3), (28, 2), (100, 7)])
     def test_blocks_are_near_equal_with_no_single_row(self, n, parts):
-        blocks = kernels._blocks(n, parts)
+        # a row width at which n rows hold `parts` chunks' worth of values
+        width = parts * kernels._CHUNK_VALUES // max(n, 1)
+        blocks = kernels._row_chunks(n, width)
         sizes = [b.stop - b.start for b in blocks]
         assert sum(sizes) == n and len(blocks) <= parts
         assert [b.start for b in blocks] \

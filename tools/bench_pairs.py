@@ -19,12 +19,15 @@ claimed metric's "claim", whose "met" says whether the gain holds
 non-zero, prints nothing, or does not end on a JSON result is recorded
 under "failed_runs" with its reason and left out of the statistics.
 With --trace, one traced run per side (seed 1001) adds the listed
-per-layer metrics.  The file follows BENCH_3.json's layout.
+per-layer metrics.  "src_lines" holds each checkout's line count of
+src/bergmanlab/*.py, as ``wc -l`` totals it (see ``src_lines``).  The
+file follows BENCH_3.json's layout.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import subprocess
@@ -60,6 +63,17 @@ def run_once(spec, checkout, workload, seed, trace):
     if not isinstance(out, dict) or "metrics" not in out:
         return None, None, "last line holds no metrics"
     return env, out, None
+
+
+def src_lines(checkout):
+    """The ``wc -l`` total of the checkout's src/bergmanlab/*.py: the
+    number of newline characters in those files."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "bergmanlab",
+                                       "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def summary(values):
@@ -174,7 +188,10 @@ def main():
         "order": "alternating: parent first on odd seeds, change first "
                  "on even seeds",
         "quartiles": "numpy.percentile 25/75, linear interpolation",
-        "machine": machine, "workloads": {}}
+        "machine": machine,
+        "src_lines": {side: src_lines(getattr(args, side))
+                      for side in ("parent", "change")},
+        "workloads": {}}
     for w in spec["workloads"]:
         report["workloads"][w["name"]] = bench_workload(
             args, spec, w["name"], metrics, machine)
