@@ -39,6 +39,13 @@ class ConstantEstimate:
                 f"constant {self.name} is not finite positive: {self.value}")
 
 
+def _bracket(values):
+    """(C, lo, hi) with C = max(hi, 1/lo) over positive values in [lo, hi],
+    so 1/C <= value <= C; plain numbers, which may be non-finite."""
+    lo, hi = np.min(values), np.max(values)
+    return float(max(hi, 1.0 / lo)), float(lo), float(hi)
+
+
 def admissible_nodes(engine: KernelEngine, grid):
     """Nodes kept for sup-type scans: gap >= GAP_FACTOR * spacing.
 
@@ -58,20 +65,15 @@ def off_diagonal_check(engine: KernelEngine, field: GeodesicField,
                        centers, r0=1.0) -> ConstantEstimate:
     """Bracket for |B(z,zeta)|^2 / (B(z,z) B(zeta,zeta)) over the pairs
     of each centre and the members of its metric ball of radius r0."""
-    lo, hi = math.inf, 0.0
-    n_pairs = 0
     centers = np.atleast_2d(np.asarray(centers, dtype=complex))
-    for zeta, ball in zip(centers, metric_ball(field, centers, r0)):
-        members = ball.members
-        n_pairs += len(members)
-        ratio = off_diagonal_ratio(engine, field.grid.nodes[members], zeta)
-        lo = min(lo, float(np.min(ratio)))
-        hi = max(hi, float(np.max(ratio)))
-    if n_pairs == 0:
+    ratios = [off_diagonal_ratio(engine, field.grid.nodes[ball.members], zeta)
+              for zeta, ball in zip(centers, metric_ball(field, centers, r0))]
+    if not ratios:
         raise DiagnosticsError("no centers for the off-diagonal check")
+    value, lo, hi = _bracket(np.concatenate(ratios))
     return ConstantEstimate(
-        name="C3", value=max(hi, 1.0 / lo),
-        sample=f"{n_pairs} pairs at distance < {r0}",
+        name="C3", value=value,
+        sample=f"{sum(map(len, ratios))} pairs at distance < {r0}",
         detail={"ratio_min": lo, "ratio_max": hi, "r0": float(r0)})
 
 
@@ -82,8 +84,7 @@ def off_diagonal_ratio(engine: KernelEngine, z, zeta):
     pts = np.atleast_2d(z)
     zeta = np.asarray(zeta, dtype=complex).reshape(1, -1)
     num = np.abs(np.reshape(engine.kernel(pts, zeta), len(pts))) ** 2
-    ratio = num / (engine.kernel_diag(pts).real
-                   * engine.kernel_diag(zeta).real[0])
+    ratio = num / (engine.kernel_diag(pts) * engine.kernel_diag(zeta)[0])
     return ratio if z.ndim > 1 else float(ratio[0])
 
 
@@ -106,7 +107,7 @@ def mean_value_check(engine: KernelEngine, field: GeodesicField,
             skipped += 1
             continue
         u0 = float(np.abs(f(zeta[None, :]))[0] ** 2)
-        bz = engine.kernel_diag(zeta[None, :]).real[0]
+        bz = engine.kernel_diag(zeta[None, :])[0]
         ratios.append(u0 * r ** (2 * d) / (bz * integral))
     if not ratios:
         raise DiagnosticsError("|f|^2 integrates to 0 on every ball")
@@ -128,7 +129,7 @@ def mass_positivity_check(engine: KernelEngine, field: GeodesicField,
         bz = engine.kernel(grid.nodes[ball.members], zeta[None, :])
         ball_mass = float(np.sum(grid.weights[ball.members]
                                  * np.abs(bz) ** 2))
-        total = engine.kernel_diag(zeta[None, :]).real[0]
+        total = engine.kernel_diag(zeta[None, :])[0]
         rows.append({"center": zeta.tolist(),
                      "total_mass": total,
                      "ball_mass": ball_mass,
@@ -148,10 +149,10 @@ def volume_comparison_check(engine: KernelEngine, grid) -> ConstantEstimate:
     if not len(idx):
         raise DiagnosticsError("no admissible nodes for volume comparison")
     z = grid.nodes[idx]
-    ratio = engine.volume_density_batch(z) / engine.kernel_diag(z).real
-    lo, hi = float(np.min(ratio)), float(np.max(ratio))
+    value, lo, hi = _bracket(engine.volume_density_batch(z)
+                             / engine.kernel_diag(z))
     return ConstantEstimate(
-        name="C5", value=max(hi, 1.0 / lo),
+        name="C5", value=value,
         sample=f"{len(idx)} admissible nodes",
         detail={"ratio_min": lo, "ratio_max": hi})
 
@@ -211,20 +212,18 @@ def t91_equivalences(engine: KernelEngine, field: GeodesicField,
     q = sbg_check(engine, grid)
     report["cond1_sbg_sup"] = q.value
     report["cond1_growth_flag"] = q.detail["boundary_growth_flag"]
-    # (2), (3) per ball
-    diag = engine.kernel_diag(grid.nodes).real
-    c2, c3lo, c3hi = 0.0, math.inf, 0.0
-    for zeta, ball in zip(centers, metric_ball(field, centers, r)):
-        bz = engine.kernel_diag(zeta[None, :]).real[0]
-        ratio2 = diag[ball.members] / bz
-        c2 = max(c2, float(np.max(ratio2)), float(1.0 / np.min(ratio2)))
-        prod = bz * ball.lebesgue_mass
-        c3lo, c3hi = min(c3lo, prod), max(c3hi, prod)
-    if c2 == 0.0:
+    # (2) B on each ball over B at its centre, (3) B there times the volume
+    balls = metric_ball(field, centers, r)
+    if not balls:
         raise DiagnosticsError("all equivalence balls were empty")
+    bz = np.array([engine.kernel_diag(z[None])[0] for z in centers])
+    members = np.concatenate([ball.members for ball in balls])
+    c2, _, _ = _bracket(engine.kernel_diag(grid.nodes[members])
+                        / np.repeat(bz, [len(ball) for ball in balls]))
+    c3, *c3range = _bracket(bz * [ball.lebesgue_mass for ball in balls])
     report["cond2_kernel_ratio_bracket"] = c2
-    report["cond3_mass_product_range"] = [c3lo, c3hi]
-    report["cond3_bracket"] = max(c3hi, 1.0 / c3lo)
+    report["cond3_mass_product_range"] = c3range
+    report["cond3_bracket"] = c3
     # (4)
     c4 = volume_equivalence_bracket(engine, field, centers, r).value
     report["cond4_volume_bracket"] = c4
@@ -261,13 +260,11 @@ def volume_equivalence_bracket(engine: KernelEngine, field: GeodesicField,
     density = field.volume_density_nodes
     balls = metric_ball(field, np.atleast_2d(np.asarray(centers,
                                                         dtype=complex)), r)
-    best = 0.0
-    for ball in balls:
-        ratio = density[ball.members] * ball.lebesgue_mass
-        best = max(best, float(np.max(ratio)), float(1.0 / np.min(ratio)))
     if not balls:
         raise DiagnosticsError(
             "no centers for the volume-equivalence bracket")
+    best, _, _ = _bracket(np.concatenate(
+        [density[ball.members] * ball.lebesgue_mass for ball in balls]))
     return ConstantEstimate(name="L", value=best,
                             sample=f"{len(balls)} centers, r={r}",
                             detail={"r": float(r)})

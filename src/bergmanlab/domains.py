@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
-from scipy.special import beta as beta_fn
 
 DBAR_STEP = 1e-5  # the step of every central-difference dbar (central_dbar)
 
@@ -338,5 +337,7 @@ def monomial_norm2(dom: DomainSpec, alpha) -> float:
         return num / (d * math.factorial(n + d))
     m = dom.egg_exponent
     a, b = int(alpha[0]), int(alpha[1])
-    radial = beta_fn((b + 1.0) / m, a + 2.0) / m
+    # B((b + 1) / m, a + 2) / m as one int / int, which rounds correctly
+    radial = math.factorial(a + 1) * m ** (a + 1) \
+        / math.prod(b + 1 + k * m for k in range(a + 2))
     return math.pi ** 2 / (a + 1.0) * radial

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from .domains import (DomainSpec, QuadratureGrid, _midpoints_inside,
                       central_dbar, contains)
-from .kernels import KernelEngine
+from .kernels import KernelEngine, _pool_map, _row_chunks
 
 
 _SEARCH_BUDGET = 1_000_000  # distances per batch of Dijkstra sources (8 MB)
@@ -32,10 +32,12 @@ class GeometryError(RuntimeError):
 
 
 def _realify(z):
-    out = np.empty((len(z), 2 * z.shape[1]))
-    out[:, 0::2] = z.real
-    out[:, 1::2] = z.imag
-    return out
+    return np.ascontiguousarray(z, dtype=complex).view(np.float64)
+
+
+def _on_node(lengths):
+    """Whether a point's first attach edge has length 0: it is that node."""
+    return np.isclose(lengths[..., 0], 0.0, atol=1e-13)
 
 
 def _stencil(dims, count):
@@ -101,18 +103,17 @@ class GeodesicField:
 
     def segment_length(self, a, b):
         """Bergman length of straight segments, midpoint rule (batched)."""
-        a = np.atleast_2d(np.asarray(a, dtype=complex))
-        b = np.atleast_2d(np.asarray(b, dtype=complex))
-        d = a.shape[1]
-        step = max(1_000_000 // (d * d), 1)
+        a, b = (np.atleast_2d(np.asarray(x, dtype=complex)) for x in (a, b))
         out = np.empty(len(a))
-        for lo in range(0, len(a), step):
-            hi = min(lo + step, len(a))
-            mid = 0.5 * (a[lo:hi] + b[lo:hi])
-            g = self.engine.metric_batch(mid)
-            v = b[lo:hi] - a[lo:hi]
+
+        def work(s):
+            g = self.engine.metric_batch(0.5 * (a[s] + b[s]))
+            v = b[s] - a[s]
             q = np.einsum("nj,njk,nk->n", v.conj(), g, v).real
-            out[lo:hi] = np.sqrt(np.maximum(q, 0.0))
+            out[s] = np.sqrt(np.maximum(q, 0.0))
+
+        # a row's width is its metric's d x d values
+        list(_pool_map(work, _row_chunks(len(a), a.shape[1] ** 2)))
         return out
 
     @cached_property
@@ -157,7 +158,7 @@ class GeodesicField:
         rows back, as the same arrays.  Any other call drops the memo
         and searches all its points in one multi-source Dijkstra.  Each
         off-grid point becomes a virtual node n + j whose only edges are
-        its ``_attach`` edges, stored as one extra CSR row.  No edge
+        its ``_attach`` edges, one CSR row stacked under the graph.  No edge
         enters a virtual node, so no search reaches another source, and
         ``self.graph`` is symmetric, so a directed search needs no
         virtual column and no transpose.  The caller bounds the batch
@@ -172,21 +173,16 @@ class GeodesicField:
         if memo is None or memo[0] != key or memo[1] < limit:
             memo = self._memo = None  # free the last rows before searching
             idx, lengths = self._attach(pts)
-            off = ~np.isclose(lengths[:, 0], 0.0, atol=1e-13)
-            g = self.graph
-            n = len(self.grid)
+            off = ~_on_node(lengths)
+            g, n = self.graph, len(self.grid)
             src = np.where(off, n + np.cumsum(off) - 1, idx[:, 0])
             if off.any():
-                order = np.argsort(idx[off], axis=1)
-                cols = np.take_along_axis(idx[off], order, axis=1)
-                ends = g.nnz + cols.shape[1] * np.arange(1, len(cols) + 1)
-                g = csr_matrix(
-                    (np.concatenate([g.data, np.take_along_axis(
-                        lengths[off], order, axis=1).ravel()]),
-                     np.concatenate([g.indices,
-                                     cols.ravel().astype(g.indices.dtype)]),
-                     np.append(g.indptr, ends.astype(g.indptr.dtype))),
-                    shape=(n + len(cols), n + len(cols)))
+                cols = idx[off]
+                g = vstack([g, csr_matrix(
+                    (lengths[off].ravel(), cols.ravel(),
+                     np.arange(0, cols.size + 1, cols.shape[1])),
+                    shape=(len(cols), n))], format="csr")
+                g.resize((g.shape[0],) * 2)
             block = dijkstra(g, directed=True, indices=src, limit=limit)
             block.flags.writeable = False
             memo = self._memo = (key, limit, [row[:n] for row in block])
@@ -194,18 +190,15 @@ class GeodesicField:
 
     def distance(self, a, b):
         """Graph shortest-path Bergman distance between two points."""
-        a = np.asarray(a, dtype=complex).reshape(-1)
-        b = np.asarray(b, dtype=complex).reshape(-1)
+        a, b = (np.asarray(x, dtype=complex).reshape(-1) for x in (a, b))
         if not contains(self.domain, b):
             raise GeometryError("point outside the domain")
         if np.array_equal(a, b):
             return 0.0
         dist = self.distances_from_point(a)
         idx, lengths = (v[0] for v in self._attach(b))
-        if np.allclose(lengths[0], 0.0, atol=1e-13):
-            val = dist[int(idx[0])]
-        else:
-            val = float(np.min(dist[idx] + lengths))
+        val = dist[idx[0]] if _on_node(lengths) \
+            else np.min(dist[idx] + lengths)
         if not np.isfinite(val):
             raise GeometryError(
                 "grid graph is disconnected between the query points")

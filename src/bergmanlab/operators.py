@@ -1,10 +1,10 @@
 """Truncated Bergman projections, Hankel and multiplication operators.
 
-All inner products are grid inner products against the same quadrature
-grid used to orthonormalize the basis, which makes the truncated
-projection idempotent by construction.  Hankel and multiplication
-truncations and the weak-null probe each reduce to the Gram of a set of
-columns, with the projection subtracted explicitly (_residual_gram).
+Inner products are grid sums: the truncated projection is idempotent
+only on a grid that orthonormalized the basis or is exact for it, not
+for the CLI's Reinhardt basis on tensor-midpoint grids (ROADMAP item 1).
+Hankel and multiplication truncations and the weak-null probe each
+reduce to column Grams with the projection subtracted (_residual_gram).
 
 That Gram is summed over the grid's torus orbits by discrete Parseval,
 chunked over orbits so large grids never materialize full Vandermonde

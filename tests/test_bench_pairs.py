@@ -92,3 +92,16 @@ def test_src_lines_is_the_wc_total(bench_pairs, tmp_path):
     (pkg / "sub" / "c.py").write_text("not counted\n")
     assert bench_pairs.src_lines(str(tmp_path)) == 4
     assert bench_pairs.src_lines(str(tmp_path / "absent")) == 0
+
+
+def test_module_lines_count_each_file(bench_pairs, tmp_path):
+    pkg = tmp_path / "src" / "bergmanlab"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "b.py").write_text("\n\nz = 3")  # no final newline
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "notes.txt").write_text("not counted\n")
+    (pkg / "sub" / "c.py").write_text("not counted\n")
+    counts = bench_pairs.module_lines(str(tmp_path))
+    assert counts == {"a.py": 2, "b.py": 2}
+    assert list(counts) == ["a.py", "b.py"]
+    assert bench_pairs.module_lines(str(tmp_path / "absent")) == {}

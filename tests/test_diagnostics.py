@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from bergmanlab import domains as dom
-from bergmanlab.diagnostics import (DiagnosticsError, admissible_nodes,
+from bergmanlab.diagnostics import (DiagnosticsError, _bracket,
+                                    admissible_nodes,
                                     mass_positivity_check,
                                     mean_value_check, off_diagonal_check,
                                     off_diagonal_ratio, sbg_check,
                                     sbg_values, t91_equivalences,
                                     volume_comparison_check,
                                     volume_equivalence_bracket)
-from bergmanlab.geometry import GeometryError, metric_ball
+from bergmanlab.geometry import GeodesicField, GeometryError, metric_ball
 from bergmanlab.kernels import engine_for
 
 from conftest import RHO
@@ -133,7 +134,43 @@ class TestSBG:
         assert 1.8 <= est.value <= 2.0
 
 
+def test_bracket_is_two_sided_and_may_be_infinite():
+    assert _bracket(np.array([0.5, 3.0])) == (3.0, 0.5, 3.0)
+    assert _bracket([0.25, 2.0]) == (4.0, 0.25, 2.0)
+    with np.errstate(divide="ignore"):
+        assert _bracket(np.array([0.0, 2.0])) == (math.inf, 0.0, 2.0)
+
+
+def _ball_brackets(engine, field, centers, r):
+    """The former conditions (2) and (3): B on the whole grid, read on
+    each ball's members, and a running bracket per ball."""
+    diag = engine.kernel_diag(field.grid.nodes).real
+    c2, c3lo, c3hi = 0.0, math.inf, 0.0
+    for zeta, ball in zip(centers, metric_ball(field, centers, r)):
+        bz = engine.kernel_diag(zeta[None, :]).real[0]
+        ratio2 = diag[ball.members] / bz
+        c2 = max(c2, float(np.max(ratio2)), float(1.0 / np.min(ratio2)))
+        prod = bz * ball.lebesgue_mass
+        c3lo, c3hi = min(c3lo, prod), max(c3hi, prod)
+    return c2, [c3lo, c3hi], max(c3hi, 1.0 / c3lo)
+
+
 class TestEquivalences:
+    def test_ball_conditions_equal_the_whole_grid_reading(self, disc_engine,
+                                                          disc_field):
+        egg = dom.egg(2)
+        grid = dom.build_grid(egg, 0.3)
+        eng = engine_for(egg, grid, degree=10)
+        for engine, field, centers in [
+                (disc_engine, disc_field, np.array([[0.0j], [0.3], [0.5j]])),
+                (eng, GeodesicField(eng, grid),
+                 np.array([[0.0j, 0.0j], [0.2, 0.1j]]))]:
+            rep = t91_equivalences(engine, field, centers, r=0.8)
+            c2, c3range, c3 = _ball_brackets(engine, field, centers, 0.8)
+            assert rep["cond2_kernel_ratio_bracket"] == c2
+            assert rep["cond3_mass_product_range"] == c3range
+            assert rep["cond3_bracket"] == c3
+
     def test_disc_report_coherent(self, disc_engine, disc_field):
         centers = np.array([[0.0j], [0.3], [0.5j]])
         rep = t91_equivalences(disc_engine, disc_field, centers, r=1.0)
@@ -148,7 +185,6 @@ class TestEquivalences:
         egg = dom.egg(2)
         grid = dom.build_grid(egg, 0.3)
         eng = engine_for(egg, grid, degree=10)
-        from bergmanlab.geometry import GeodesicField
         field = GeodesicField(eng, grid)
         rep = t91_equivalences(eng, field, np.array([[0.0j, 0.0j]]),
                                r=0.8)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import beta
 
 from bergmanlab import domains as dom
 from bergmanlab.kernels import multi_indices
@@ -277,6 +278,22 @@ class TestMonomialNorms:
                                        * math.factorial(68))
         assert dom.monomial_norm2(dom.ball(2), (100, 68)) \
             == num / (2 * math.factorial(170))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+    def test_egg_norms_exact(self, m):
+        # B((b + 1) / m, a + 2) / m = (a + 1)! m^(a + 1)
+        # / prod_{k <= a + 1} (b + 1 + k m), rounded once
+        egg = dom.DomainSpec(kind="egg", dim=2, egg_exponent=m)
+        for a in range(61):
+            for b in range(61):
+                radial = float(Fraction(
+                    math.factorial(a + 1) * m ** (a + 1),
+                    math.prod(b + 1 + k * m for k in range(a + 2))))
+                got = dom.monomial_norm2(egg, (a, b))
+                assert got == math.pi ** 2 / (a + 1.0) * radial, (a, b)
+                assert got == pytest.approx(
+                    math.pi ** 2 / (a + 1.0)
+                    * beta((b + 1.0) / m, a + 2.0) / m, rel=3e-14), (a, b)
 
     def test_egg_norms_against_quadrature(self):
         egg = dom.egg(2)

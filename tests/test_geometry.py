@@ -7,7 +7,7 @@ from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from bergmanlab import domains as dom, harness
+from bergmanlab import domains as dom, harness, kernels
 from bergmanlab.approximation import ray_point, ray_directions
 from bergmanlab.geometry import (GeodesicField, GeometryError, _ramp,
                                  _realify, _stencil, beta, build_net, chart,
@@ -460,6 +460,21 @@ class TestGraph:
                 * rng.uniform(0.3, 1.0, (300, 1)) for _ in range(2))
         assert np.array_equal(small_field.segment_length(a, b),
                               small_field.segment_length(b, a))
+
+    def test_segment_has_one_length_in_any_batch(self, monkeypatch):
+        # 250,001 rows once ended the batch on a one-row chunk, which a
+        # numerical engine sends through gemv (see kernels._row_chunks);
+        # on two workers each chunk's metric batch runs inside its task
+        domain = dom.egg(2)
+        grid = dom.build_grid(domain, 0.3)
+        field = GeodesicField(engine_for(domain, grid, degree=6), grid)
+        rng = np.random.default_rng(11)
+        a, b = (grid.nodes[rng.integers(len(grid), size=250_001)]
+                for _ in range(2))
+        lengths = field.segment_length(a, b)
+        assert lengths[-1] == field.segment_length(a[-2:], b[-2:])[-1]
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        assert np.array_equal(field.segment_length(a, b), lengths)
 
     @pytest.mark.parametrize("per_dim", [0, -1])
     def test_nonpositive_neighbor_count_rejected(self, disc_engine,

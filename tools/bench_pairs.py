@@ -20,8 +20,9 @@ non-zero, prints nothing, or does not end on a JSON result is recorded
 under "failed_runs" with its reason and left out of the statistics.
 With --trace, one traced run per side (seed 1001) adds the listed
 per-layer metrics.  "src_lines" holds each checkout's line count of
-src/bergmanlab/*.py, as ``wc -l`` totals it (see ``src_lines``).  The
-file follows BENCH_3.json's layout.
+src/bergmanlab/*.py, as ``wc -l`` totals it (see ``src_lines``), and
+"src_module_lines" each file's count (see ``module_lines``).  The file
+follows BENCH_3.json's layout.
 """
 
 from __future__ import annotations
@@ -65,15 +66,20 @@ def run_once(spec, checkout, workload, seed, trace):
     return env, out, None
 
 
-def src_lines(checkout):
-    """The ``wc -l`` total of the checkout's src/bergmanlab/*.py: the
-    number of newline characters in those files."""
-    total = 0
-    for path in glob.glob(os.path.join(checkout, "src", "bergmanlab",
-                                       "*.py")):
+def module_lines(checkout):
+    """The ``wc -l`` count of each of the checkout's src/bergmanlab/*.py,
+    by file name: the number of newline characters in it."""
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(checkout, "src", "bergmanlab",
+                                              "*.py"))):
         with open(path, "rb") as fh:
-            total += fh.read().count(b"\n")
-    return total
+            counts[os.path.basename(path)] = fh.read().count(b"\n")
+    return counts
+
+
+def src_lines(checkout):
+    """The ``wc -l`` total of the checkout's src/bergmanlab/*.py."""
+    return sum(module_lines(checkout).values())
 
 
 def summary(values):
@@ -191,6 +197,8 @@ def main():
         "machine": machine,
         "src_lines": {side: src_lines(getattr(args, side))
                       for side in ("parent", "change")},
+        "src_module_lines": {side: module_lines(getattr(args, side))
+                             for side in ("parent", "change")},
         "workloads": {}}
     for w in spec["workloads"]:
         report["workloads"][w["name"]] = bench_workload(
