@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
-from scipy.sparse import csr_matrix, triu
+from scipy.sparse import triu
 
 from .domains import DomainSpec, boundary_residual, central_dbar, contains
 from .geometry import (GeodesicField, MetricBall, Partition, _ball,
@@ -343,40 +343,14 @@ def _local_audits(dec: Decomposition, values_sq) -> list:
 
 
 def _audit_dbar(dec: Decomposition):
-    """Mass of ||dbar phi_1||_g^2 dV on audit balls vs local epsilon^2.
-
-    dbar phi_1 = sum_m h_m dbar chi_hat_m with chi_hat differentiated by
-    central differences of the graph-distance cutoffs; dbar chi_hat_m in
-    direction j at a node is row m, column node * d + j of ``dbar_chi``.
-    """
+    """Mass of ||dbar phi_1||_g^2 dV on audit balls vs local epsilon^2,
+    dbar phi_1 differenced from phi_1 itself on the lattice; a node with
+    no lattice neighbour on some axis (NaN) adds no mass."""
     field = dec.partition.net.field
-    nodes = field.grid.nodes
-    d = field.domain.dim
-    h = 0.25 * field.grid.resolution
-    parts = []
-    for j in range(d):
-        step = h * np.eye(d, dtype=complex)[j]
-        shifts = (step, -step, 1j * step, -(1j * step))
-        idx = np.nonzero(np.all([contains(field.domain, nodes + s)
-                                 for s in shifts], axis=0))[0]
-        vals = [dec.partition.evaluate(nodes[idx] + s) for s in shifts]
-        # nodes with a shift outside every support are left out
-        covered = np.all([np.bincount(v.indices, minlength=len(idx)) > 0
-                          for v in vals], axis=0)
-        px, mx, py, my = (v[:, covered] for v in vals)
-        dbar = ((px - mx) + 1j * (py - my)).tocoo()
-        parts.append((dbar.row, idx[covered][dbar.col] * d + j,
-                      0.5 * dbar.data / (2.0 * h)))
-    rows, cols, data = map(np.concatenate, zip(*parts))
-    dbar_chi = csr_matrix((data, (rows, cols)),
-                          shape=(len(dec.epsilon), len(nodes) * d))
-    dphi1 = np.zeros((len(nodes), d), dtype=complex)
-    for ov, (cols, vals) in zip(dec.approximants, _csr_rows(dbar_chi)):
-        act, at = np.unique(cols // d, return_inverse=True)
-        dphi1.flat[cols] += ov.approximant(nodes[act])[at] * vals
-    ginv = np.linalg.inv(field.engine.metric_batch(nodes))
+    dphi1 = field.lattice_dbar(dec.phi1)
+    ginv = np.linalg.inv(field.engine.metric_batch(field.grid.nodes))
     norm_sq = np.einsum("nj,njk,nk->n", dphi1.conj(), ginv, dphi1).real
-    dec.dbar_audit = _local_audits(dec, np.maximum(norm_sq, 0.0))
+    dec.dbar_audit = _local_audits(dec, np.fmax(norm_sq, 0.0))
 
 
 # -- dbar energy functional (sufficient condition for boundedness) ----

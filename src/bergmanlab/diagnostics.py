@@ -46,7 +46,7 @@ def _bracket(values):
     return float(max(hi, 1.0 / lo)), float(lo), float(hi)
 
 
-def admissible_nodes(engine: KernelEngine, grid):
+def admissible_nodes(grid):
     """Nodes kept for sup-type scans: gap >= GAP_FACTOR * spacing.
 
     The threshold is capped at half the largest gap on the grid so that
@@ -145,7 +145,7 @@ def mass_positivity_check(engine: KernelEngine, field: GeodesicField,
 
 def volume_comparison_check(engine: KernelEngine, grid) -> ConstantEstimate:
     """Bracket for volume_density(z) / B(z,z) over admissible nodes."""
-    idx = admissible_nodes(engine, grid)
+    idx = admissible_nodes(grid)
     if not len(idx):
         raise DiagnosticsError("no admissible nodes for volume comparison")
     z = grid.nodes[idx]
@@ -175,7 +175,7 @@ def sbg_values(engine: KernelEngine, z):
 def sbg_check(engine: KernelEngine, grid) -> ConstantEstimate:
     """Q = sup over admissible nodes of the squared gradient of log B in
     the metric norm, with a boundary trend flag."""
-    idx = admissible_nodes(engine, grid)
+    idx = admissible_nodes(grid)
     if not len(idx):
         raise DiagnosticsError("no admissible nodes for SBG scan")
     z = grid.nodes[idx]

@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .domains import (DomainSpec, QuadratureGrid, _midpoints_inside,
                       central_dbar, contains)
-from .kernels import KernelEngine, _pool_map, _row_chunks
+from .kernels import KernelEngine, _row_chunks
 
 
 _SEARCH_BUDGET = 1_000_000  # distances per batch of Dijkstra sources (8 MB)
@@ -38,6 +38,15 @@ def _realify(z):
 def _on_node(lengths):
     """Whether a point's first attach edge has length 0: it is that node."""
     return np.isclose(lengths[..., 0], 0.0, atol=1e-13)
+
+
+def _lattice_pairs(index, v):
+    """Node indices (i, j) of every node pair at lattice points x, x + v."""
+    m = len(index)
+    lo, hi = np.clip(-v, 0, m), np.clip(m - v, 0, m)
+    i, j = (index[tuple(map(slice, lo + s, hi + s))] for s in (0, v))
+    keep = (i >= 0) & (j >= 0)
+    return i[keep], j[keep]
 
 
 def _stencil(dims, count):
@@ -81,14 +90,11 @@ class GeodesicField:
         # x + v, and its lead is positive, so i < j: each pair comes once
         inside = _midpoints_inside(self.domain,
                                    math.ceil(2.0 / grid.resolution))
-        index = np.full(inside.shape, -1, dtype=np.int32)
-        index[inside] = np.arange(n, dtype=np.int32)  # nodes in C order
-        m, pairs, lengths = len(index), [], []
+        self._index = np.full(inside.shape, -1, dtype=np.int32)
+        self._index[inside] = np.arange(n, dtype=np.int32)  # C order
+        pairs, lengths = [], []
         for v in _stencil(2 * d, neighbors_per_dim * d):
-            # the lattice points x with x and x + v inside [0, m)^2d
-            lo, hi = np.clip(-v, 0, m), np.clip(m - v, 0, m)
-            i, j = (index[tuple(map(slice, lo + s, hi + s))] for s in (0, v))
-            pairs.append(np.stack([i, j])[:, (i >= 0) & (j >= 0)])
+            pairs.append(np.stack(_lattice_pairs(self._index, v)))
             lengths.append(self.segment_length(*nodes[pairs[-1]]))
         # each pair in both directions, with no copy of the pairs alive
         rows, cols = (np.concatenate([p[k] for p in pairs]
@@ -105,15 +111,30 @@ class GeodesicField:
         """Bergman length of straight segments, midpoint rule (batched)."""
         a, b = (np.atleast_2d(np.asarray(x, dtype=complex)) for x in (a, b))
         out = np.empty(len(a))
-
-        def work(s):
+        # a row's width is its metric's d x d values
+        for s in _row_chunks(len(a), a.shape[1] ** 2):
             g = self.engine.metric_batch(0.5 * (a[s] + b[s]))
             v = b[s] - a[s]
             q = np.einsum("nj,njk,nk->n", v.conj(), g, v).real
             out[s] = np.sqrt(np.maximum(q, 0.0))
+        return out
 
-        # a row's width is its metric's d x d values
-        list(_pool_map(work, _row_chunks(len(a), a.shape[1] ** 2)))
+    def lattice_dbar(self, f):
+        """d f / d zbar_j at every node, (n, d), from values f at the
+        nodes: differences between lattice neighbours along Re z_j and
+        Im z_j, central where a node has both neighbours on an axis,
+        one-sided where it has one, NaN where it has none."""
+        n, d = len(self.grid), self.domain.dim
+        h, own = 2.0 / len(self._index), np.arange(n)
+        out = np.zeros((n, d), dtype=complex)
+        for k, v in enumerate(np.eye(2 * d, dtype=int)):
+            up, down = own.copy(), own.copy()
+            i, j = _lattice_pairs(self._index, v)
+            up[i], down[j] = j, i
+            steps = np.add(up != own, down != own, dtype=float)
+            with np.errstate(invalid="ignore"):  # 0 / 0 with no neighbour
+                slope = (f[up] - f[down]) / (h * steps)
+            out[:, k % d] += 0.5 * slope if k < d else 0.5j * slope
         return out
 
     @cached_property
@@ -349,6 +370,8 @@ class Partition:
         empty column outside every support.  A distance is the least
         ``_attach`` edge plus table entry; an omitted entry ramps to 0."""
         idx, lengths = self.net.field._attach(points)
+        on = _on_node(lengths)  # a point on a node reads its own entries
+        idx[on], lengths[on] = idx[on, :1], 0.0
         m = len(self.net)
         rows = self.net.near.T.tocsr()[idx.ravel()]
         slot = np.repeat(np.arange(idx.size), np.diff(rows.indptr))

@@ -431,7 +431,7 @@ def _cmd_kernel(ws, out):
 
 
 def _cmd_metric(ws, out):
-    idx = diag.admissible_nodes(ws.engine, ws.grid)
+    idx = diag.admissible_nodes(ws.grid)
     z = ws.grid.nodes[idx[::max(1, len(idx) // 500)]]
     g = ws.engine.metric_batch(z)
     lam = np.linalg.eigvalsh(g)

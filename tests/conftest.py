@@ -160,6 +160,25 @@ def dense_evaluate(part, points):
     return np.divide(dist, np.where(total > 0.0, total, 1.0), out=dist)
 
 
+def lattice_neighbours(grid):
+    """(up, down), each (n_nodes, 2d): the node one lattice step up or
+    down each real axis (Re z_1 ... Re z_d, Im z_1 ... Im z_d), -1 where
+    there is none.  Lattice coordinates come from rounding each node's
+    coordinates, and neighbours from a dict lookup."""
+    n_axis = math.ceil(2.0 / grid.resolution)
+    x = np.concatenate([grid.nodes.real, grid.nodes.imag], axis=1)
+    lattice = np.rint((x + 1.0) * n_axis / 2.0 - 0.5).astype(int).tolist()
+    where = {tuple(p): i for i, p in enumerate(lattice)}
+    up, down = (np.full(x.shape, -1) for _ in range(2))
+    for i, p in enumerate(lattice):
+        for k in range(len(p)):
+            for s, out in ((1, up), (-1, down)):
+                q = list(p)
+                q[k] += s
+                out[i, k] = where.get(tuple(q), -1)
+    return up, down
+
+
 def assert_no_stored_zeros(mat):
     """Every stored entry of a sparse matrix is nonzero."""
     assert mat.nnz == np.count_nonzero(mat.data)

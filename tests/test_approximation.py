@@ -16,8 +16,8 @@ from bergmanlab.geometry import (GeodesicField, GeometryError, build_net,
 from bergmanlab.kernels import engine_for, multi_indices
 from bergmanlab.operators import SymbolFn
 
-from conftest import (RHO, assert_no_stored_zeros, dense_evaluate,
-                      dense_partition_values, zbar1)
+from conftest import (RHO, assert_no_stored_zeros, dense_partition_values,
+                      lattice_neighbours, zbar1)
 
 # closed-form value of the dV-weighted distance from conj(z) to
 # holomorphic functions on the unit-radius metric ball at 0
@@ -271,6 +271,15 @@ class TestDecomposition:
     def test_dbar_bracket_shape(self, dec):
         assert max(a["ratio"] for a in dec.dbar_audit) <= 1.5
 
+    def test_never_evaluates_off_the_grid(self, dec, monkeypatch):
+        """The audits read the partition at the nodes only: the dbar
+        audit differences phi_1 itself on the lattice."""
+        def off_grid(self, points):
+            raise AssertionError("Partition.evaluate called")
+        monkeypatch.setattr(geometry.Partition, "evaluate", off_grid)
+        again = decompose(dec.partition, zbar1(1), degree=6)
+        assert again.dbar_audit == dec.dbar_audit
+
     def test_holomorphic_symbol_trivial(self, dec):
         sym = SymbolFn(fn=lambda z: np.atleast_2d(z)[:, 0] ** 2,
                        smoothness="C1", label="z^2")
@@ -348,8 +357,9 @@ class TestVarietyTest:
 def _dense_decompose(partition, symbol, degree, seed=0):
     """The former decompose on dense (n_centers, n_nodes) cutoffs: the
     glue over the positive entries of each row, pairs from S S^T with S
-    the dense supports, and the dbar audit on a dense (n_centers,
-    n_nodes, d) stencil array.  Returns phi1, epsilon and the audits."""
+    the dense supports, and the dbar audit on lattice differences of
+    phi1 found by a dict of rounded lattice coordinates (see
+    lattice_neighbours).  Returns phi1, epsilon and the audits."""
     from scipy.sparse import csr_matrix, triu
     net = partition.net
     field = net.field
@@ -408,28 +418,21 @@ def _dense_decompose(partition, symbol, degree, seed=0):
         pair_audit.append(
             {"pair": (n, m), "witness": node, "lhs": lhs, "rhs": rhs,
              "holds": bool(lhs <= rhs * (1.0 + 1e-9) + 1e-12)})
-    nodes = grid.nodes
+    # dbar phi_1 from phi_1 on the lattice: central where a node has
+    # both neighbours on an axis, one-sided where it has one
     d = field.domain.dim
-    h = 0.25 * grid.resolution
-    dbar_chi = np.zeros((len(net), len(nodes), d), dtype=complex)
-    for j in range(d):
-        step = np.zeros(d, dtype=complex)
-        step[j] = h
-        i_step = 1j * step
-        shifts = (step, -step, i_step, -i_step)
-        idx = np.nonzero(np.all([dom.contains(field.domain, nodes + s)
-                                 for s in shifts], axis=0))[0]
-        px, mx, py, my = vals = [dense_evaluate(partition, nodes[idx] + s)
-                                 for s in shifts]
-        covered = np.all([v.sum(axis=0) > 0.5 for v in vals], axis=0)
-        dbar = 0.5 * ((px - mx) + 1j * (py - my)) / (2.0 * h)
-        dbar_chi[:, idx[covered], j] = dbar[:, covered]
-    dphi1 = np.zeros((len(nodes), d), dtype=complex)
-    for m, ov in enumerate(approximants):
-        act = np.nonzero(np.any(dbar_chi[m] != 0, axis=1))[0]
-        dphi1[act] += ov.approximant(nodes[act])[:, None] * dbar_chi[m][act]
-    ginv = np.linalg.inv(field.engine.metric_batch(nodes))
+    h = 2.0 / math.ceil(2.0 / grid.resolution)
+    dphi1 = np.zeros((len(grid), d), dtype=complex)
+    up, down = lattice_neighbours(grid)
+    for i, k in np.ndindex(up.shape):
+        a, b = (i if v < 0 else v for v in (up[i, k], down[i, k]))
+        steps = int(a != i) + int(b != i)
+        slope = (phi1[a] - phi1[b]) / (h * steps) if steps \
+            else complex("nan")
+        dphi1[i, k % d] += 0.5 * slope if k < d else 0.5j * slope
+    ginv = np.linalg.inv(field.engine.metric_batch(grid.nodes))
     norm_sq = np.einsum("nj,njk,nk->n", dphi1.conj(), ginv, dphi1).real
+    norm_sq[np.isnan(norm_sq)] = 0.0  # a node with no neighbour on an axis
     return {"phi1": phi1, "epsilon": eps, "pair_audit": pair_audit,
             "phi2_audit": local_audits(np.abs(phi2) ** 2),
             "dbar_audit": local_audits(np.maximum(norm_sq, 0.0))}
@@ -442,12 +445,13 @@ def _coarse_field(domain, resolution, degree=None):
     return GeodesicField(engine, grid)
 
 
-# (field, net radius, approximation degree); the coarse polydisc keeps
-# the reference's (n_centers, n_nodes, d) array near 74 MB
+# (field, net radius, approximation degree)
 _REFERENCE_CASES = {
     "disc": (None, 0.5, 6),
     "polydisc2": (lambda: _coarse_field(dom.polydisc(2), 0.25), 0.8, 4),
-    "egg2": (lambda: _coarse_field(dom.egg(2), 0.25, degree=6), 0.5, 4)}
+    "egg2": (lambda: _coarse_field(dom.egg(2), 0.25, degree=6), 0.5, 4),
+    # 7 cells per axis: some nodes have no lattice neighbour on an axis
+    "ball2": (lambda: _coarse_field(dom.ball(2), 0.3), 0.8, 2)}
 
 
 @pytest.fixture(scope="module", params=sorted(_REFERENCE_CASES))

@@ -209,14 +209,13 @@ class TestEquivalences:
 
 
 class TestAdmissibility:
-    def test_excludes_near_boundary(self, disc_engine, disc_grid):
-        idx = admissible_nodes(disc_engine, disc_grid)
+    def test_excludes_near_boundary(self, disc_grid):
+        idx = admissible_nodes(disc_grid)
         gaps = 1.0 - np.abs(disc_grid.nodes[idx, 0])
         assert np.min(gaps) >= 10 * disc_grid.resolution - 1e-12
 
     def test_coarse_grid_keeps_deep_interior(self):
         egg = dom.egg(2)
         grid = dom.build_grid(egg, 0.15)
-        eng = engine_for(egg, grid, degree=8)
-        idx = admissible_nodes(eng, grid)
+        idx = admissible_nodes(grid)
         assert len(idx) > 0

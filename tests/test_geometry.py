@@ -17,7 +17,7 @@ from bergmanlab.geometry import (GeodesicField, GeometryError, _ramp,
 from bergmanlab.kernels import engine_for
 
 from conftest import (assert_no_stored_zeros, dense_evaluate,
-                      dense_partition_values)
+                      dense_partition_values, lattice_neighbours)
 
 DIST_0_HALF = math.sqrt(2.0) * math.atanh(0.5)  # 0.77682...
 RHO = math.tanh(1.0 / math.sqrt(2.0))
@@ -131,8 +131,14 @@ _SMALL = {"disc": (dom.disc, 0.05, None),
           "egg2": (lambda: dom.egg(2), 0.25, 6)}
 
 
-def _small(name):
-    make, res, degree = _SMALL[name]
+# fields for the closed-form lattice dbar, each with its own resolution
+_LATTICE = {"polydisc2": (lambda: dom.polydisc(2), 0.25, None),
+            "ball2": (lambda: dom.ball(2), 0.2, None),
+            "egg2": _SMALL["egg2"]}
+
+
+def _small(name, cases=_SMALL):
+    make, res, degree = cases[name]
     domain = make()
     grid = dom.build_grid(domain, res)
     engine = engine_for(domain) if degree is None \
@@ -485,6 +491,40 @@ class TestGraph:
             GeodesicField(disc_engine, disc_grid, neighbors_per_dim=per_dim)
 
 
+class TestLatticeDbar:
+    @pytest.mark.parametrize("case", ["disc"] + sorted(_LATTICE))
+    def test_closed_forms(self, case, disc_field):
+        """conj(z_j) gives delta_jk and z_j gives 0 at every node; z_1^2
+        gives 0 where a node has both neighbours on every axis, and at
+        most the lattice step (one-sided) elsewhere."""
+        field = disc_field if case == "disc" else _small(case, _LATTICE)
+        z, d = field.grid.nodes, field.domain.dim
+        for j in range(d):
+            conj = field.lattice_dbar(np.conj(z[:, j]))
+            assert np.all(np.isfinite(conj))  # every node is differenced
+            assert np.max(np.abs(conj - np.eye(d)[j])) <= 1e-12
+            assert np.max(np.abs(field.lattice_dbar(z[:, j]))) <= 1e-12
+        up, down = lattice_neighbours(field.grid)
+        inner = np.all((up >= 0) & (down >= 0), axis=1)
+        assert 0 < np.count_nonzero(inner) < len(z)
+        sq = np.max(np.abs(field.lattice_dbar(z[:, 0] ** 2)), axis=1)
+        assert np.max(sq[inner]) <= 1e-12
+        assert np.max(sq) <= 2.0 / math.ceil(2.0 / field.grid.resolution)
+
+    def test_nan_where_an_axis_has_no_neighbour(self, ball2_engine):
+        # 7 cells per axis: some lattice lines through the ball hold one
+        # node, and z_j's component needs a neighbour on Re z_j and Im z_j
+        grid = dom.build_grid(dom.ball(2), 0.3)
+        up, down = lattice_neighbours(grid)
+        lone = (up < 0) & (down < 0)
+        assert lone.any()
+        dbar = GeodesicField(ball2_engine, grid).lattice_dbar(
+            np.conj(grid.nodes[:, 0]))
+        assert np.array_equal(np.isnan(dbar), lone[:, :2] | lone[:, 2:])
+        err = np.abs(dbar - [1.0, 0.0])
+        assert np.max(err[~np.isnan(dbar)]) <= 1e-12
+
+
 class TestMetricBalls:
     def test_ball_euclidean_radius(self, disc_field):
         ball = metric_ball(disc_field, np.array([0.0j]), 1.0)
@@ -558,7 +598,8 @@ def _dense_distances(net):
 
 def _evaluate_reference(part, points):
     """The former dense Partition.evaluate, zeros outside every support,
-    with its own kNN query and segment lengths."""
+    with its own kNN query and segment lengths; a point on a node (its
+    nearest segment of length 0) reads that node's distance rows."""
     field = part.net.field
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     k = min(field.k, len(field.grid))
@@ -568,10 +609,12 @@ def _evaluate_reference(part, points):
         np.repeat(pts, idx.shape[1], axis=0),
         field.grid.nodes[idx.ravel()]).reshape(idx.shape)
     dists = _dense_distances(part.net)
+    on = lengths[:, 0] < 1e-13
     chi = np.empty((len(part.net), len(pts)))
     for m in range(len(part.net)):
-        chi[m] = _ramp(np.min(dists[m][idx] + lengths, axis=1),
-                       part.r_inner, part.r_outer)
+        dist = np.min(dists[m][idx] + lengths, axis=1)
+        dist[on] = dists[m][idx[on, 0]]
+        chi[m] = _ramp(dist, part.r_inner, part.r_outer)
     total = np.sum(chi, axis=0)
     return chi / np.where(total > 0.0, total, 1.0)
 
@@ -594,10 +637,9 @@ class TestPartition:
         assert (part.r_inner, part.r_outer) == (0.5, 1.0)
 
     def test_evaluate_matches_nodes(self, disc_field, disc_partition):
-        sample = disc_field.grid.nodes[::500]
-        vals = disc_partition.evaluate(sample).toarray()
-        assert np.max(np.abs(
-            vals - disc_partition.values[:, ::500].toarray())) < 0.05
+        vals = disc_partition.evaluate(disc_field.grid.nodes)
+        assert np.array_equal(vals.toarray(),
+                              disc_partition.values.toarray())
 
     def test_evaluate_matches_reference(self, disc_field, disc_partition):
         nodes = disc_field.grid.nodes[::97]
