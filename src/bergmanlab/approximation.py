@@ -32,6 +32,8 @@ MODES = ("bergman-volume", "li-normalized")
 # a ball is admissible with at least this many grid nodes per unknown
 MIN_NODE_FACTOR = 10
 AUDIT_PAIRS = 40  # overlapping-support pairs audited per decomposition
+# an audit bound eps^2 at most (_ROUNDING * max |phi|)^2 is rounding noise
+_ROUNDING = 1e-10
 _VARIETY_SAMPLES = 64         # variety_test's sample points w,
 _VARIETY_SAMPLE_RADIUS = 0.7  # drawn with |w| below this radius;
 _VARIETY_BOUNDARY_TOL = 1e-8  # its largest boundary residual of F
@@ -40,10 +42,7 @@ _VARIETY_BOUNDARY_TOL = 1e-8  # its largest boundary residual of F
 @dataclass(frozen=True)
 class OmegaValue:
     center: np.ndarray
-    radius: float
-    mode: str
     value: float
-    degree: int
     rank: int
     n_unknowns: int
     n_nodes: int
@@ -89,8 +88,7 @@ def omega(field: GeodesicField, ball: MetricBall, symbol: SymbolFn,
     coeffs = sol / scale
     resid = rhs - X @ coeffs
     value = float(np.sum(w * np.abs(resid) ** 2))
-    return OmegaValue(center=ball.center, radius=ball.radius, mode=mode,
-                      value=value, degree=degree, rank=int(rank),
+    return OmegaValue(center=ball.center, value=value, rank=int(rank),
                       n_unknowns=len(alphas), n_nodes=len(nodes),
                       coefficients=coeffs, alphas=alphas)
 
@@ -214,11 +212,9 @@ def boundary_scan(field: GeodesicField, symbol: SymbolFn, radius=1.0,
 class Decomposition:
     partition: Partition  # with its net and field
     symbol: SymbolFn
-    degree: int
     epsilon: np.ndarray  # per-center L^2(dV) residuals
     epsilon_admissible: np.ndarray  # bool
     shell_index: np.ndarray
-    approximants: list  # per-center OmegaValue
     phi1: np.ndarray
     phi2: np.ndarray
     r_small: float  # the audit ball radius (r_2 in the gluing argument)
@@ -287,9 +283,8 @@ def decompose(partition: Partition, symbol: SymbolFn, degree=6,
     for ov, (cols, vals) in zip(approximants, _csr_rows(chi)):
         phi1[cols] += vals * ov.approximant(grid.nodes[cols])
     phi2 = symbol(grid.nodes) - phi1
-    dec = Decomposition(partition=partition, symbol=symbol, degree=degree,
-                        epsilon=eps, epsilon_admissible=admissible,
-                        shell_index=shell, approximants=approximants,
+    dec = Decomposition(partition=partition, symbol=symbol, epsilon=eps,
+                        epsilon_admissible=admissible, shell_index=shell,
                         phi1=phi1, phi2=phi2, r_small=r2)
     # audit (i): local phi_2 mass against the largest nearby epsilon
     dec.phi2_audit = _local_audits(dec, np.abs(phi2) ** 2)
@@ -326,8 +321,10 @@ def _local_audits(dec: Decomposition, values_sq) -> list:
     the largest eps^2 of the cutoffs alive at zeta_m (m among them).
     The ball's members are row m of Net.near below r_2 (r_2 < 2r).
     Centers touching an inadmissible ball (too few nodes for the
-    least-squares rank) give vacuous epsilons and are flagged out."""
+    least-squares rank) give vacuous epsilons and are flagged out; a
+    bound that is zero up to rounding gives a ratio of 0."""
     net = dec.partition.net
+    floor = (_ROUNDING * np.max(np.abs(dec.symbol(net.field.grid.nodes)))) ** 2
     alive = _csr_rows(dec.partition.values.T.tocsr()[net.centers])
     audits = []
     for m, (cols, dist) in enumerate(_csr_rows(net.near)):
@@ -338,7 +335,7 @@ def _local_audits(dec: Decomposition, values_sq) -> list:
         ok = bool(np.all(dec.epsilon_admissible[local]))
         audits.append(
             {"center": m, "mass": mass, "eps_sq": bound, "admissible": ok,
-             "ratio": mass / bound if (ok and bound > 0) else 0.0})
+             "ratio": mass / bound if (ok and bound > floor) else 0.0})
     return audits
 
 

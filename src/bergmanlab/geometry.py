@@ -229,7 +229,6 @@ class GeodesicField:
 @dataclass(frozen=True)
 class MetricBall:
     center: np.ndarray
-    radius: float
     members: np.ndarray  # node indices
     lebesgue_mass: float
 
@@ -240,7 +239,7 @@ class MetricBall:
 def _ball(field: GeodesicField, zeta, r: float, dist) -> MetricBall:
     """The nodes with ``dist < r``, where dist is zeta's row; may be empty."""
     members = np.nonzero(dist < r)[0]
-    return MetricBall(center=zeta, radius=float(r), members=members,
+    return MetricBall(center=zeta, members=members,
                       lebesgue_mass=float(np.sum(field.grid.weights[members])))
 
 

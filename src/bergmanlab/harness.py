@@ -521,16 +521,17 @@ def _cmd_decompose(ws, out):
     dec = approx.decompose(partition_of_unity(net), ws.symbol(),
                            degree=ws.config.approx_degree,
                            seed=ws.config.seed)
+    def bracket(audits):  # the largest admissible ratio; null with none
+        return max((a["ratio"] for a in audits if a["admissible"]),
+                   default=None)
     audit = {
         "identity_error": dec.identity_error(),
         "n_centers": len(dec.epsilon),
         "eps_max": float(np.max(dec.epsilon)),
         "pair_audit_pass": all(a["holds"] for a in dec.pair_audit),
         "pair_audit_count": len(dec.pair_audit),
-        "phi2_bracket": max((a["ratio"] for a in dec.phi2_audit),
-                            default=0.0),
-        "dbar_bracket": max((a["ratio"] for a in dec.dbar_audit),
-                            default=0.0),
+        "phi2_bracket": bracket(dec.phi2_audit),
+        "dbar_bracket": bracket(dec.dbar_audit),
         "shell_epsilon_decay": dec.shell_epsilon_decay()}
     _write_json(out, "decomposition.json", audit)
     _write_csv(out, "epsilon.csv",

@@ -91,16 +91,6 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _by_row_chunks(fn, z, out, width):
-    """out[s] = fn(z[s]) over the row chunks s of z, on the pool; each
-    chunk writes its own slice of out."""
-    def work(s):
-        out[s] = fn(z[s])
-
-    list(_pool_map(work, _row_chunks(len(z), width)))
-    return out
-
-
 class KernelError(RuntimeError):
     pass
 
@@ -291,18 +281,19 @@ class KernelEngine:
         if np.any(np.abs(den) < 1e-14):
             raise KernelError("kernel evaluated at a singular pair")
 
+    # -- batches: B(z, z), d log B and the metric ----------------------
+
     def kernel_diag(self, z):
         """B(z, z) as a real array over a batch of points."""
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        if self.mode == "numerical":
-            return _by_row_chunks(self._basis_diag, z, np.empty(len(z)),
-                                  len(self.basis.alphas))
-        return self._closed_form(z, z).real
+        return self._batch(z, 0)
 
-    def _basis_diag(self, z):
-        return np.sum(np.abs(self.basis.evaluate(z)) ** 2, axis=1)
+    def dlog_kernel(self, z):
+        """Holomorphic gradient (d log B(z,z) / d z_j), batched (n, d)."""
+        return self._batch(z, 1)
 
-    # -- metric -------------------------------------------------------
+    def metric_batch(self, z):
+        """(n, d, d) Hermitian matrices; vectorized."""
+        return self._batch(z, 2)
 
     def metric(self, zeta):
         """The (d, d) Hermitian positive definite metric at one point."""
@@ -324,75 +315,63 @@ class KernelEngine:
                 f"{lam[0]:.3e})")
         return g
 
-    def metric_batch(self, z):
-        """(n, d, d) Hermitian matrices; vectorized."""
+    def volume_density_batch(self, z):
+        return np.linalg.det(self.metric_batch(z)).real
+
+    def _batch(self, z, order):
+        """B(z, z) (order 0), d log B (order 1) or the Levi form of log B
+        (order 2) over a batch of points."""
         z = np.atleast_2d(np.asarray(z, dtype=complex))
-        if self.mode == "closed-form":
-            return self._closed_form_metric(z)
-        return self._basis_metric(z)
+        if self.basis is None:
+            return self._closed_batch(z, order)
+        return self._basis_batch(z, order)
 
-    def _basis_metric(self, z):
-        """Levi form of log B from exact basis derivatives:
-        g = T/B - v v^H / B^2 with B = sum |phi|^2, v_j = sum phi_j' conj
-        (phi), T_jk = sum (d_j phi)(d_k phi)^bar."""
-        n, d = z.shape
-        g = _by_row_chunks(self._basis_metric_rows, z,
-                           np.empty((n, d, d), dtype=complex),
-                           (d + 1) * len(self.basis.alphas))
-        return 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
-
-    def _basis_metric_rows(self, z):
-        d = z.shape[1]
-        E = self.basis.evaluate(z)
-        B = np.sum(np.abs(E) ** 2, axis=1)
-        F = np.stack([self.basis.evaluate_derivative(z, j)
-                      for j in range(d)], axis=1)  # (m, d, nb)
-        v = np.einsum("mjb,mb->mj", F, E.conj())
-        T = np.einsum("mjb,mkb->mjk", F, F.conj())
-        return T / B[:, None, None] \
-            - v[:, :, None] * v.conj()[:, None, :] / (B ** 2)[:, None, None]
-
-    def _closed_form_metric(self, z):
+    def _closed_batch(self, z, order):
+        if order == 0:
+            return self._closed_form(z, z).real
         n, d = z.shape
         if self.domain.kind == "ball":
-            nrm2 = np.sum(np.abs(z) ** 2, axis=1)
-            s = 1.0 - nrm2
-            eye = np.eye(d)
-            g = (d + 1) * (s[:, None, None] * eye[None]
+            s = 1.0 - np.sum(np.abs(z) ** 2, axis=1)
+            if order == 1:
+                return (d + 1) * z.conj() / s[:, None]
+            g = (d + 1) * (s[:, None, None] * np.eye(d)[None]
                            + z.conj()[:, :, None] * z[:, None, :])
             return g / (s ** 2)[:, None, None]
+        s = 1.0 - np.abs(z) ** 2
+        if order == 1:
+            return 2.0 * z.conj() / s
         g = np.zeros((n, d, d), dtype=complex)
-        for j in range(d):
-            g[:, j, j] = 2.0 / (1.0 - np.abs(z[:, j]) ** 2) ** 2
+        g[:, range(d), range(d)] = 2.0 / s ** 2
         return g
 
-    def volume_density_batch(self, z):
-        g = self.metric_batch(z)
-        return np.linalg.det(g).real
+    def _basis_batch(self, z, order):
+        """One pass over the row chunks of z on the pool, from exact basis
+        derivatives: B = sum |phi|^2, v_j = sum (d_j phi) conj(phi),
+        T_jk = sum (d_j phi)(d_k phi)^bar; d_j log B = v_j / B and
+        g = T/B - v v^H / B^2, symmetrized."""
+        n, d = z.shape
+        nb = len(self.basis.alphas)
+        out = np.empty((n,) + (d,) * order, dtype=complex if order else float)
 
-    # -- gradient of the potential ------------------------------------
+        def work(s):
+            E = self.basis.evaluate(z[s])
+            B = np.sum(np.abs(E) ** 2, axis=1)
+            if order == 0:
+                out[s] = B
+                return
+            F = np.stack([self.basis.evaluate_derivative(z[s], j)
+                          for j in range(d)], axis=1)  # (m, d, nb)
+            v = np.einsum("mjb,mb->mj", F, E.conj())
+            if order == 1:
+                out[s] = v / B[:, None]
+                return
+            T = np.einsum("mjb,mkb->mjk", F, F.conj())
+            out[s] = T / B[:, None, None] - v[:, :, None] \
+                * v.conj()[:, None, :] / (B ** 2)[:, None, None]
 
-    def dlog_kernel(self, z):
-        """Holomorphic gradient (d log B(z,z) / d z_j), batched (n, d)."""
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        d = self.domain.dim
-        if self.mode == "closed-form":
-            if self.domain.kind == "ball":
-                s = 1.0 - np.sum(np.abs(z) ** 2, axis=1)
-                return (d + 1) * z.conj() / s[:, None]
-            s = 1.0 - np.abs(z) ** 2
-            return 2.0 * z.conj() / s
-        return _by_row_chunks(self._basis_dlog, z, np.empty_like(z),
-                              (d + 1) * len(self.basis.alphas))
-
-    def _basis_dlog(self, z):
-        # exact basis derivatives: d_j log B = (sum phi_j' conj(phi)) / B
-        E = self.basis.evaluate(z)
-        B = np.sum(np.abs(E) ** 2, axis=1)
-        out = np.empty_like(z)
-        for j in range(z.shape[1]):
-            F = self.basis.evaluate_derivative(z, j)
-            out[:, j] = np.einsum("mb,mb->m", F, E.conj()) / B
+        list(_pool_map(work, _row_chunks(n, (d + 1) * nb if order else nb)))
+        if order == 2:
+            return 0.5 * (out + np.conj(np.swapaxes(out, 1, 2)))
         return out
 
     # -- normalized kernel sections -----------------------------------

@@ -286,6 +286,25 @@ class TestDecomposition:
         d = decompose(dec.partition, sym, degree=6)
         assert float(np.max(d.epsilon)) < 1e-10
         assert float(np.max(np.abs(d.phi2))) < 1e-10
+        # every eps^2 bound is rounding noise, so every ratio reads 0
+        assert max(a["ratio"] for a in d.phi2_audit) == 0.0
+        assert max(a["ratio"] for a in d.dbar_audit) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-12])
+    def test_brackets_do_not_depend_on_the_symbol_scale(self, dec, scale):
+        """The rounding floor is relative to the symbol: a multiple of
+        conj(z1) reads the brackets of conj(z1)."""
+        sym = SymbolFn(fn=lambda z: scale * np.conj(np.atleast_2d(z)[:, 0]),
+                       smoothness="C1", label=f"{scale}*conj(z1)")
+        small = decompose(dec.partition, sym, degree=6)
+        for name in ("phi2_audit", "dbar_audit"):
+            ref, got = getattr(dec, name), getattr(small, name)
+            assert [a["admissible"] for a in got] \
+                == [a["admissible"] for a in ref]
+            bracket = max(a["ratio"] for a in ref)
+            assert bracket > 0
+            assert max(a["ratio"] for a in got) \
+                == pytest.approx(bracket, rel=1e-9)
 
 
 class TestDbarFunctional:
@@ -380,7 +399,10 @@ def _dense_decompose(partition, symbol, degree, seed=0):
     for m, ov in enumerate(approximants):
         sel = chi[m] > 0
         phi1[sel] += chi[m][sel] * ov.approximant(grid.nodes[sel])
-    phi2 = symbol(grid.nodes) - phi1
+    phi = symbol(grid.nodes)
+    phi2 = phi - phi1
+    # a bound at most (1e-10 max |phi|)^2 is zero up to rounding
+    floor = (1e-10 * np.max(np.abs(phi))) ** 2
 
     def local_audits(values_sq):
         audits = []
@@ -393,7 +415,7 @@ def _dense_decompose(partition, symbol, degree, seed=0):
             audits.append(
                 {"center": m, "mass": mass, "eps_sq": bound,
                  "admissible": ok,
-                 "ratio": mass / bound if (ok and bound > 0) else 0.0})
+                 "ratio": mass / bound if (ok and bound > floor) else 0.0})
         return audits
 
     rng = np.random.default_rng(seed)

@@ -389,6 +389,18 @@ class TestRun:
                     if key != "mode":
                         float(cell)
 
+    def test_decompose_brackets_null_with_no_admissible_audit(self,
+                                                             tmp_path):
+        # at resolution 0.3 no disc ball holds enough nodes for degree 6
+        assert run(self._cfg(tmp_path, resolution=0.3),
+                   "decompose") == EXIT_OK
+        audit = json.loads((tmp_path / "decomposition.json").read_text())
+        assert audit["phi2_bracket"] is None
+        assert audit["dbar_bracket"] is None
+        with open(tmp_path / "epsilon.csv") as fh:
+            assert {row["admissible"] for row in csv.DictReader(fh)} \
+                == {"0"}
+
     def test_hankel_builds_each_degree_once(self, tmp_path, monkeypatch):
         degrees = []
         def counting(symbol, basis, *args, **kwargs):

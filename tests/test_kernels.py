@@ -287,14 +287,149 @@ class TestRowChunks:
         monkeypatch.setattr(kernels, "_WORKERS", 2)
         raised_in = []
 
-        def boom(z):
+        def boom(z, alphas):
             raised_in.append(threading.current_thread())
             raise KernelError("chunk failed")
 
-        monkeypatch.setattr(egg_engine, "_basis_metric_rows", boom)
+        # the basis evaluation inside each chunk's pool task
+        monkeypatch.setattr(kernels, "monomial_matrix", boom)
         with pytest.raises(KernelError, match="chunk failed"):
             egg_engine.metric_batch(_egg_points(2000))
         assert raised_in and threading.main_thread() not in raised_in
+
+
+# -- the per-quantity routines that the one batch routine replaced ----
+
+
+def _by_row_chunks(fn, z, out, width):
+    def work(s):
+        out[s] = fn(z[s])
+
+    list(kernels._pool_map(work, kernels._row_chunks(len(z), width)))
+    return out
+
+
+def _basis_diag(eng, z):
+    return _by_row_chunks(
+        lambda z: np.sum(np.abs(eng.basis.evaluate(z)) ** 2, axis=1),
+        z, np.empty(len(z)), len(eng.basis.alphas))
+
+
+def _basis_metric_rows(eng, z):
+    d = z.shape[1]
+    E = eng.basis.evaluate(z)
+    B = np.sum(np.abs(E) ** 2, axis=1)
+    F = np.stack([eng.basis.evaluate_derivative(z, j)
+                  for j in range(d)], axis=1)
+    v = np.einsum("mjb,mb->mj", F, E.conj())
+    T = np.einsum("mjb,mkb->mjk", F, F.conj())
+    return T / B[:, None, None] \
+        - v[:, :, None] * v.conj()[:, None, :] / (B ** 2)[:, None, None]
+
+
+def _basis_metric(eng, z):
+    n, d = z.shape
+    g = _by_row_chunks(lambda z: _basis_metric_rows(eng, z), z,
+                       np.empty((n, d, d), dtype=complex),
+                       (d + 1) * len(eng.basis.alphas))
+    return 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
+
+
+def _basis_dlog_rows(eng, z):
+    E = eng.basis.evaluate(z)
+    B = np.sum(np.abs(E) ** 2, axis=1)
+    out = np.empty_like(z)
+    for j in range(z.shape[1]):
+        F = eng.basis.evaluate_derivative(z, j)
+        out[:, j] = np.einsum("mb,mb->m", F, E.conj()) / B
+    return out
+
+
+def _basis_dlog(eng, z):
+    return _by_row_chunks(lambda z: _basis_dlog_rows(eng, z), z,
+                          np.empty_like(z),
+                          (z.shape[1] + 1) * len(eng.basis.alphas))
+
+
+def _closed_form_metric(eng, z):
+    n, d = z.shape
+    if eng.domain.kind == "ball":
+        nrm2 = np.sum(np.abs(z) ** 2, axis=1)
+        s = 1.0 - nrm2
+        eye = np.eye(d)
+        g = (d + 1) * (s[:, None, None] * eye[None]
+                       + z.conj()[:, :, None] * z[:, None, :])
+        return g / (s ** 2)[:, None, None]
+    g = np.zeros((n, d, d), dtype=complex)
+    for j in range(d):
+        g[:, j, j] = 2.0 / (1.0 - np.abs(z[:, j]) ** 2) ** 2
+    return g
+
+
+def _closed_form_dlog(eng, z):
+    d = eng.domain.dim
+    if eng.domain.kind == "ball":
+        s = 1.0 - np.sum(np.abs(z) ** 2, axis=1)
+        return (d + 1) * z.conj() / s[:, None]
+    s = 1.0 - np.abs(z) ** 2
+    return 2.0 * z.conj() / s
+
+
+@pytest.fixture(scope="module")
+def disc20_engine():
+    disc = dom.disc()
+    return engine_for(disc, dom.build_grid(disc, 0.025), degree=20)
+
+
+class TestOneBatchRoutine:
+    """_batch's three orders equal, bit for bit, the routines it replaced
+    (kept above): on a numerical engine for one, two and several row
+    chunks at one and two workers, and on every closed-form kind."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rows", ["one", "two", "several-chunks"])
+    @pytest.mark.parametrize("name", ["egg2-10", "disc-20"])
+    def test_basis_batch_equals_the_three_routines(
+            self, name, rows, workers, egg_engine, disc20_engine,
+            monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        eng = egg_engine if name == "egg2-10" else disc20_engine
+        nb, d = len(eng.basis.alphas), eng.domain.dim
+        n = {"one": 1, "two": 2,
+             "several-chunks": 3 * (kernels._CHUNK_VALUES // nb) + 5}[rows]
+        z = _egg_points(n)[:, :d]
+        if rows == "several-chunks":
+            assert len(kernels._row_chunks(n, (d + 1) * nb)) \
+                >= len(kernels._row_chunks(n, nb)) >= 3
+        assert np.array_equal(eng._basis_batch(z, 0), _basis_diag(eng, z))
+        assert np.array_equal(eng._basis_batch(z, 1), _basis_dlog(eng, z))
+        assert np.array_equal(eng._basis_batch(z, 2), _basis_metric(eng, z))
+        assert np.array_equal(eng.kernel_diag(z), _basis_diag(eng, z))
+        assert np.array_equal(eng.dlog_kernel(z), _basis_dlog(eng, z))
+        assert np.array_equal(eng.metric_batch(z), _basis_metric(eng, z))
+
+    @pytest.mark.parametrize("domain", [dom.disc(), dom.ball(2), dom.ball(3),
+                                        dom.polydisc(2)],
+                             ids=["disc", "ball2", "ball3", "polydisc2"])
+    def test_closed_batch_equals_the_closed_forms(self, domain):
+        eng = engine_for(domain)
+        rng = np.random.default_rng(5)
+        d = domain.dim
+        u = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
+        if domain.kind == "ball":
+            u *= rng.uniform(0, 0.98, (200, 1)) \
+                / np.linalg.norm(u, axis=1)[:, None]
+        else:
+            u *= rng.uniform(0, 0.98, (200, d)) / np.abs(u)
+        for z in (u[:1], u[:2], u):
+            assert np.array_equal(eng._closed_batch(z, 0),
+                                  eng._closed_form(z, z).real)
+            assert np.array_equal(eng._closed_batch(z, 1),
+                                  _closed_form_dlog(eng, z))
+            assert np.array_equal(eng._closed_batch(z, 2),
+                                  _closed_form_metric(eng, z))
+            assert np.array_equal(eng.metric_batch(z),
+                                  _closed_form_metric(eng, z))
 
 
 class TestSharedPool:
