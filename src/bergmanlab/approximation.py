@@ -32,7 +32,7 @@ MODES = ("bergman-volume", "li-normalized")
 # a ball is admissible with at least this many grid nodes per unknown
 MIN_NODE_FACTOR = 10
 AUDIT_PAIRS = 40  # overlapping-support pairs audited per decomposition
-# an audit bound eps^2 at most (_ROUNDING * max |phi|)^2 is rounding noise
+# an eps at most _ROUNDING * max |phi| is rounding noise
 _ROUNDING = 1e-10
 _VARIETY_SAMPLES = 64         # variety_test's sample points w,
 _VARIETY_SAMPLE_RADIUS = 0.7  # drawn with |w| below this radius;
@@ -218,6 +218,7 @@ class Decomposition:
     phi1: np.ndarray
     phi2: np.ndarray
     r_small: float  # the audit ball radius (r_2 in the gluing argument)
+    noise: float  # _ROUNDING * max |phi| over the grid
     pair_audit: list = _dc_field(default_factory=list)
     phi2_audit: list = _dc_field(default_factory=list)
     dbar_audit: list = _dc_field(default_factory=list)
@@ -227,13 +228,13 @@ class Decomposition:
         return float(np.max(np.abs(self.phi1 + self.phi2 - phi)))
 
     def shell_epsilon_decay(self):
-        """max eps over the first vs the last admissible shell."""
+        """max eps over the first vs the last admissible shell, or NaN."""
         shells = sorted(set(self.shell_index[self.epsilon_admissible]))
-        if len(shells) < 2:
-            return math.nan
         def shell_max(s):
             sel = (self.shell_index == s) & self.epsilon_admissible
             return float(np.max(self.epsilon[sel]))
+        if len(shells) < 2 or shell_max(shells[0]) <= self.noise:
+            return math.nan
         return shell_max(shells[0]) / max(shell_max(shells[-1]), 1e-300)
 
 
@@ -282,12 +283,13 @@ def decompose(partition: Partition, symbol: SymbolFn, degree=6,
     phi1 = np.zeros(len(grid), dtype=complex)
     for ov, (cols, vals) in zip(approximants, _csr_rows(chi)):
         phi1[cols] += vals * ov.approximant(grid.nodes[cols])
-    phi2 = symbol(grid.nodes) - phi1
+    phi = symbol(grid.nodes)
     dec = Decomposition(partition=partition, symbol=symbol, epsilon=eps,
                         epsilon_admissible=admissible, shell_index=shell,
-                        phi1=phi1, phi2=phi2, r_small=r2)
+                        phi1=phi1, phi2=phi - phi1, r_small=r2,
+                        noise=_ROUNDING * np.max(np.abs(phi)))
     # audit (i): local phi_2 mass against the largest nearby epsilon
-    dec.phi2_audit = _local_audits(dec, np.abs(phi2) ** 2)
+    dec.phi2_audit = _local_audits(dec, np.abs(dec.phi2) ** 2)
     # audit (ii): pairwise approximant gaps on overlapping supports
     # candidates: the upper-triangle pattern of chi chi^T (the support
     # overlaps) in row-major order; witnesses only for the kept pairs
@@ -324,7 +326,7 @@ def _local_audits(dec: Decomposition, values_sq) -> list:
     least-squares rank) give vacuous epsilons and are flagged out; a
     bound that is zero up to rounding gives a ratio of 0."""
     net = dec.partition.net
-    floor = (_ROUNDING * np.max(np.abs(dec.symbol(net.field.grid.nodes)))) ** 2
+    floor = dec.noise ** 2
     alive = _csr_rows(dec.partition.values.T.tocsr()[net.centers])
     audits = []
     for m, (cols, dist) in enumerate(_csr_rows(net.near)):

@@ -1,11 +1,11 @@
 """Discretized Bergman-metric geometry.
 
 A GeodesicField is a lattice-stencil graph over tensor-midpoint nodes
-with edges weighted by midpoint-rule Bergman length; graph shortest paths
-approximate the Bergman distance; off-grid points join it through their
-k nearest nodes.  On top of it: metric balls, maximal r-separated nets,
-multiplicities, cubic-ramp partitions of unity falling from 1 at r to 0
-at 2r, and automorphism charts on the homogeneous models.
+with edges weighted by midpoint-rule Bergman length, one metric row per
+distinct edge midpoint; shortest paths approximate the Bergman distance;
+off-grid points join it through their k nearest nodes.  On top: metric
+balls, maximal r-separated nets, multiplicities, cubic-ramp partitions
+of unity (1 at r, 0 at 2r), automorphism charts on homogeneous models.
 """
 
 from __future__ import annotations
@@ -41,12 +41,13 @@ def _on_node(lengths):
 
 
 def _lattice_pairs(index, v):
-    """Node indices (i, j) of every node pair at lattice points x, x + v."""
+    """Node indices (2, p) of the node pairs at lattice points x, x + v in
+    C order of x + min(0, v), and the mask of those corners in the box."""
     m = len(index)
     lo, hi = np.clip(-v, 0, m), np.clip(m - v, 0, m)
     i, j = (index[tuple(map(slice, lo + s, hi + s))] for s in (0, v))
     keep = (i >= 0) & (j >= 0)
-    return i[keep], j[keep]
+    return np.stack((i[keep], j[keep])), keep
 
 
 def _stencil(dims, count):
@@ -92,10 +93,29 @@ class GeodesicField:
                                    math.ceil(2.0 / grid.resolution))
         self._index = np.full(inside.shape, -1, dtype=np.int32)
         self._index[inside] = np.arange(n, dtype=np.int32)  # C order
+        stencil = _stencil(2 * d, neighbors_per_dim * d)
         pairs, lengths = [], []
-        for v in _stencil(2 * d, neighbors_per_dim * d):
-            pairs.append(np.stack(_lattice_pairs(self._index, v)))
-            lengths.append(self.segment_length(*nodes[pairs[-1]]))
+        # offsets of one |v| share midpoints (lower corner + |v| / 2, the
+        # same floats): one metric row per corner of the group
+        for u in np.unique(np.abs(stencil), axis=0):
+            found, keep = zip(*[_lattice_pairs(self._index, v) for v in
+                                stencil[np.all(np.abs(stencil) == u, axis=1)]])
+            box = np.logical_or.reduce(keep)
+            places = [np.flatnonzero(k[box]) for k in keep]
+            pairs += found
+            lengths += [np.empty(len(r)) for r in places]
+            for s in _row_chunks(np.count_nonzero(box), d * d):
+                mid, parts = np.empty((s.stop - s.start, d), complex), []
+                for ij, r, out in zip(found, places, lengths[-len(found):]):
+                    p = slice(*np.searchsorted(r, [s.start, s.stop]))
+                    at, v = r[p] - s.start, np.zeros_like(mid)
+                    a, b = np.take(nodes, ij[:, p], axis=0)
+                    mid[at], v[at] = 0.5 * (a + b), b - a
+                    parts.append((out[p], v, at))
+                g = self.engine.metric_batch(mid)  # read whole: einsum
+                for out, v, at in parts:  # rounds by g's memory layout
+                    q = np.einsum("nj,njk,nk->n", v.conj(), g, v).real
+                    out[:] = np.sqrt(np.maximum(q, 0.0))[at]
         # each pair in both directions, with no copy of the pairs alive
         rows, cols = (np.concatenate([p[k] for p in pairs]
                                      + [p[1 - k] for p in pairs])
@@ -129,7 +149,7 @@ class GeodesicField:
         out = np.zeros((n, d), dtype=complex)
         for k, v in enumerate(np.eye(2 * d, dtype=int)):
             up, down = own.copy(), own.copy()
-            i, j = _lattice_pairs(self._index, v)
+            (i, j), _ = _lattice_pairs(self._index, v)
             up[i], down[j] = j, i
             steps = np.add(up != own, down != own, dtype=float)
             with np.errstate(invalid="ignore"):  # 0 / 0 with no neighbour

@@ -15,6 +15,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -156,11 +157,17 @@ class OrthonormalBasis:
 
     def evaluate_derivative(self, z, j):
         """(d phi_k / d z_j)(z), exact monomial differentiation."""
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        shifted = self.alphas.copy()
-        shifted[:, j] = np.maximum(shifted[:, j] - 1, 0)
-        D = monomial_matrix(z, shifted) * self.alphas[None, :, j]
-        return self._combine(D)
+        return self._derivative(monomial_matrix(z, self.alphas), j)
+
+    def _derivative(self, M, j):  # M = monomial_matrix(z, alphas)
+        # exponent sets are downward-closed: z^(alpha - e_j) is a column
+        return self._combine(M[:, self._lowered[j]] * self.alphas[:, j])
+
+    @cached_property
+    def _lowered(self):  # per j, alpha - e_j's column (alpha's if alpha_j = 0)
+        at = {a: k for k, a in enumerate(map(tuple, self.alphas.tolist()))}
+        return np.array([[at[a[:j] + (max(a[j] - 1, 0),) + a[j + 1:]]
+                          for a in at] for j in range(self.alphas.shape[1])])
 
     def graded_columns(self, degree, per_variable=False):
         """Indices of the basis functions built only from monomials of
@@ -354,12 +361,13 @@ class KernelEngine:
         out = np.empty((n,) + (d,) * order, dtype=complex if order else float)
 
         def work(s):
-            E = self.basis.evaluate(z[s])
+            M = monomial_matrix(z[s], self.basis.alphas)
+            E = self.basis._combine(M)
             B = np.sum(np.abs(E) ** 2, axis=1)
             if order == 0:
                 out[s] = B
                 return
-            F = np.stack([self.basis.evaluate_derivative(z[s], j)
+            F = np.stack([self.basis._derivative(M, j)
                           for j in range(d)], axis=1)  # (m, d, nb)
             v = np.einsum("mjb,mb->mj", F, E.conj())
             if order == 1:

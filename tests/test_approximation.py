@@ -286,9 +286,11 @@ class TestDecomposition:
         d = decompose(dec.partition, sym, degree=6)
         assert float(np.max(d.epsilon)) < 1e-10
         assert float(np.max(np.abs(d.phi2))) < 1e-10
-        # every eps^2 bound is rounding noise, so every ratio reads 0
+        # every eps^2 bound is rounding noise, so every ratio reads 0,
+        # and a shell decay of noise over noise reads NaN
         assert max(a["ratio"] for a in d.phi2_audit) == 0.0
         assert max(a["ratio"] for a in d.dbar_audit) == 0.0
+        assert math.isnan(d.shell_epsilon_decay())
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-12])
     def test_brackets_do_not_depend_on_the_symbol_scale(self, dec, scale):
@@ -305,6 +307,8 @@ class TestDecomposition:
             assert bracket > 0
             assert max(a["ratio"] for a in got) \
                 == pytest.approx(bracket, rel=1e-9)
+        assert small.shell_epsilon_decay() \
+            == pytest.approx(dec.shell_epsilon_decay(), rel=1e-9)
 
 
 class TestDbarFunctional:

@@ -20,8 +20,9 @@ def cli_manifest():
 
 def test_run_list(cli_manifest):
     names = [name for name, _ in cli_manifest.RUNS]
-    assert len(names) == len(set(names)) == 37
-    assert names[-1] == "egg2-hankel-conj(z1)"
+    assert len(names) == len(set(names)) == 38
+    assert names[-2:] == ["egg2-hankel-conj(z1)",
+                          "ball2-decompose-0.15-conj(z1)"]
 
 
 def test_compare_with_itself_then_one_changed_hash(cli_manifest, tmp_path,

@@ -9,8 +9,9 @@ from scipy.spatial import cKDTree
 
 from bergmanlab import domains as dom, harness, kernels
 from bergmanlab.approximation import ray_point, ray_directions
-from bergmanlab.geometry import (GeodesicField, GeometryError, _ramp,
-                                 _realify, _stencil, beta, build_net, chart,
+from bergmanlab.geometry import (GeodesicField, GeometryError,
+                                 _lattice_pairs, _ramp, _realify, _stencil,
+                                 beta, build_net, chart,
                                  covering_audit, metric_ball, multiplicity,
                                  Net, Partition, partition_of_unity,
                                  separation_audit)
@@ -400,6 +401,48 @@ def _assert_interior_rows_match(field):
     np.testing.assert_allclose(g.data[pos], lengths, rtol=1e-12, atol=0.0)
 
 
+def _per_offset_graph(field, per_dim):
+    """The graph as built when every stencil offset measured its own
+    pairs through segment_length, kept as the reference, and the number
+    of distinct midpoints among the pairs of each |v|, summed.  Offsets
+    of different |v| can meet at one lattice midpoint, (1, 0) and (1, 2)
+    in the disc's plane, but 2 c_j and c_(j-1) + c_(j+1) need not round
+    alike, so only equal |v| share."""
+    nodes, d = field.grid.nodes, field.domain.dim
+    stencil = _stencil(2 * d, per_dim * d)
+    pairs = [_lattice_pairs(field._index, v)[0] for v in stencil]
+    lengths = [field.segment_length(*nodes[p]) for p in pairs]
+    rows, cols = (np.concatenate([p[k] for p in pairs]
+                                 + [p[1 - k] for p in pairs])
+                  for k in (0, 1))
+    graph = csr_matrix((np.concatenate(lengths * 2), (rows, cols)),
+                       shape=(len(nodes), len(nodes)))
+    distinct = 0
+    for u in {tuple(u) for u in np.abs(stencil).tolist()}:
+        mids = [0.5 * (nodes[i] + nodes[j]) for v, (i, j) in
+                zip(stencil, pairs) if tuple(np.abs(v)) == u]
+        distinct += len(np.unique(_realify(np.concatenate(mids)), axis=0))
+    return graph, distinct
+
+
+# (domain, resolution, basis degree or None for the closed form); the
+# egg2 engine's metric batches are stored transposed
+_SHARED = {"disc": (dom.disc, 0.05, None),
+           "polydisc2": (lambda: dom.polydisc(2), 0.25, None),
+           "ball2": (lambda: dom.ball(2), 0.2, None),
+           "egg2": (lambda: dom.egg(2), 0.18, 10)}
+
+
+@pytest.fixture(scope="module", params=sorted(_SHARED))
+def shared_case(request):
+    make, res, degree = _SHARED[request.param]
+    domain = make()
+    grid = dom.build_grid(domain, res)
+    engine = engine_for(domain) if degree is None \
+        else engine_for(domain, grid, degree=degree)
+    return engine, grid
+
+
 class TestGraph:
     @pytest.mark.parametrize("dims,count,size,shells", [
         (2, 8, 8, [1, 2, 5]), (4, 16, 16, [1, 2]), (6, 24, 36, [1, 2]),
@@ -413,6 +456,26 @@ class TestGraph:
         lead = v[np.arange(len(v)), np.argmax(v != 0, axis=1)]
         assert np.all(lead > 0)  # one of each +-v pair
         assert len({tuple(x) for x in v}) == size
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("per_dim", [8, 20])
+    def test_shared_midpoints_match_per_offset_build(
+            self, shared_case, per_dim, workers, monkeypatch):
+        """One metric row per distinct midpoint, and every edge length
+        bit for bit that of measuring each offset on its own."""
+        engine, grid = shared_case
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        rows = []
+        batch = engine.metric_batch
+        monkeypatch.setattr(engine, "metric_batch",
+                            lambda z: rows.append(len(z)) or batch(z))
+        field = GeodesicField(engine, grid, neighbors_per_dim=per_dim)
+        built = sum(rows)
+        ref, distinct = _per_offset_graph(field, per_dim)
+        assert built == distinct < sum(rows) - built
+        for key in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(field.graph, key),
+                                  getattr(ref, key)), key
 
     def test_canonical_symmetric_each_pair_once(self, small_field):
         g = small_field.graph

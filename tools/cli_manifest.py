@@ -28,8 +28,9 @@ _DISC = ("kernel", "metric", "distance", "net", "hankel", "omega-scan",
 _COARSE = ("distance", "omega-scan", "decompose", "t91", "variety",
            "sbg-check")
 # (run name, CLI arguments): the disc commands for both symbols, the
-# other domains at resolution 0.2 for conj(z1), and the egg2 hankel,
-# whose truncations and probe run on grid-orthonormalized bases
+# other domains at resolution 0.2 for conj(z1), the egg2 hankel, whose
+# truncations and probe run on grid-orthonormalized bases, and a ball2
+# decompose fine enough that some of its audits are admissible
 RUNS = [(f"disc-{cmd}-{sym}", [cmd, "--domain", "disc", "--symbol", sym])
         for cmd in _DISC for sym in ("conj(z1)", "z1*z1")] \
     + [(f"{dom}-{cmd}-conj(z1)", [cmd, "--domain", dom, "--resolution",
@@ -37,7 +38,10 @@ RUNS = [(f"disc-{cmd}-{sym}", [cmd, "--domain", "disc", "--symbol", sym])
        for dom in ("polydisc2", "ball2", "egg2") for cmd in _COARSE] \
     + [("egg2-hankel-conj(z1)", ["hankel", "--domain", "egg2",
                                  "--resolution", "0.3", "--symbol",
-                                 "conj(z1)"])]
+                                 "conj(z1)"]),
+       ("ball2-decompose-0.15-conj(z1)", ["decompose", "--domain", "ball2",
+                                          "--resolution", "0.15",
+                                          "--symbol", "conj(z1)"])]
 
 
 def _sha(data: bytes) -> str:
