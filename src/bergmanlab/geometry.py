@@ -41,8 +41,7 @@ def _on_node(lengths):
 
 
 def _lattice_pairs(index, v):
-    """Node indices (2, p) of the node pairs at lattice points x, x + v in
-    C order of x + min(0, v), and the mask of those corners in the box."""
+    """Node pairs (2, p) at x, x + v, by lower corner, and corner mask."""
     m = len(index)
     lo, hi = np.clip(-v, 0, m), np.clip(m - v, 0, m)
     i, j = (index[tuple(map(slice, lo + s, hi + s))] for s in (0, v))
@@ -93,29 +92,7 @@ class GeodesicField:
                                    math.ceil(2.0 / grid.resolution))
         self._index = np.full(inside.shape, -1, dtype=np.int32)
         self._index[inside] = np.arange(n, dtype=np.int32)  # C order
-        stencil = _stencil(2 * d, neighbors_per_dim * d)
-        pairs, lengths = [], []
-        # offsets of one |v| share midpoints (lower corner + |v| / 2, the
-        # same floats): one metric row per corner of the group
-        for u in np.unique(np.abs(stencil), axis=0):
-            found, keep = zip(*[_lattice_pairs(self._index, v) for v in
-                                stencil[np.all(np.abs(stencil) == u, axis=1)]])
-            box = np.logical_or.reduce(keep)
-            places = [np.flatnonzero(k[box]) for k in keep]
-            pairs += found
-            lengths += [np.empty(len(r)) for r in places]
-            for s in _row_chunks(np.count_nonzero(box), d * d):
-                mid, parts = np.empty((s.stop - s.start, d), complex), []
-                for ij, r, out in zip(found, places, lengths[-len(found):]):
-                    p = slice(*np.searchsorted(r, [s.start, s.stop]))
-                    at, v = r[p] - s.start, np.zeros_like(mid)
-                    a, b = np.take(nodes, ij[:, p], axis=0)
-                    mid[at], v[at] = 0.5 * (a + b), b - a
-                    parts.append((out[p], v, at))
-                g = self.engine.metric_batch(mid)  # read whole: einsum
-                for out, v, at in parts:  # rounds by g's memory layout
-                    q = np.einsum("nj,njk,nk->n", v.conj(), g, v).real
-                    out[:] = np.sqrt(np.maximum(q, 0.0))[at]
+        pairs, lengths = zip(*self._edges(_stencil(2 * d, self.k // 2)))
         # each pair in both directions, with no copy of the pairs alive
         rows, cols = (np.concatenate([p[k] for p in pairs]
                                      + [p[1 - k] for p in pairs])
@@ -126,6 +103,29 @@ class GeodesicField:
         self._memo = None  # (batch bytes, limit, rows) of the last search
 
     # -- local metric helpers -----------------------------------------
+
+    def _edges(self, stencil):
+        """(node pairs (2, p), lengths) by offset and row chunk.  Offsets of
+        one |v| share midpoints (lower corner + |v| / 2, the same floats):
+        one metric row per corner, read whole (einsum rounds by layout)."""
+        d, nodes = self.domain.dim, self.grid.nodes
+        for u in np.unique(np.abs(stencil), axis=0):
+            found, keep = zip(*[_lattice_pairs(self._index, v) for v in
+                                stencil[np.all(np.abs(stencil) == u, axis=1)]])
+            box = np.logical_or.reduce(keep)
+            places = [np.flatnonzero(k[box]) for k in keep]
+            for s in _row_chunks(np.count_nonzero(box), d * d):
+                mid, parts = np.empty((s.stop - s.start, d), complex), []
+                for ij, r in zip(found, places):
+                    p = slice(*np.searchsorted(r, [s.start, s.stop]))
+                    at, v = r[p] - s.start, np.zeros_like(mid)
+                    a, b = np.take(nodes, ij[:, p], axis=0)
+                    mid[at], v[at] = 0.5 * (a + b), b - a
+                    parts.append((ij[:, p], v, at))
+                g = self.engine.metric_batch(mid)
+                for ij, v, at in parts:
+                    q = np.einsum("nj,njk,nk->n", v.conj(), g, v).real
+                    yield ij, np.sqrt(np.maximum(q, 0.0))[at]
 
     def segment_length(self, a, b):
         """Bergman length of straight segments, midpoint rule (batched)."""
