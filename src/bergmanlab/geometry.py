@@ -2,7 +2,7 @@
 
 A GeodesicField is a lattice-stencil graph over tensor-midpoint nodes
 with edges weighted by midpoint-rule Bergman length, one metric row per
-distinct edge midpoint; shortest paths approximate the Bergman distance;
+midpoint of each |v|; shortest paths approximate the Bergman distance;
 off-grid points join it through their k nearest nodes.  On top: metric
 balls, maximal r-separated nets, multiplicities, cubic-ramp partitions
 of unity (1 at r, 0 at 2r), automorphism charts on homogeneous models.

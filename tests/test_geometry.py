@@ -420,13 +420,13 @@ def _per_offset_graph(field, per_dim):
     distinct = 0
     for u in {tuple(u) for u in np.abs(stencil).tolist()}:
         mids = [0.5 * (nodes[i] + nodes[j]) for v, (i, j) in
-                zip(stencil, pairs) if tuple(np.abs(v)) == u]
+                zip(stencil, pairs) if tuple(np.abs(v).tolist()) == u]
         distinct += len(np.unique(_realify(np.concatenate(mids)), axis=0))
     return graph, distinct
 
 
-# (domain, resolution, basis degree or None for the closed form); the
-# egg2 engine's metric batches are stored transposed
+# (domain, resolution, basis degree or None for the closed form); egg2 at
+# 0.18 has metric batches large enough for numpy to store them transposed
 _SHARED = {"disc": (dom.disc, 0.05, None),
            "polydisc2": (lambda: dom.polydisc(2), 0.25, None),
            "ball2": (lambda: dom.ball(2), 0.2, None),
