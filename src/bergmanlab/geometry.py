@@ -125,7 +125,7 @@ class GeodesicField:
                 g = self.engine.metric_batch(mid)
                 for ij, v, at in parts:
                     q = np.einsum("nj,njk,nk->n", v.conj(), g, v).real
-                    yield ij, np.sqrt(np.maximum(q, 0.0))[at]
+                    yield ij, np.sqrt(np.maximum(q[at], 0.0))
 
     def segment_length(self, a, b):
         """Bergman length of straight segments, midpoint rule (batched)."""
