@@ -13,8 +13,8 @@ import numpy as np
 
 from bergmanlab import domains as dom
 from bergmanlab.approximation import variety_test
-from bergmanlab.diagnostics import (mean_value_check, off_diagonal_check,
-                                    sbg_check, t91_equivalences,
+from bergmanlab.diagnostics import (off_diagonal_check, sbg_check,
+                                    t91_equivalences,
                                     volume_comparison_check)
 from bergmanlab.geometry import GeodesicField
 from bergmanlab.harness import symbol_parse
@@ -35,9 +35,6 @@ print(f"disc det g / B ratio C5 = {c5.value:.10f}   "
 c3 = off_diagonal_check(eng, field, centers)
 print(f"off-diagonal kernel comparability C3 = {c3.value:.3f} "
       f"at distance < 1")
-
-c4 = mean_value_check(eng, field, lambda z: np.ones(len(z)), 1.0, centers)
-print(f"mean-value constant C4 = {c4.value:.3f} for f = 1")
 
 # -- self-bounded gradient --------------------------------------------
 

@@ -352,29 +352,6 @@ def _audit_dbar(dec: Decomposition):
     dec.dbar_audit = _local_audits(dec, np.fmax(norm_sq, 0.0))
 
 
-# -- dbar energy functional (sufficient condition for boundedness) ----
-
-
-def dbar_functional(symbol: SymbolFn, field: GeodesicField,
-                    ball: MetricBall) -> float:
-    """integral over the ball of ||dbar phi||_g^2 dV, by quadrature.
-
-    The 1-form norm uses the inverse metric; for C^1 symbols only.
-    """
-    if symbol.smoothness != "C1":
-        raise ApproximationError(
-            "dbar functional requires a C1 symbol (refused, not differenced)")
-    nodes = field.grid.nodes[ball.members]
-    alpha = symbol.dbar_values(nodes)
-    g = field.engine.metric_batch(nodes)
-    lam = np.linalg.eigvalsh(g)
-    if np.any(lam[:, 0] <= 0):
-        raise ApproximationError("metric not positive definite on the ball")
-    ginv = np.linalg.inv(g)
-    norm_sq = np.einsum("nj,njk,nk->n", alpha.conj(), ginv, alpha).real
-    return _ball_integral(field, ball.members, norm_sq)
-
-
 # -- boundary analytic-disc test --------------------------------------
 
 

@@ -1,11 +1,11 @@
 """Constant estimation and coherence checks for the kernel geometry.
 
 Each check sweeps admissible grid nodes or metric-ball scans and reports
-a bracket constant: off-diagonal kernel comparability, sub-mean-value
-ratios, kernel mass localization, the volume-form/kernel comparison,
-the self-bounded-gradient supremum, and the five-way equivalence report
-tying them together.  Finite brackets on admissible nodes are evidence
-of consistency, not proofs; report wording stays at "consistent with".
+a bracket constant: off-diagonal kernel comparability, the
+volume-form/kernel comparison, the self-bounded-gradient supremum, and
+the five-way equivalence report tying them together.  Finite brackets
+on admissible nodes are evidence of consistency, not proofs; report
+wording stays at "consistent with".
 """
 
 from __future__ import annotations
@@ -86,58 +86,6 @@ def off_diagonal_ratio(engine: KernelEngine, z, zeta):
     num = np.abs(np.reshape(engine.kernel(pts, zeta), len(pts))) ** 2
     ratio = num / (engine.kernel_diag(pts) * engine.kernel_diag(zeta)[0])
     return ratio if z.ndim > 1 else float(ratio[0])
-
-
-# -- sub-mean-value property on metric balls --------------------------
-
-
-def mean_value_check(engine: KernelEngine, field: GeodesicField,
-                     f, r, centers) -> ConstantEstimate:
-    """Bracket for u(zeta) r^{2d} / (B(zeta,zeta) * ball integral of u),
-    u = |f|^2, integrated against plain Lebesgue measure."""
-    grid = field.grid
-    d = field.domain.dim
-    ratios = []
-    skipped = 0
-    centers = np.atleast_2d(np.asarray(centers, dtype=complex))
-    for zeta, ball in zip(centers, metric_ball(field, centers, r)):
-        vals = np.abs(f(grid.nodes[ball.members])) ** 2
-        integral = float(np.sum(grid.weights[ball.members] * vals))
-        if integral <= 0:
-            skipped += 1
-            continue
-        u0 = float(np.abs(f(zeta[None, :]))[0] ** 2)
-        bz = engine.kernel_diag(zeta[None, :])[0]
-        ratios.append(u0 * r ** (2 * d) / (bz * integral))
-    if not ratios:
-        raise DiagnosticsError("|f|^2 integrates to 0 on every ball")
-    return ConstantEstimate(
-        name="C4", value=max(max(ratios), 1e-300),
-        sample=f"{len(ratios)} centers, r={r}",
-        detail={"ratios": ratios, "skipped": skipped, "r": float(r)})
-
-
-def mass_positivity_check(engine: KernelEngine, field: GeodesicField,
-                          centers, r) -> list:
-    """Per-center ratio of total kernel mass B(zeta,zeta) to the
-    r^{-2d}-scaled mass captured inside the metric ball."""
-    grid = field.grid
-    d = field.domain.dim
-    rows = []
-    centers = np.atleast_2d(np.asarray(centers, dtype=complex))
-    for zeta, ball in zip(centers, metric_ball(field, centers, r)):
-        bz = engine.kernel(grid.nodes[ball.members], zeta[None, :])
-        ball_mass = float(np.sum(grid.weights[ball.members]
-                                 * np.abs(bz) ** 2))
-        total = engine.kernel_diag(zeta[None, :])[0]
-        rows.append({"center": zeta.tolist(),
-                     "total_mass": total,
-                     "ball_mass": ball_mass,
-                     "ball_fraction": ball_mass / total,
-                     "ratio": total * r ** (2 * d) / ball_mass})
-    if not rows:
-        raise DiagnosticsError("all mass-positivity balls were empty")
-    return rows
 
 
 # -- volume form vs kernel --------------------------------------------

@@ -127,17 +127,6 @@ def boundary_residual(dom: DomainSpec, z):
     return np.abs(np.abs(z[..., 0]) ** 2 + np.abs(z[..., 1]) ** (2 * m) - 1.0)
 
 
-def lebesgue_volume(dom: DomainSpec) -> float:
-    """mu(Omega), in closed form."""
-    d = dom.dim
-    if dom.kind == "ball":
-        return math.pi ** d / math.factorial(d)
-    if dom.kind == "polydisc":
-        return math.pi ** d
-    m = dom.egg_exponent
-    return math.pi ** 2 * m / (m + 1.0)
-
-
 def central_dbar(f, z):
     """Central-difference Wirtinger derivatives d f / d zbar_j at an
     (n, d) batch z with step DBAR_STEP, for every j: 0.5 (d/dx_j + i d/dy_j).

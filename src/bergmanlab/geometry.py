@@ -19,8 +19,7 @@ from scipy.sparse import csr_matrix, vstack
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .domains import (DomainSpec, QuadratureGrid, _midpoints_inside,
-                      central_dbar, contains)
+from .domains import DomainSpec, QuadratureGrid, _midpoints_inside, contains
 from .kernels import KernelEngine, _row_chunks
 
 
@@ -418,9 +417,6 @@ def partition_of_unity(net: Net) -> Partition:
 
 # -- charts on homogeneous models ------------------------------------
 
-_CR_SAMPLES = 64  # sample points of the Cauchy-Riemann residual
-
-
 @dataclass(frozen=True)
 class ChartMap:
     """Holomorphic embedding of the unit ball with Phi(0) = center."""
@@ -458,27 +454,11 @@ class ChartMap:
                 / (1.0 - inner)[:, None]
         return (u + a[None, :]) / (1.0 + a.conj()[None, :] * u)
 
-    def det_jacobian(self, w):
-        """det Phi'(w) over a batch, analytic for the polydisc, exact
-        formula up to a unimodular constant for the ball."""
-        w = np.atleast_2d(np.asarray(w, dtype=complex))
-        a = self.center
-        d = self.domain.dim
-        if self.domain.kind == "ball":
-            na2 = float(np.sum(np.abs(a) ** 2))
-            inner = (self.rho * w) @ a.conj()
-            return (-1.0) ** d * self.rho ** d \
-                * (1.0 - na2) ** ((d + 1) / 2.0) / (1.0 - inner) ** (d + 1)
-        u = self.rho * w
-        fac = self.rho * (1.0 - np.abs(a) ** 2)[None, :] \
-            / (1.0 + a.conj()[None, :] * u) ** 2
-        return np.prod(fac, axis=1)
-
     def dlog_absdet(self, w):
         """euclidean norm of (d/dw_j) log |det Phi'(w)|, batched.
 
         For holomorphic f, the holomorphic gradient of log |f| is half
-        the gradient of log f; here in closed form from det_jacobian.
+        the gradient of log f; here in closed form.
         """
         w = np.atleast_2d(np.asarray(w, dtype=complex))
         a_bar = self.center.conj()[None, :]
@@ -490,30 +470,9 @@ class ChartMap:
             grad = -self.rho * a_bar / (1.0 + a_bar * self.rho * w)
         return np.sqrt(np.sum(np.abs(grad) ** 2, axis=1))
 
-    def cauchy_riemann_residual(self):
-        """Max |d Phi / d wbar| over seeded sample points in 0.5 B."""
-        rng = np.random.default_rng(0)
-        d = self.domain.dim
-        n = _CR_SAMPLES
-        w = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
-        w *= (0.5 * rng.uniform(0, 1, n)
-              / np.maximum(np.linalg.norm(w, axis=1), 1e-12))[:, None]
-        return float(np.max(np.abs(central_dbar(self.forward, w))))
-
 
 def chart(dom: DomainSpec, zeta, rho=0.5) -> ChartMap:
     zeta = np.asarray(zeta, dtype=complex).reshape(-1)
     if not contains(dom, zeta):
         raise GeometryError("chart center must be interior")
     return ChartMap(domain=dom, center=zeta, rho=float(rho))
-
-
-def beta(chartmap: ChartMap, engine: KernelEngine, u, w):
-    """B(Phi(u), Phi(w)) det Phi'(u) conj(det Phi'(w))."""
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    w = np.asarray(w, dtype=complex).reshape(-1)
-    zu = chartmap.forward(u[None, :])[0]
-    zw = chartmap.forward(w[None, :])[0]
-    val = engine.kernel(zu, zw)
-    return complex(val * chartmap.det_jacobian(u[None, :])[0]
-                   * np.conj(chartmap.det_jacobian(w[None, :])[0]))

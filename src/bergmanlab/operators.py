@@ -1,10 +1,10 @@
-"""Truncated Bergman projections, Hankel and multiplication operators.
+"""Truncated Bergman projections and Hankel operators.
 
 Inner products are grid sums: the truncated projection is idempotent
 only on a grid that orthonormalized the basis or is exact for it, not
 for the CLI's Reinhardt basis on tensor-midpoint grids (ROADMAP item 1).
-Hankel and multiplication truncations and the weak-null probe each
-reduce to column Grams with the projection subtracted (_residual_gram).
+Hankel truncations and the weak-null probe each reduce to column Grams
+with the projection subtracted (_residual_gram).
 
 That Gram is summed over the grid's torus orbits by discrete Parseval,
 chunked over orbits so large grids never materialize full Vandermonde
@@ -117,10 +117,9 @@ def _mode_shifts(alphas, n):
         tuple((t[:, :, None] - alphas.T[:, None, :]) % n), shape)
 
 
-def _residual_gram(basis, grid, n, columns, width, project):
-    """Gram of `width` columns v_j, or of their residuals v_j - P v_j
-    with project, summed over torus orbits of T = n ** d consecutive
-    grid nodes.
+def _residual_gram(basis, grid, n, columns, width):
+    """Gram of the residuals v_j - P v_j of `width` columns v_j, summed
+    over torus orbits of T = n ** d consecutive grid nodes.
 
     On orbit rho every node weighs w_rho, and phi_k is the angular mode
     modes[k] with amplitude S[rho, k], its value at the orbit's first
@@ -158,17 +157,15 @@ def _residual_gram(basis, grid, n, columns, width, project):
 
     def gram(lo):
         w, S, V = chunk(lo, slice(None))
-        if project:
-            for r in runs:
-                V[:, modes[r.start]] -= S[:, r] @ TA[r]
+        for r in runs:
+            V[:, modes[r.start]] -= S[:, r] @ TA[r]
         V = V.reshape(-1, width)
         return (V.conj() * np.repeat(w / T, T)[:, None]).T @ V
 
     # one pool task per chunk, its share added in chunk order as it
     # arrives, so at most one chunk per worker is alive at once
     orbits = range(0, len(grid) // T, step)
-    if project:
-        TA = sum(_pool_map(read_off, orbits))
+    TA = sum(_pool_map(read_off, orbits))
     G = sum(_pool_map(gram, orbits))
     return 0.5 * (G + G.conj().T)
 
@@ -182,7 +179,17 @@ def _singular_values(G):
     return np.sqrt(np.clip(lam, 0.0, None))[::-1]
 
 
-def _truncation(symbol, basis, grid, guard, per_variable, project):
+def hankel_matrix(symbol: SymbolFn, basis: OrthonormalBasis,
+                  grid: QuadratureGrid, guard=5,
+                  per_variable=False) -> OperatorTruncation:
+    """Truncation of H_phi f = phi f - P(phi f).
+
+    The projection uses the full basis (degree N); source columns are
+    the degree N - guard graded columns so truncation-boundary artifacts
+    are quantified rather than hidden.  Pass guard=0 for symbols whose
+    multiplication lowers holomorphic degree (e.g. conj-monomials),
+    where no truncation bias exists.
+    """
     if guard < 0:
         raise OperatorError(f"guard must be non-negative, not {guard}")
     cols = basis.graded_columns(basis.degree - guard, per_variable) \
@@ -198,32 +205,9 @@ def _truncation(symbol, basis, grid, guard, per_variable, project):
         basis, grid, n,
         lambda orbits, nodes, S, at: phi_hat[orbits].take(
             shift[at], axis=1) * S[:, None, cols],
-        len(cols), project)
+        len(cols))
     return OperatorTruncation(source_size=len(cols),
                               singular_values=_singular_values(G))
-
-
-def hankel_matrix(symbol: SymbolFn, basis: OrthonormalBasis,
-                  grid: QuadratureGrid, guard=5,
-                  per_variable=False) -> OperatorTruncation:
-    """Truncation of H_phi f = phi f - P(phi f).
-
-    The projection uses the full basis (degree N); source columns are
-    the degree N - guard graded columns so truncation-boundary artifacts
-    are quantified rather than hidden.  Pass guard=0 for symbols whose
-    multiplication lowers holomorphic degree (e.g. conj-monomials),
-    where no truncation bias exists.
-    """
-    return _truncation(symbol, basis, grid, guard, per_variable,
-                       project=True)
-
-
-def mult_matrix(symbol: SymbolFn, basis: OrthonormalBasis,
-                grid: QuadratureGrid, guard=0,
-                per_variable=False) -> OperatorTruncation:
-    """Truncation of M_phi f = phi f, in the grid norm."""
-    return _truncation(symbol, basis, grid, guard, per_variable,
-                       project=False)
 
 
 def weak_null_probe(symbol: SymbolFn, engine: KernelEngine,
@@ -246,7 +230,7 @@ def weak_null_probe(symbol: SymbolFn, engine: KernelEngine,
         lambda orbits, nodes, S, at: _angular_dft(
             symbol(nodes)[:, None] * engine.s_section(centers, nodes), n,
             grid.domain.dim)[:, at],
-        len(centers), project=True)
+        len(centers))
     return np.sqrt(np.diag(G).real)
 
 
@@ -270,6 +254,9 @@ def compactness_indicator(build_truncation, degrees, threshold_ratio=0.5,
     if len(degrees) == 0:
         raise OperatorError("compactness_indicator needs at least one "
                             "degree")
+    if probe_values is not None and len(probe_values) == 0:
+        raise OperatorError("compactness_indicator needs at least one "
+                            "probe value")
     counts = []
     sigma0 = 0.0
     for N in degrees:

@@ -8,8 +8,8 @@ from bergmanlab import approximation
 from bergmanlab import domains as dom
 from bergmanlab import geometry, harness
 from bergmanlab.approximation import (ApproximationError, boundary_scan,
-                                      dbar_functional, decompose, omega,
-                                      ray_point, variety_test)
+                                      decompose, omega, ray_point,
+                                      variety_test)
 from bergmanlab.approximation import AUDIT_PAIRS, MIN_NODE_FACTOR
 from bergmanlab.geometry import (GeodesicField, GeometryError, build_net,
                                  metric_ball, partition_of_unity)
@@ -309,40 +309,6 @@ class TestDecomposition:
                 == pytest.approx(bracket, rel=1e-9)
         assert small.shell_epsilon_decay() \
             == pytest.approx(dec.shell_epsilon_decay(), rel=1e-9)
-
-
-class TestDbarFunctional:
-    def test_disc_zbar_value(self, disc_field, disc_field_dense):
-        ball = metric_ball(disc_field_dense, np.array([0.0j]), 1.0)
-        val = dbar_functional(zbar1(1), disc_field_dense, ball)
-        # the metric norm of dzbar cancels the volume density exactly,
-        # leaving the Lebesgue mass of the ball
-        assert val == pytest.approx(math.pi * RHO ** 2, rel=0.02)
-
-    def test_abs2_value(self, disc_field_dense):
-        sym = SymbolFn(fn=lambda z: np.abs(np.atleast_2d(z)[:, 0]) ** 2
-                       + 0.0j,
-                       smoothness="C1",
-                       dbar=lambda z: np.atleast_2d(z)[:, :1],
-                       label="abs2(z1)")
-        ball = metric_ball(disc_field_dense, np.array([0.0j]), 1.0)
-        val = dbar_functional(sym, disc_field_dense, ball)
-        assert val == pytest.approx(math.pi * RHO ** 4 / 2.0, rel=0.03)
-
-    def test_holomorphic_gives_zero(self, disc_field_dense):
-        sym = SymbolFn(fn=lambda z: np.atleast_2d(z)[:, 0] ** 3,
-                       smoothness="C1",
-                       dbar=lambda z: np.zeros_like(np.atleast_2d(z)),
-                       label="z^3")
-        ball = metric_ball(disc_field_dense, np.array([0.0j]), 1.0)
-        assert dbar_functional(sym, disc_field_dense, ball) == 0.0
-
-    def test_non_c1_refused(self, disc_field_dense):
-        sym = SymbolFn(fn=lambda z: np.abs(np.atleast_2d(z)[:, 0]),
-                       smoothness="C0", label="|z|")
-        ball = metric_ball(disc_field_dense, np.array([0.0j]), 0.5)
-        with pytest.raises(ApproximationError):
-            dbar_functional(sym, disc_field_dense, ball)
 
 
 class TestVarietyTest:

@@ -5,9 +5,7 @@ import pytest
 
 from bergmanlab import domains as dom
 from bergmanlab.diagnostics import (DiagnosticsError, _bracket,
-                                    admissible_nodes,
-                                    mass_positivity_check,
-                                    mean_value_check, off_diagonal_check,
+                                    admissible_nodes, off_diagonal_check,
                                     off_diagonal_ratio, sbg_check,
                                     sbg_values, t91_equivalences,
                                     volume_comparison_check,
@@ -16,8 +14,6 @@ from bergmanlab.geometry import GeodesicField, GeometryError, metric_ball
 from bergmanlab.kernels import engine_for
 
 from conftest import RHO
-
-DISC_BALL_MASS = math.pi * RHO ** 2
 
 
 class TestOffDiagonal:
@@ -58,45 +54,6 @@ class TestOffDiagonal:
         centers = np.array([disc_grid.nodes[100], [0.3]])
         with pytest.raises(GeometryError, match="contains no grid nodes"):
             off_diagonal_check(disc_engine, disc_field, centers, r0=1e-4)
-
-
-class TestMeanValue:
-    def test_constant_function_oracle(self, disc_engine, disc_field):
-        one = lambda z: np.ones(len(np.atleast_2d(z)))
-        est = mean_value_check(disc_engine, disc_field, one, 1.0,
-                               np.array([[0.0j]]))
-        oracle = 1.0 / ((1.0 / math.pi) * DISC_BALL_MASS)
-        assert est.detail["ratios"][0] == pytest.approx(oracle, rel=0.03)
-
-    def test_zero_at_center(self, disc_engine, disc_field):
-        f = lambda z: np.atleast_2d(z)[:, 0]
-        est = mean_value_check(disc_engine, disc_field, f, 1.0,
-                               np.array([[0.0j]]))
-        assert est.detail["ratios"][0] == 0.0
-
-    def test_bidisc_constant(self, bidisc_engine, bidisc_field):
-        one = lambda z: np.ones(len(np.atleast_2d(z)))
-        est = mean_value_check(bidisc_engine, bidisc_field, one, 1.0,
-                               np.array([[0.0j, 0.0j]]))
-        mb = metric_ball(bidisc_field, np.array([0.0j, 0.0j]), 1.0)
-        oracle = 1.0 / ((1.0 / math.pi ** 2) * mb.lebesgue_mass)
-        assert est.detail["ratios"][0] == pytest.approx(oracle, rel=1e-9)
-
-
-class TestMassPositivity:
-    def test_full_mass_recovered_at_large_radius(self, disc_engine,
-                                                 disc_field):
-        rows = mass_positivity_check(disc_engine, disc_field,
-                                     np.array([[0.0j]]), 8.0)
-        assert rows[0]["ball_fraction"] == pytest.approx(1.0, rel=0.02)
-
-    def test_unit_radius_fraction(self, disc_engine, disc_field):
-        rows = mass_positivity_check(disc_engine, disc_field,
-                                     np.array([[0.0j]]), 1.0)
-        # int_{|z|<rho} |B(z,0)|^2 dmu / B(0,0) = rho^2
-        assert rows[0]["ball_fraction"] == pytest.approx(RHO ** 2,
-                                                         rel=0.03)
-        assert math.isfinite(rows[0]["ratio"])
 
 
 class TestVolumeComparison:

@@ -93,26 +93,6 @@ class TestCentralDbar:
         np.testing.assert_allclose(got, exact, rtol=0, atol=1e-8)
 
 
-class TestVolumes:
-    def test_disc_area(self, disc_domain):
-        assert dom.lebesgue_volume(disc_domain) == pytest.approx(math.pi)
-
-    def test_bidisc_volume(self, bidisc_domain):
-        assert dom.lebesgue_volume(bidisc_domain) == pytest.approx(
-            math.pi ** 2)
-
-    def test_ball_volume(self, ball2_domain):
-        assert dom.lebesgue_volume(ball2_domain) == pytest.approx(
-            math.pi ** 2 / 2.0)
-
-    @pytest.mark.parametrize("m, expected", [
-        (2, math.pi ** 2 * 2.0 / 3.0),
-        (4, math.pi ** 2 * 4.0 / 5.0),
-    ])
-    def test_egg_volume(self, m, expected):
-        assert dom.lebesgue_volume(dom.egg(m)) == pytest.approx(expected)
-
-
 class TestGrids:
     def test_grid_mass_matches_area_disc(self, disc_domain, disc_grid):
         assert disc_grid.weights.sum() == pytest.approx(math.pi, rel=0.01)

@@ -13,7 +13,7 @@ from bergmanlab.kernels import (OrthonormalBasis, engine_for,
                                orthonormalize, reinhardt_basis)
 from bergmanlab.operators import (OperatorError, SymbolFn,
                                   compactness_indicator, hankel_matrix,
-                                  mult_matrix, weak_null_probe)
+                                  weak_null_probe)
 
 
 def _zbar(j, dim):
@@ -40,8 +40,8 @@ def bidisc_quad(bidisc_domain):
 
 
 def _mixed(dim):
-    """conj(z_d) + |z_1|^2: a symbol whose Hankel and multiplication
-    truncations are both nontrivial at every guard."""
+    """conj(z_d) + |z_1|^2: a symbol whose Hankel truncations are
+    nontrivial at every guard."""
     return SymbolFn(fn=lambda z: np.conj(np.atleast_2d(z)[:, dim - 1])
                     + np.abs(np.atleast_2d(z)[:, 0]) ** 2,
                     smoothness="C1", label="mixed")
@@ -70,30 +70,28 @@ def _reference_subbasis(basis, degree, per_variable=False):
                             dropped=basis.dropped)
 
 
-def _reference_sigma(symbol, basis, grid, guard, per_variable, project):
-    """Two-pass column Gram with the source columns evaluated from a
-    separate sub-basis in each pass."""
+def _reference_sigma(symbol, basis, grid, guard, per_variable):
+    """Two-pass residual column Gram with the source columns evaluated
+    from a separate sub-basis in each pass."""
     source = _reference_subbasis(basis, basis.degree - guard, per_variable) \
         if guard > 0 else basis
     nk, nj = len(basis), len(source)
     step = max(1, operators._CHUNK_BUDGET // (nk + nj))
     chunks = [(lo, min(len(grid), lo + step))
               for lo in range(0, len(grid), step)]
-    if project:
-        A = np.zeros((nk, nj), dtype=complex)
-        for lo, hi in chunks:
-            nodes = grid.nodes[lo:hi]
-            w = grid.weights[lo:hi]
-            E = basis.evaluate(nodes)
-            M = symbol(nodes)[:, None] * source.evaluate(nodes)
-            A += (E.conj() * w[:, None]).T @ M
+    A = np.zeros((nk, nj), dtype=complex)
+    for lo, hi in chunks:
+        nodes = grid.nodes[lo:hi]
+        w = grid.weights[lo:hi]
+        E = basis.evaluate(nodes)
+        M = symbol(nodes)[:, None] * source.evaluate(nodes)
+        A += (E.conj() * w[:, None]).T @ M
     G = np.zeros((nj, nj), dtype=complex)
     for lo, hi in chunks:
         nodes = grid.nodes[lo:hi]
         w = grid.weights[lo:hi]
         M = symbol(nodes)[:, None] * source.evaluate(nodes)
-        if project:
-            M = M - basis.evaluate(nodes) @ A
+        M = M - basis.evaluate(nodes) @ A
         G += (M.conj() * w[:, None]).T @ M
     return operators._singular_values(0.5 * (G + G.conj().T))
 
@@ -121,7 +119,8 @@ def egg_case():
     return egg, grid, engine_for(egg, grid, degree=6)
 
 
-_BUILDERS = {"hankel": (hankel_matrix, True), "mult": (mult_matrix, False)}
+# one entry, so the test ids keep their "hankel" parameter
+_BUILDERS = {"hankel": hankel_matrix}
 
 
 class TestResidualGram:
@@ -130,36 +129,36 @@ class TestResidualGram:
     @pytest.mark.parametrize("kind", sorted(_BUILDERS))
     @pytest.mark.parametrize("guard", [0, 2, 5])
     def test_disc_reinhardt_identical(self, disc_domain, kind, guard):
-        build, project = _BUILDERS[kind]
+        build = _BUILDERS[kind]
         grid = dom.build_grid(disc_domain, 0.05)
         basis = reinhardt_basis(disc_domain, 20)
         for sym in (_zbar(0, 1), _mixed(1)):
             sig = build(sym, basis, grid, guard=guard).singular_values
-            ref = _reference_sigma(sym, basis, grid, guard, False, project)
+            ref = _reference_sigma(sym, basis, grid, guard, False)
             assert np.array_equal(sig, ref)
 
     @pytest.mark.parametrize("kind", sorted(_BUILDERS))
     @pytest.mark.parametrize("guard", [0, 2])
     def test_bidisc_reinhardt_identical(self, bidisc_domain, kind, guard):
-        build, project = _BUILDERS[kind]
+        build = _BUILDERS[kind]
         grid = dom.build_grid(bidisc_domain, 0.2)
         basis = reinhardt_basis(bidisc_domain, 8, per_variable=True)
         sym = _mixed(2)
         trunc = build(sym, basis, grid, guard=guard, per_variable=True)
-        ref = _reference_sigma(sym, basis, grid, guard, True, project)
+        ref = _reference_sigma(sym, basis, grid, guard, True)
         assert trunc.source_size == (9 - guard) ** 2
         assert np.array_equal(trunc.singular_values, ref)
 
     @pytest.mark.parametrize("kind", sorted(_BUILDERS))
     @pytest.mark.parametrize("guard", [0, 2])
     def test_egg_cholesky_basis_close(self, egg_case, kind, guard):
-        build, project = _BUILDERS[kind]
+        build = _BUILDERS[kind]
         _, grid, engine = egg_case
         basis = engine.basis
         assert basis.dropped == 0  # graded Cholesky path
         sym = _mixed(2)
         sig = build(sym, basis, grid, guard=guard).singular_values
-        ref = _reference_sigma(sym, basis, grid, guard, False, project)
+        ref = _reference_sigma(sym, basis, grid, guard, False)
         assert len(sig) == len(ref)
         assert np.max(np.abs(sig - ref)) <= 1e-12 * ref[0]
 
@@ -227,10 +226,9 @@ class TestOrbitAssembly:
         for expr in exprs:
             sym = bump_symbol(domain.dim) if expr == "bump" \
                 else symbol_parse(expr, domain.dim)
-            for kind, (build, project) in sorted(_BUILDERS.items()):
+            for kind, build in sorted(_BUILDERS.items()):
                 for guard in (0, 2):
-                    ref = _reference_sigma(sym, basis, grid, guard, pv,
-                                           project)
+                    ref = _reference_sigma(sym, basis, grid, guard, pv)
                     with monkeypatch.context() as m:
                         m.setattr(operators, "_CHUNK_BUDGET", budget)
                         sig = build(sym, basis, grid, guard=guard,
@@ -246,7 +244,7 @@ class TestOrbitAssembly:
     def test_dense_basis_on_product_polar_grid_identical(self, kind):
         """A dense basis puts each node in an orbit of its own, where
         the orbit sums are the node sums bit for bit."""
-        build, project = _BUILDERS[kind]
+        build = _BUILDERS[kind]
         for domain, pv in ((dom.egg(2), False), (dom.polydisc(2), True)):
             grid = dom.build_grid(domain, 0.0, scheme="product-polar",
                                   degree=6)
@@ -255,13 +253,13 @@ class TestOrbitAssembly:
             for sym in (_zbar(0, 2), _mixed(2)):
                 sig = build(sym, basis, grid, guard=0,
                             per_variable=pv).singular_values
-                ref = _reference_sigma(sym, basis, grid, 0, pv, project)
+                ref = _reference_sigma(sym, basis, grid, 0, pv)
                 assert np.array_equal(sig, ref)
 
 
 # -- the shared pool: each Gram is the same bit for bit at 1 and 2 workers --
 
-def _plain_residual_gram(basis, grid, n, columns, width, project):
+def _plain_residual_gram(basis, grid, n, columns, width):
     """_residual_gram as one thread sums it: each chunk of orbits built
     whole, the read-off's products one per run of functions, the Gram
     one product per chunk."""
@@ -284,15 +282,13 @@ def _plain_residual_gram(basis, grid, n, columns, width, project):
                                @ V[:, g] for g, r in enumerate(runs)])
 
     def gram(w, S, V):
-        if project:
-            for r in runs:
-                V[:, modes[r.start]] -= S[:, r] @ TA[r]
+        for r in runs:
+            V[:, modes[r.start]] -= S[:, r] @ TA[r]
         V = V.reshape(-1, width)
         return (V.conj() * np.repeat(w / T, T)[:, None]).T @ V
 
     orbits = range(0, len(grid) // T, step)
-    if project:
-        TA = sum(read_off(*chunk(lo, modes[starts])) for lo in orbits)
+    TA = sum(read_off(*chunk(lo, modes[starts])) for lo in orbits)
     G = sum(gram(*chunk(lo, slice(None))) for lo in orbits)
     return 0.5 * (G + G.conj().T)
 
@@ -331,8 +327,8 @@ def _pool_case(name):
 
 
 def _check_worker_counts(name):
-    """Hankel and multiplication truncations and the probe (three
-    centres, and each centre alone, whose one column is never split) at
+    """Hankel truncations and the probe (three centres, and each
+    centre alone, whose one column is never split) at
     1 and 2 workers: np.array_equal to each other and to the plain
     one-thread sum, and equal to the node-sum references, bitwise where
     they sum the same nodes in the same order."""
@@ -344,7 +340,7 @@ def _check_worker_counts(name):
     def outputs():
         return [build(sym, basis, grid, guard=guard,
                       per_variable=pv).singular_values
-                for build, _ in _BUILDERS.values() for guard in (0, 2)] \
+                for build in _BUILDERS.values() for guard in (0, 2)] \
             + [weak_null_probe(sym, engine, basis, grid, c)
                for c in probes]
 
@@ -359,14 +355,14 @@ def _check_worker_counts(name):
     for one, two, plain in zip(*results):
         assert np.array_equal(one, two), name
         assert np.array_equal(one, plain), name
-    refs = [_reference_sigma(sym, basis, grid, guard, pv, project)
-            for _, project in _BUILDERS.values() for guard in (0, 2)]
-    for sig, ref, guard in zip(results[0], refs, (0, 2, 0, 2)):
+    refs = [_reference_sigma(sym, basis, grid, guard, pv)
+            for guard in (0, 2)]
+    for sig, ref, guard in zip(results[0], refs, (0, 2)):
         if name == "tensor" or (name == "egg2" and guard == 0):
             assert np.array_equal(sig, ref), (name, guard)
         else:
             _assert_sigma_close(sig, ref, (name, guard))
-    for vals, c in zip(results[0][4:], probes):
+    for vals, c in zip(results[0][2:], probes):
         np.testing.assert_allclose(
             vals, _reference_probe(sym, engine, basis, grid, c),
             rtol=1e-14, atol=0)
@@ -392,7 +388,7 @@ class TestSharedPool:
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("build", [hankel_matrix, mult_matrix])
+    @pytest.mark.parametrize("build", [hankel_matrix])
     def test_guard_leaving_no_column_rejected(self, disc_domain, disc_quad,
                                               build):
         basis = reinhardt_basis(disc_domain, 4)
@@ -410,7 +406,7 @@ class TestEdgeCases:
                             reinhardt_basis(disc_domain, 4), disc_quad,
                             [[0.5], [1.5]])
 
-    @pytest.mark.parametrize("build", [hankel_matrix, mult_matrix])
+    @pytest.mark.parametrize("build", [hankel_matrix])
     def test_negative_guard_rejected(self, disc_domain, disc_quad, build):
         with pytest.raises(OperatorError, match="guard must be "
                                                 "non-negative, not -3"):
@@ -422,6 +418,13 @@ class TestEdgeCases:
             raise AssertionError("no degree to build")
         with pytest.raises(OperatorError, match="at least one degree"):
             compactness_indicator(build, [])
+
+    def test_indicator_with_empty_probe_rejected(self):
+        def build(n):
+            return operators.OperatorTruncation(
+                source_size=1, singular_values=np.ones(1))
+        with pytest.raises(OperatorError, match="at least one probe value"):
+            compactness_indicator(build, [4, 8], probe_values=[])
 
 
 class TestHankelOracle:
@@ -449,21 +452,6 @@ class TestHankelOracle:
         count = int(np.sum(sig > 0.6))
         assert count == 9
         assert sig[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
-
-
-class TestMultiplication:
-    def test_identity_symbol(self, disc_domain, disc_quad):
-        one = SymbolFn(fn=lambda z: np.ones(len(np.atleast_2d(z))),
-                       smoothness="C1", label="1")
-        basis = reinhardt_basis(disc_domain, 10)
-        trunc = mult_matrix(one, basis, disc_quad, guard=0)
-        assert np.max(np.abs(trunc.singular_values - 1.0)) < 1e-10
-
-    def test_norm_bounded_by_sup(self, disc_domain, disc_quad):
-        sym = _zbar(0, 1)
-        basis = reinhardt_basis(disc_domain, 25)
-        trunc = mult_matrix(sym, basis, disc_quad, guard=5)
-        assert trunc.singular_values[0] <= 1.0 + 1e-8
 
 
 class TestCompactnessIndicator:
