@@ -226,19 +226,18 @@ class TestOrbitAssembly:
         for expr in exprs:
             sym = bump_symbol(domain.dim) if expr == "bump" \
                 else symbol_parse(expr, domain.dim)
-            for kind, build in sorted(_BUILDERS.items()):
-                for guard in (0, 2):
-                    ref = _reference_sigma(sym, basis, grid, guard, pv)
-                    with monkeypatch.context() as m:
-                        m.setattr(operators, "_CHUNK_BUDGET", budget)
-                        sig = build(sym, basis, grid, guard=guard,
-                                    per_variable=pv).singular_values
-                    if kind == "hankel" and expr in ("z2*z2", "z1*z1") \
-                            and guard == 2 and not name.endswith("aliased"):
-                        # H_phi = 0 on these columns
-                        assert sig[0] < 1e-12 and ref[0] < 1e-12
-                        continue
-                    _assert_sigma_close(sig, ref, (expr, kind, guard))
+            for guard in (0, 2):
+                ref = _reference_sigma(sym, basis, grid, guard, pv)
+                with monkeypatch.context() as m:
+                    m.setattr(operators, "_CHUNK_BUDGET", budget)
+                    sig = hankel_matrix(sym, basis, grid, guard=guard,
+                                        per_variable=pv).singular_values
+                if expr in ("z2*z2", "z1*z1") and guard == 2 \
+                        and not name.endswith("aliased"):
+                    # H_phi = 0 on these columns
+                    assert sig[0] < 1e-12 and ref[0] < 1e-12
+                    continue
+                _assert_sigma_close(sig, ref, (expr, guard))
 
     @pytest.mark.parametrize("kind", sorted(_BUILDERS))
     def test_dense_basis_on_product_polar_grid_identical(self, kind):
@@ -338,9 +337,9 @@ def _check_worker_counts(name):
     probes = [centres] + [centres[i:i + 1] for i in range(len(centres))]
 
     def outputs():
-        return [build(sym, basis, grid, guard=guard,
-                      per_variable=pv).singular_values
-                for build in _BUILDERS.values() for guard in (0, 2)] \
+        return [hankel_matrix(sym, basis, grid, guard=guard,
+                              per_variable=pv).singular_values
+                for guard in (0, 2)] \
             + [weak_null_probe(sym, engine, basis, grid, c)
                for c in probes]
 
