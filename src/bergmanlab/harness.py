@@ -156,30 +156,21 @@ def _evaluate(table, z):
 
 def symbol_parse(expr: str, dim: int) -> SymbolFn:
     """Parse an expression over z_j, conj(z_j), abs2(z_j), +, -, *, and
-    real constants into a polynomial in (z, conj z), with its analytic
-    conjugate derivatives read off the same coefficient table."""
+    real constants into a polynomial in (z, conj z)."""
     try:
         table = _build(ast.parse(expr, mode="eval").body, dim)
     except SyntaxError as exc:
-        raise SymbolParseError(
-            f"syntax error at offset {exc.offset}: {exc.msg}") from exc
+        where = "" if exc.offset is None else f" at offset {exc.offset}"
+        raise SymbolParseError(f"syntax error{where}: {exc.msg}") from exc
     except RecursionError as exc:
         raise SymbolParseError("expression nested too deeply") from exc
-    # d/d conj(z_j): the conj(z_j) exponent comes down as a factor
-    dbar_tables = [{tuple(k - (i == dim + j) for i, k in enumerate(e)):
-                    c * e[dim + j]
-                    for e, c in table.items() if e[dim + j] > 0}
-                   for j in range(dim)]
-    # sum |c| bounds a table's values on the unit polydisc, which holds
-    # every model domain
-    if not all(math.isfinite(sum(map(abs, t.values())))
-               for t in (table, *dbar_tables)):
+    # sum |c| bounds |phi| on the unit polydisc, which holds every model
+    # domain, and every route integrates |phi|^2; s * s, as a float's
+    # s ** 2 raises OverflowError
+    s = sum(map(abs, table.values()))
+    if not math.isfinite(s * s):
         raise SymbolParseError("coefficients out of floating-point range")
-    return SymbolFn(
-        fn=lambda z: _evaluate(table, z), smoothness="C1",
-        dbar=lambda z: np.stack([_evaluate(t, z) for t in dbar_tables],
-                                axis=1),
-        label=expr)
+    return SymbolFn(fn=lambda z: _evaluate(table, z), label=expr)
 
 
 def bump_symbol(dim: int) -> SymbolFn:
@@ -194,7 +185,7 @@ def bump_symbol(dim: int) -> SymbolFn:
                                  axis=1))
         out[inside] = body[inside]
         return out
-    return SymbolFn(fn=fn, smoothness="C1", label=f"bump({_BUMP_RADIUS})")
+    return SymbolFn(fn=fn, label=f"bump({_BUMP_RADIUS})")
 
 
 def resolve_symbol(name: str, dim: int) -> SymbolFn:
@@ -279,9 +270,6 @@ class ExperimentConfig:
         if not self.hankel_degrees or min(self.hankel_degrees) < 1:
             raise ConfigError("hankel_degrees must be a non-empty list of "
                               "degrees >= 1")
-
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, source):

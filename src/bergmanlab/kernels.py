@@ -136,7 +136,6 @@ class OrthonormalBasis:
     coeffs: np.ndarray
     grid: QuadratureGrid | None
     degree: int
-    smallest_retained: float
     dropped: int
 
     @property
@@ -188,7 +187,7 @@ def orthonormalize(dom: DomainSpec, grid: QuadratureGrid, degree: int,
     """Gram-orthonormalize monomials against grid quadrature.
 
     Directions whose Gram eigenvalue falls below _CUTOFF * max are
-    dropped and reported in the conditioning fields.
+    dropped and counted in `dropped`.
     """
     alphas = multi_indices(dom.dim, degree, per_variable)
     n_mono = len(alphas)
@@ -206,8 +205,7 @@ def orthonormalize(dom: DomainSpec, grid: QuadratureGrid, degree: int,
         if small < _CUTOFF * float(np.max(np.abs(np.diag(L))) ** 2):
             raise np.linalg.LinAlgError
         return OrthonormalBasis(domain=dom, alphas=alphas, coeffs=C,
-                                grid=grid, degree=degree,
-                                smallest_retained=small, dropped=0)
+                                grid=grid, degree=degree, dropped=0)
     except np.linalg.LinAlgError:
         pass
     lam, U = np.linalg.eigh(G)
@@ -216,9 +214,7 @@ def orthonormalize(dom: DomainSpec, grid: QuadratureGrid, degree: int,
         raise KernelError("Gram matrix numerically zero")
     C = U[:, keep] / np.sqrt(lam[keep])
     return OrthonormalBasis(domain=dom, alphas=alphas, coeffs=C, grid=grid,
-                            degree=degree,
-                            smallest_retained=float(lam[keep][0]),
-                            dropped=int(np.sum(~keep)))
+                            degree=degree, dropped=int(np.sum(~keep)))
 
 
 def reinhardt_basis(dom: DomainSpec, degree: int,
@@ -229,8 +225,7 @@ def reinhardt_basis(dom: DomainSpec, degree: int,
     norms = np.array([monomial_norm2(dom, a) for a in alphas])
     return OrthonormalBasis(domain=dom, alphas=alphas,
                             coeffs=1.0 / np.sqrt(norms), grid=None,
-                            degree=degree,
-                            smallest_retained=float(norms.min()), dropped=0)
+                            degree=degree, dropped=0)
 
 
 class KernelEngine:

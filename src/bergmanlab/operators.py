@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import QuadratureGrid, central_dbar, contains
+from .domains import QuadratureGrid, contains
 from .kernels import KernelEngine, OrthonormalBasis, _pool_map
 
 
@@ -39,16 +39,9 @@ class OperatorError(RuntimeError):
 
 @dataclass(frozen=True)
 class SymbolFn:
-    """A symbol phi: Omega -> C with optional analytic dbar data.
-
-    smoothness: 'L2', 'C0' (continuous up to the closure), or 'C1'.
-    dbar, when present, maps (n, d) points to the (n, d) components of
-    (d phi / d zbar_j).
-    """
+    """A symbol phi: Omega -> C on (n, d) points, with its report label."""
 
     fn: object
-    smoothness: str = "L2"
-    dbar: object = None
     label: str = ""
 
     def __call__(self, z):
@@ -57,23 +50,6 @@ class SymbolFn:
         if not np.all(np.isfinite(out)):
             raise OperatorError(f"symbol {self.label!r} not finite on grid")
         return out
-
-    def dbar_values(self, z):
-        """Analytic dbar when available, else central differences."""
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        if self.dbar is not None:
-            return np.asarray(self.dbar(z), dtype=complex)
-        if self.smoothness != "C1":
-            raise OperatorError(
-                "dbar requested for a symbol not tagged C1")
-        return central_dbar(self, z)
-
-    def dbar_consistency(self, z):
-        """Max abs gap between analytic dbar and central differences."""
-        if self.dbar is None:
-            return 0.0
-        gap = central_dbar(self, z) - self.dbar_values(z)
-        return float(np.max(np.abs(gap)))
 
 
 @dataclass(frozen=True)

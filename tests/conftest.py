@@ -119,14 +119,10 @@ def bidisc_zbar2_signature(bidisc_domain, bidisc_engine, bidisc_grid):
 
 
 def zbar1(dim):
+    """conj(z1) as a SymbolFn; it reads z1 alone in any dimension dim."""
     from bergmanlab.operators import SymbolFn
-
-    def db(z):
-        out = np.zeros((len(z), dim), dtype=complex)
-        out[:, 0] = 1.0
-        return out
     return SymbolFn(fn=lambda z: np.conj(np.atleast_2d(z)[:, 0]),
-                    smoothness="C1", dbar=db, label="conj(z1)")
+                    label="conj(z1)")
 
 
 # -- the dense partition of unity, kept as the reference for the CSR one

@@ -34,7 +34,7 @@ class TestOmega:
     def test_holomorphic_polynomial_is_exact(self, disc_field_dense,
                                              unit_ball_dense):
         sym = SymbolFn(fn=lambda z: 2.0 * np.atleast_2d(z)[:, 0] ** 3
-                       - 0.5, smoothness="C1", label="2z^3-1/2")
+                       - 0.5, label="2z^3-1/2")
         val = omega(disc_field_dense, unit_ball_dense, sym, 6)
         assert val.value <= 1e-10
 
@@ -93,18 +93,14 @@ class TestBoundaryScan:
         def fn(z):
             z = np.atleast_2d(z)
             return np.where(np.abs(z[:, 0]) < 0.3, 1.0 + 0.0j, 0.0j)
-        sym = SymbolFn(fn=fn, smoothness="L2", label="indicator")
+        sym = SymbolFn(fn=fn, label="indicator")
         scan = boundary_scan(disc_field, sym, radius=1.0, degree=2,
                              n_rays=2, steps=(0.85, 0.92))
         assert scan.sup <= 1e-12
 
     def test_bidisc_zbar2_does_not_decay(self, bidisc_field):
-        def db(z):
-            out = np.zeros((len(np.atleast_2d(z)), 2), dtype=complex)
-            out[:, 1] = 1.0
-            return out
         sym = SymbolFn(fn=lambda z: np.conj(np.atleast_2d(z)[:, 1]),
-                       smoothness="C1", dbar=db, label="conj(z2)")
+                       label="conj(z2)")
         # rays toward the interior of the face {|z1| = 1}
         dirs = np.array([[1.0, 0.0j], [1j, 0.0]])
         scan = boundary_scan(bidisc_field, sym, radius=1.0, degree=4,
@@ -175,7 +171,7 @@ class TestBoundaryScan:
     def test_zero_omega_reads_no_trend(self, disc_field):
         # a holomorphic symbol: omega is zero up to rounding on every row
         sym = SymbolFn(fn=lambda z: np.atleast_2d(z)[:, 0] ** 2,
-                       smoothness="C1", label="z1*z1")
+                       label="z1*z1")
         scan = boundary_scan(disc_field, sym, radius=1.0, degree=4,
                              n_rays=2, steps=(0.3, 0.5, 0.7, 0.85))
         assert scan.sup < 1e-10
@@ -282,7 +278,7 @@ class TestDecomposition:
 
     def test_holomorphic_symbol_trivial(self, dec):
         sym = SymbolFn(fn=lambda z: np.atleast_2d(z)[:, 0] ** 2,
-                       smoothness="C1", label="z^2")
+                       label="z^2")
         d = decompose(dec.partition, sym, degree=6)
         assert float(np.max(d.epsilon)) < 1e-10
         assert float(np.max(np.abs(d.phi2))) < 1e-10
@@ -297,7 +293,7 @@ class TestDecomposition:
         """The rounding floor is relative to the symbol: a multiple of
         conj(z1) reads the brackets of conj(z1)."""
         sym = SymbolFn(fn=lambda z: scale * np.conj(np.atleast_2d(z)[:, 0]),
-                       smoothness="C1", label=f"{scale}*conj(z1)")
+                       label=f"{scale}*conj(z1)")
         small = decompose(dec.partition, sym, degree=6)
         for name in ("phi2_audit", "dbar_audit"):
             ref, got = getattr(dec, name), getattr(small, name)
@@ -317,24 +313,24 @@ class TestVarietyTest:
 
     def test_conj_z1_constant_along_disc(self, bidisc_domain):
         sym = SymbolFn(fn=lambda z: np.conj(np.atleast_2d(z)[:, 0]),
-                       smoothness="C1", label="conj(z1)")
+                       label="conj(z1)")
         assert variety_test(sym, bidisc_domain, self._face_disc()) \
             <= 1e-10
 
     def test_conj_z2_residual_one(self, bidisc_domain):
         sym = SymbolFn(fn=lambda z: np.conj(np.atleast_2d(z)[:, 1]),
-                       smoothness="C1", label="conj(z2)")
+                       label="conj(z2)")
         res = variety_test(sym, bidisc_domain, self._face_disc())
         assert res == pytest.approx(1.0, abs=1e-3)
 
     def test_holomorphic_composition_residual_zero(self, bidisc_domain):
         sym = SymbolFn(fn=lambda z: np.atleast_2d(z)[:, 1] ** 2,
-                       smoothness="C1", label="z2^2")
+                       label="z2^2")
         assert variety_test(sym, bidisc_domain, self._face_disc()) <= 1e-9
 
     def test_interior_disc_rejected(self, bidisc_domain):
         sym = SymbolFn(fn=lambda z: np.conj(np.atleast_2d(z)[:, 1]),
-                       smoothness="C1", label="conj(z2)")
+                       label="conj(z2)")
         inner = lambda w: np.array([0.5, w])
         with pytest.raises(ApproximationError):
             variety_test(sym, bidisc_domain, inner)

@@ -16,13 +16,9 @@ from bergmanlab.operators import (OperatorError, SymbolFn,
                                   weak_null_probe)
 
 
-def _zbar(j, dim):
-    def db(z):
-        out = np.zeros((len(z), dim), dtype=complex)
-        out[:, j] = 1.0
-        return out
+def _zbar(j):
     return SymbolFn(fn=lambda z: np.conj(np.atleast_2d(z)[:, j]),
-                    smoothness="C1", dbar=db, label=f"conj(z{j + 1})")
+                    label=f"conj(z{j + 1})")
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +40,7 @@ def _mixed(dim):
     nontrivial at every guard."""
     return SymbolFn(fn=lambda z: np.conj(np.atleast_2d(z)[:, dim - 1])
                     + np.abs(np.atleast_2d(z)[:, 0]) ** 2,
-                    smoothness="C1", label="mixed")
+                    label="mixed")
 
 
 # -- the assembly paths before the shared residual Gram, as references --
@@ -66,7 +62,6 @@ def _reference_subbasis(basis, degree, per_variable=False):
     return OrthonormalBasis(domain=basis.domain, alphas=basis.alphas[keep],
                             coeffs=coeffs,
                             grid=basis.grid, degree=degree,
-                            smallest_retained=basis.smallest_retained,
                             dropped=basis.dropped)
 
 
@@ -132,7 +127,7 @@ class TestResidualGram:
         build = _BUILDERS[kind]
         grid = dom.build_grid(disc_domain, 0.05)
         basis = reinhardt_basis(disc_domain, 20)
-        for sym in (_zbar(0, 1), _mixed(1)):
+        for sym in (_zbar(0), _mixed(1)):
             sig = build(sym, basis, grid, guard=guard).singular_values
             ref = _reference_sigma(sym, basis, grid, guard, False)
             assert np.array_equal(sig, ref)
@@ -170,7 +165,7 @@ class TestResidualGram:
         monkeypatch.setattr(operators, "_CHUNK_BUDGET", budget)
         _, egg_grid, egg_engine = egg_case
         cases = [
-            (_zbar(0, 1), engine_for(disc_domain),
+            (_zbar(0), engine_for(disc_domain),
              reinhardt_basis(disc_domain, 40), disc_quad,
              np.array([[t + 0.1j] for t in (0.0, 0.5, 0.7, 0.9)])),
             (_mixed(2), bidisc_engine,
@@ -249,7 +244,7 @@ class TestOrbitAssembly:
                                   degree=6)
             basis = orthonormalize(domain, grid, 4, per_variable=pv)
             assert not basis.monomial
-            for sym in (_zbar(0, 2), _mixed(2)):
+            for sym in (_zbar(0), _mixed(2)):
                 sig = build(sym, basis, grid, guard=0,
                             per_variable=pv).singular_values
                 ref = _reference_sigma(sym, basis, grid, 0, pv)
@@ -392,16 +387,16 @@ class TestEdgeCases:
                                               build):
         basis = reinhardt_basis(disc_domain, 4)
         with pytest.raises(OperatorError, match="guard 5.*degree 4"):
-            build(_zbar(0, 1), basis, disc_quad, guard=5)
+            build(_zbar(0), basis, disc_quad, guard=5)
 
     def test_probe_without_centers_rejected(self, disc_domain, disc_quad):
         with pytest.raises(OperatorError, match="center"):
-            weak_null_probe(_zbar(0, 1), engine_for(disc_domain),
+            weak_null_probe(_zbar(0), engine_for(disc_domain),
                             reinhardt_basis(disc_domain, 4), disc_quad, [])
 
     def test_probe_center_outside_rejected(self, disc_domain, disc_quad):
         with pytest.raises(OperatorError, match="outside the domain"):
-            weak_null_probe(_zbar(0, 1), engine_for(disc_domain),
+            weak_null_probe(_zbar(0), engine_for(disc_domain),
                             reinhardt_basis(disc_domain, 4), disc_quad,
                             [[0.5], [1.5]])
 
@@ -409,7 +404,7 @@ class TestEdgeCases:
     def test_negative_guard_rejected(self, disc_domain, disc_quad, build):
         with pytest.raises(OperatorError, match="guard must be "
                                                 "non-negative, not -3"):
-            build(_zbar(0, 1), reinhardt_basis(disc_domain, 4), disc_quad,
+            build(_zbar(0), reinhardt_basis(disc_domain, 4), disc_quad,
                   guard=-3)
 
     def test_indicator_without_degrees_rejected(self):
@@ -429,7 +424,7 @@ class TestEdgeCases:
 class TestHankelOracle:
     def test_disc_zbar_singular_values(self, disc_domain, disc_quad):
         basis = reinhardt_basis(disc_domain, 60)
-        trunc = hankel_matrix(_zbar(0, 1), basis, disc_quad, guard=0)
+        trunc = hankel_matrix(_zbar(0), basis, disc_quad, guard=0)
         sig = trunc.singular_values
         for j in range(11):
             oracle = 1.0 / math.sqrt((j + 1) * (j + 2))
@@ -437,14 +432,14 @@ class TestHankelOracle:
 
     def test_holomorphic_symbol_gives_zero(self, disc_domain, disc_quad):
         sym = SymbolFn(fn=lambda z: np.atleast_2d(z)[:, 0] ** 2,
-                       smoothness="C1", label="z1^2")
+                       label="z1^2")
         basis = reinhardt_basis(disc_domain, 20)
         trunc = hankel_matrix(sym, basis, disc_quad, guard=5)
         assert trunc.singular_values[0] <= 1e-8
 
     def test_bidisc_tensor_multiplicity(self, bidisc_domain, bidisc_quad):
         basis = reinhardt_basis(bidisc_domain, 8, per_variable=True)
-        trunc = hankel_matrix(_zbar(1, 2), basis, bidisc_quad, guard=0,
+        trunc = hankel_matrix(_zbar(1), basis, bidisc_quad, guard=0,
                               per_variable=True)
         sig = trunc.singular_values
         # sigma = 1/sqrt(2) with multiplicity N+1 = 9
@@ -456,7 +451,7 @@ class TestHankelOracle:
 class TestCompactnessIndicator:
     def test_disc_zbar_flagged_compact(self, disc_domain, disc_quad,
                                        disc_field):
-        sym = _zbar(0, 1)
+        sym = _zbar(0)
         def build(n):
             return hankel_matrix(sym, reinhardt_basis(disc_domain, n),
                                  disc_quad, guard=0)
@@ -486,17 +481,6 @@ class TestCompactnessIndicator:
 class TestSymbolChecks:
     def test_nonfinite_symbol_rejected(self, disc_domain, disc_quad):
         bad = SymbolFn(fn=lambda z: 1.0 / (1.0 - np.atleast_2d(z)[:, 0]),
-                       smoothness="L2", label="pole")
+                       label="pole")
         with pytest.raises(OperatorError):
             bad(np.array([[1.0 + 0j]]))
-
-    def test_dbar_refused_without_c1(self):
-        sym = SymbolFn(fn=lambda z: np.abs(np.atleast_2d(z)[:, 0]),
-                       smoothness="C0", label="|z1|")
-        with pytest.raises(OperatorError):
-            sym.dbar_values(np.array([[0.3 + 0j]]))
-
-    def test_dbar_consistency_analytic_vs_fd(self):
-        sym = _zbar(0, 2)
-        z = np.array([[0.2 + 0.1j, -0.3j], [0.0, 0.4 + 0.0j]])
-        assert sym.dbar_consistency(z) < 1e-7
